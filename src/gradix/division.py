@@ -61,6 +61,7 @@ class GradedDivisionRing:
         self.factor = dict(factor)
         self._validate()
         self._gamma0 = tuple(sorted({m.source for m in self.support}))
+        self._opposite = None
 
     # -- validation ---------------------------------------------------------
 
@@ -258,12 +259,19 @@ class GradedDivisionRing:
     # -- opposite -----------------------------------------------------------
 
     def opposite(self):
-        """The opposite ring: same support set, factor(s,t) -> factor(t^-1, s^-1)."""
-        g = self.groupoid
-        factor = {}
-        for (s, t) in self.factor:
-            factor[(s, t)] = self.factor[(g.inverse(t), g.inverse(s))]
-        return GradedDivisionRing(self.field, g, self.support, factor)
+        """The opposite ring: same support set, factor(s,t) -> factor(t^-1, s^-1).
+
+        Built and validated on the first call, then cached; support and
+        factor never change after construction, so the cache cannot go
+        stale.  The opposite of the opposite is this ring itself.
+        """
+        if self._opposite is None:
+            g = self.groupoid
+            factor = {(s, t): self.factor[(g.inverse(t), g.inverse(s))] for (s, t) in self.factor}
+            op = GradedDivisionRing(self.field, g, self.support, factor)
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
 
     # -- constructors -------------------------------------------------------
 

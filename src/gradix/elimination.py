@@ -11,6 +11,11 @@ shared column).
 row_reduce drives a deterministic reduced echelon form and accumulates
 both the transform U (U*A = echelon) and its inverse V, so ranks,
 inverses, solvers and factorizations all fall out of one pass.
+
+The worksheet holds bare field coefficients.  A slot's degree is fixed
+by the signatures, so the product of coefficients x and y at composable
+degrees d and e is the field element x*y*factor(d, e); no entry is
+wrapped as a homogeneous scalar.
 """
 
 from itertools import combinations
@@ -98,7 +103,9 @@ class _Worksheet:
 
     Invariants maintained by every operation: U*A = M and V = U^{-1}
     (so A = V*M), with U in [M.row_sig][original row_sig] and V in
-    [original row_sig][M.row_sig].
+    [original row_sig][M.row_sig].  M and U are lists of rows and V a list
+    of columns, each a dict from index to coefficient, so an operation
+    touches only the rows or columns it changes.
     """
 
     def __init__(self, matrix):
@@ -107,108 +114,97 @@ class _Worksheet:
         self.orig = matrix
         self.row_sig = list(matrix.row_sig)
         self.col_sig = matrix.col_sig
-        self.m_entries = dict(matrix.entries)
-        self.u_entries = {(i, i): self.field.one() for i in range(len(self.row_sig))}
-        self.v_entries = {(i, i): self.field.one() for i in range(len(self.row_sig))}
+        self.m_rows = [{} for _ in self.row_sig]
+        for (i, j), c in matrix.entries.items():
+            self.m_rows[i][j] = c
+        # U and V start as the identity I_{r(alpha)}, whose unit 1_e is zero
+        # when e is outside gamma0 (such a row of A is zero anyway).
+        gamma0 = set(self.ring.gamma0())
+        one = self.field.one()
+        self.u_rows = [{i: one} if a.target in gamma0 else {} for i, a in enumerate(self.row_sig)]
+        self.v_cols = [dict(row) for row in self.u_rows]
+        g = self.ring.groupoid
+        self._col_inv = [g.inverse(b) for b in self.col_sig]
+        self._orig_inv = [g.inverse(a) for a in matrix.row_sig]
         self.steps = []
 
-    def _swap_rows(self, entries, i, j, width):
-        for k in range(width):
-            a, b = entries.pop((i, k), None), entries.pop((j, k), None)
-            if b is not None:
-                entries[(i, k)] = b
-            if a is not None:
-                entries[(j, k)] = a
-
-    def _swap_cols(self, entries, i, j, height):
-        for k in range(height):
-            a, b = entries.pop((k, i), None), entries.pop((k, j), None)
-            if b is not None:
-                entries[(k, i)] = b
-            if a is not None:
-                entries[(k, j)] = a
+    def _rows(self, i):
+        """Row i of M and of U, each with the inverted column signature of its slots."""
+        return ((self.m_rows[i], self._col_inv), (self.u_rows[i], self._orig_inv))
 
     def swap(self, i, j):
         if i == j:
             return
-        m = len(self.row_sig)
-        self._swap_rows(self.m_entries, i, j, len(self.col_sig))
-        self._swap_rows(self.u_entries, i, j, m)
-        self._swap_cols(self.v_entries, i, j, m)
+        for lines in (self.m_rows, self.u_rows, self.v_cols):
+            lines[i], lines[j] = lines[j], lines[i]
         self.row_sig[i], self.row_sig[j] = self.row_sig[j], self.row_sig[i]
         self.steps.append(EliminationStep("swap", i, j, None, tuple(self.row_sig)))
 
     def scale(self, i, a):
         """Multiply row i by the invertible homogeneous scalar a."""
         g = self.ring.groupoid
-        ring = self.ring
+        mul, factor = self.field.mul, self.ring.factor
+        alpha = self.row_sig[i]
         # M and U rows are left-multiplied by a; V's column i is
         # right-multiplied by a^{-1}.
-        a_inv = ring.inv(a)
-        for entries, col_sigs in ((self.m_entries, self.col_sig), (self.u_entries, self.orig.row_sig)):
-            for (r, k) in list(entries):
-                if r != i:
-                    continue
-                deg = g.compose(self.row_sig[i], g.inverse(col_sigs[k]))
-                v = ring.mul(a, ring.scalar(deg, entries[(r, k)]))
-                entries[(r, k)] = v.coeff
-        for (r, k) in list(self.v_entries):
-            if k != i:
-                continue
-            deg = g.compose(self.orig.row_sig[r], g.inverse(self.row_sig[i]))
-            v = ring.mul(ring.scalar(deg, self.v_entries[(r, k)]), a_inv)
-            self.v_entries[(r, k)] = v.coeff
-        self.row_sig[i] = g.compose(a.degree, self.row_sig[i])
+        for row, inv in self._rows(i):
+            for k, x in row.items():
+                row[k] = mul(mul(a.coeff, x), factor[(a.degree, g.compose(alpha, inv[k]))])
+        a_inv = self.ring.inv(a)
+        alpha_inv = g.inverse(alpha)
+        col = self.v_cols[i]
+        for r, x in col.items():
+            deg = g.compose(self.orig.row_sig[r], alpha_inv)
+            col[r] = mul(mul(x, a_inv.coeff), factor[(deg, a_inv.degree)])
+        self.row_sig[i] = g.compose(a.degree, alpha)
         self.steps.append(EliminationStep("scale", i, None, a, tuple(self.row_sig)))
 
     def transvect(self, i, j, a):
         """Add a*row_i to row_j; the coefficient degree is alpha_j*alpha_i^{-1}."""
         g = self.ring.groupoid
-        ring = self.ring
-        assert g.compose(a.degree, self.row_sig[i]) == self.row_sig[j]
-        for entries, col_sigs in ((self.m_entries, self.col_sig), (self.u_entries, self.orig.row_sig)):
-            for (r, k) in [key for key in entries if key[0] == i]:
-                deg = g.compose(self.row_sig[i], g.inverse(col_sigs[k]))
-                term = ring.mul(a, ring.scalar(deg, entries[(r, k)]))
-                old = entries.get((j, k))
-                if old is None:
-                    total = term
-                else:
-                    total = ring.add(ring.scalar(g.compose(self.row_sig[j], g.inverse(col_sigs[k])), old), term)
-                if total.is_zero:
-                    entries.pop((j, k), None)
-                else:
-                    entries[(j, k)] = total.coeff
+        field, factor = self.field, self.ring.factor
+        alpha = self.row_sig[i]
+        assert g.compose(a.degree, alpha) == self.row_sig[j]
+        for (src, inv), (dst, _) in zip(self._rows(i), self._rows(j)):
+            for k, x in src.items():
+                term = field.mul(field.mul(a.coeff, x), factor[(a.degree, g.compose(alpha, inv[k]))])
+                _accumulate(field, dst, k, term)
         # V gains the inverse column operation: col_i -= col_j * a.
-        a_neg = ring.neg(a)
-        for (r, k) in [key for key in self.v_entries if key[1] == j]:
-            deg = g.compose(self.orig.row_sig[r], g.inverse(self.row_sig[j]))
-            term = ring.mul(ring.scalar(deg, self.v_entries[(r, k)]), a_neg)
-            old = self.v_entries.get((r, i))
-            if old is None:
-                total = term
-            else:
-                total = ring.add(ring.scalar(g.compose(self.orig.row_sig[r], g.inverse(self.row_sig[i])), old), term)
-            if total.is_zero:
-                self.v_entries.pop((r, i), None)
-            else:
-                self.v_entries[(r, i)] = total.coeff
+        neg_a = field.neg(a.coeff)
+        beta_inv = g.inverse(self.row_sig[j])
+        dst = self.v_cols[i]
+        for r, x in self.v_cols[j].items():
+            deg = g.compose(self.orig.row_sig[r], beta_inv)
+            _accumulate(field, dst, r, field.mul(field.mul(x, neg_a), factor[(deg, a.degree)]))
         self.steps.append(EliminationStep("transvect", i, j, a, tuple(self.row_sig)))
 
     def matrix(self):
         out = HomMatrix(self.ring, self.row_sig, self.col_sig)
-        out.entries = dict(self.m_entries)
+        out.entries = {(r, k): c for r, row in enumerate(self.m_rows) for k, c in row.items()}
         return out
 
     def transform(self):
         out = HomMatrix(self.ring, self.row_sig, self.orig.row_sig)
-        out.entries = dict(self.u_entries)
+        out.entries = {(r, k): c for r, row in enumerate(self.u_rows) for k, c in row.items()}
         return out
 
     def inverse_transform(self):
         out = HomMatrix(self.ring, self.orig.row_sig, self.row_sig)
-        out.entries = dict(self.v_entries)
+        out.entries = {(r, k): c for k, col in enumerate(self.v_cols) for r, c in col.items()}
         return out
+
+
+def _accumulate(field, line, k, term):
+    """Add a nonzero term at index k of a row or column dict, dropping a zero sum."""
+    old = line.get(k)
+    if old is None:
+        line[k] = term
+        return
+    total = field.add(old, term)
+    if field.is_zero(total):
+        del line[k]
+    else:
+        line[k] = total
 
 
 class Reduction:
@@ -244,22 +240,22 @@ def row_reduce(matrix):
     for col in range(n):
         pivot_row = None
         for row in range(r, m):
-            if (row, col) in ws.m_entries:
+            if col in ws.m_rows[row]:
                 pivot_row = row
                 break
         if pivot_row is None:
             continue
         ws.swap(r, pivot_row)
         pivot_deg = g.compose(ws.row_sig[r], g.inverse(ws.col_sig[col]))
-        pivot = ring.scalar(pivot_deg, ws.m_entries[(r, col)])
+        pivot = ring.scalar(pivot_deg, ws.m_rows[r][col])
         one = ring.one(ws.col_sig[col].target)
         if not ring.equal(pivot, one):
             ws.scale(r, ring.inv(pivot))
         for row in range(m):
-            if row == r or (row, col) not in ws.m_entries:
+            if row == r or col not in ws.m_rows[row]:
                 continue
             c_deg = g.compose(ws.row_sig[row], g.inverse(ws.col_sig[col]))
-            c = ring.neg(ring.scalar(c_deg, ws.m_entries[(row, col)]))
+            c = ring.neg(ring.scalar(c_deg, ws.m_rows[row][col]))
             ws.transvect(r, row, c)
         pivots.append((r, col))
         r += 1

@@ -324,14 +324,21 @@ def groupoid_from_json(data):
     if not isinstance(data, dict):
         raise FormatError(f"groupoid description must be an object, got {type(data).__name__}")
     if "blocks" in data:
+        if not isinstance(data["blocks"], (list, tuple)):
+            raise FormatError(f"'blocks' must be a list of blocks, got {data['blocks']!r}")
         blocks = []
         for bd in data["blocks"]:
             if not isinstance(bd, dict) or "objects" not in bd or "group" not in bd:
                 raise FormatError(f"block needs 'objects' and 'group', got {bd!r}")
+            if not isinstance(bd["objects"], (list, tuple)):
+                raise FormatError(f"block 'objects' must be a list of object ids, got {bd['objects']!r}")
             gd = bd["group"]
             if not isinstance(gd, dict) or "mult" not in gd:
                 raise FormatError(f"group needs a 'mult' table, got {gd!r}")
-            group = FiniteGroup(gd["mult"])
+            mult = gd["mult"]
+            if not (isinstance(mult, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in mult)):
+                raise FormatError(f"group 'mult' must be a list of rows, got {mult!r}")
+            group = FiniteGroup(mult)
             if "order" in gd and gd["order"] != group.order:
                 raise FormatError(f"stated group order {gd['order']} does not match table size {group.order}")
             blocks.append(ConnectedBlock(bd["objects"], group))
@@ -344,6 +351,10 @@ def groupoid_from_json(data):
             compose = raw["compose"]
         except (TypeError, KeyError) as exc:
             raise FormatError("raw groupoid needs 'objects', 'morphisms', 'compose'") from exc
+        if not all(isinstance(v, (list, tuple)) for v in (objects, morphisms, compose)):
+            raise FormatError("raw groupoid 'objects', 'morphisms' and 'compose' must be lists")
+        if not all(isinstance(x, int) for x in objects):
+            raise FormatError(f"raw groupoid objects must be integer ids, got {objects!r}")
         groupoid, _ = from_composition_table(objects, morphisms, compose)
         return groupoid
     raise FormatError("groupoid description needs either 'blocks' or 'raw'")
@@ -368,8 +379,8 @@ def from_composition_table(objects, morphisms, table):
     src = []
     tgt = []
     for i, md in enumerate(morphisms):
-        if not isinstance(md, dict) or "source" not in md or "target" not in md:
-            raise FormatError(f"morphism record {i} needs 'source' and 'target', got {md!r}")
+        if not (isinstance(md, dict) and isinstance(md.get("source"), int) and isinstance(md.get("target"), int)):
+            raise FormatError(f"morphism record {i} needs integer 'source' and 'target', got {md!r}")
         if md["source"] not in obj_set or md["target"] not in obj_set:
             raise ValidationError("groupoid.object_ids", f"morphism {i} touches an unknown object")
         src.append(md["source"])

@@ -107,27 +107,30 @@ class HomMatrix:
         return self.add(other.neg())
 
     def mul(self, other):
-        """Matrix product [alpha][beta] x [beta][tau] -> [alpha][tau]."""
+        """Matrix product [alpha][beta] x [beta][tau] -> [alpha][tau].
+
+        x at slot (i,k) times y at slot (k,j) contributes
+        x*y*factor(deg(i,k), deg(k,j)) to slot (i,j); both degrees come
+        from the signatures, and their composite is the degree of (i,j).
+        """
         if self.col_sig != other.row_sig:
             raise GradixError("signature mismatch: column signature must equal the other row signature")
-        ring = self.ring
-        out = HomMatrix(ring, self.row_sig, other.col_sig)
+        field, factor = self.ring.field, self.ring.factor
+        right_rows = {}
+        for (k, j), y in sorted(other.entries.items()):
+            right_rows.setdefault(k, []).append((j, other.slot_degree(k, j), y))
         acc = {}
-        for (i, k), _ in self.entries.items():
-            x = self.entry(i, k)
-            for j in range(len(other.col_sig)):
-                y = other.entry(k, j)
-                if y.is_zero:
-                    continue
-                t = ring.mul(x, y)
-                if t.is_zero:
-                    continue
+        for (i, k), x in self.entries.items():
+            row = right_rows.get(k)
+            if row is None:
+                continue
+            dx = self.slot_degree(i, k)
+            for j, dy, y in row:
+                t = field.mul(field.mul(x, y), factor[(dx, dy)])
                 prev = acc.get((i, j))
-                acc[(i, j)] = t if prev is None else ring.add(prev, t)
-        for (i, j), v in acc.items():
-            if not v.is_zero:
-                assert v.degree == out.slot_degree(i, j)
-                out.entries[(i, j)] = v.coeff
+                acc[(i, j)] = t if prev is None else field.add(prev, t)
+        out = HomMatrix(self.ring, self.row_sig, other.col_sig)
+        out.entries = {key: c for key, c in acc.items() if not field.is_zero(c)}
         return out
 
     def scale_left(self, x):
@@ -141,10 +144,9 @@ class HomMatrix:
                 raise GradixError("scalar degree does not compose with a row signature entry")
             new_rows.append(g.compose(x.degree, a))
         out = HomMatrix(self.ring, new_rows, self.col_sig)
+        field, factor = self.ring.field, self.ring.factor
         for (i, j), c in self.entries.items():
-            v = self.ring.mul(x, self.entry(i, j))
-            if not v.is_zero:
-                out.entries[(i, j)] = v.coeff
+            out.entries[(i, j)] = field.mul(field.mul(x.coeff, c), factor[(x.degree, self.slot_degree(i, j))])
         return out
 
     # -- block helpers ------------------------------------------------------

@@ -114,13 +114,10 @@ class GradedModule:
         if not g.is_composable(v.degree, a.degree):
             raise GradixError("vector degree does not compose with the scalar degree")
         new_tau = g.compose(v.degree, a.degree)
-        field = self.ring.field
+        field, factor = self.ring.field, self.ring.factor
         out = {}
         for i, c in v.entries.items():
-            x = self.ring.scalar(self.slot(i, v.degree), c)
-            prod = self.ring.mul(x, a)
-            if not prod.is_zero:
-                out[i] = prod.coeff
+            out[i] = field.mul(field.mul(c, a.coeff), factor[(self.slot(i, v.degree), a.degree)])
         return HomogeneousVector(self, new_tau, out)
 
     def columns(self, vectors):

@@ -4,9 +4,10 @@ One file per object.  Any slot that takes a sub-object also accepts
 {"ref": "relative/path.json"}, resolved against the referring file's
 directory, so fixtures compose without duplication.
 
-Parse problems raise FormatError; a well-formed file describing a
-structure that breaks its own laws raises ValidationError from the
-constructors, carrying the violated invariant's name.
+Parse problems, a slot holding the wrong JSON type among them, raise
+FormatError; a well-formed file describing a structure that breaks its
+own laws raises ValidationError from the constructors, carrying the
+violated invariant's name.
 """
 
 import json
@@ -44,10 +45,48 @@ def _chase(data, base_dir, seen):
     return data, base_dir
 
 
-def _require(data, key, path):
+_LIST = (list, tuple)
+
+
+def _require(data, key, path, kind=None):
+    """data[key], which must exist and, when kind is given, be of that JSON type."""
     if not isinstance(data, dict) or key not in data:
         raise FormatError(f"{path}: missing key {key!r}")
-    return data[key]
+    return _typed(data[key], kind, f"{path}: {key!r}")
+
+
+def _optional_list(data, key, path):
+    """data[key] when present, else an empty list; a present value must be a list."""
+    return _typed(data.get(key, []), _LIST, f"{path}: {key!r}")
+
+
+def _typed(value, kind, what):
+    if kind is not None and not isinstance(value, kind):
+        expected = "a list" if kind is _LIST else "an object"
+        raise FormatError(f"{what} must be {expected}, got {value!r}")
+    return value
+
+
+def _is_index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _names(names, what):
+    """Category object names: a list of strings (identities are keyed by them in JSON)."""
+    if not all(isinstance(name, str) for name in _typed(names, _LIST, what)):
+        raise FormatError(f"{what} must be strings, got {names!r}")
+    return names
+
+
+def _coeff_dict(pairs, what):
+    """A list of [index, scalar] pairs as a dict."""
+    if not (isinstance(pairs, _LIST) and all(isinstance(p, _LIST) and len(p) == 2 and _is_index(p[0]) for p in pairs)):
+        raise FormatError(f"{what} must be a list of [index, scalar] pairs, got {pairs!r}")
+    return {p[0]: p[1] for p in pairs}
+
+
+def _is_basis(x):
+    return isinstance(x, _LIST) and len(x) == 3 and isinstance(x[0], str) and isinstance(x[1], str) and _is_index(x[2])
 
 
 def load_groupoid(data, base_dir="", seen=frozenset()):
@@ -64,9 +103,9 @@ def load_division_ring(data, base_dir="", seen=frozenset()):
     data, base_dir = _chase(data, base_dir, seen)
     field = load_field(_require(data, "field", "ring"), base_dir, seen)
     groupoid = load_groupoid(_require(data, "groupoid", "ring"), base_dir, seen)
-    support = [groupoid.morphism_from_json(m) for m in _require(data, "support", "ring")]
+    support = [groupoid.morphism_from_json(m) for m in _require(data, "support", "ring", _LIST)]
     factor = {}
-    for row in _require(data, "factor", "ring"):
+    for row in _require(data, "factor", "ring", _LIST):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise FormatError(f"factor row must be [morphism, morphism, scalar], got {row!r}")
         s = groupoid.morphism_from_json(row[0])
@@ -79,8 +118,8 @@ def load_matrix_ring(data, base_dir="", seen=frozenset()):
     data, base_dir = _chase(data, base_dir, seen)
     ring = load_division_ring(_require(data, "ring", "matrix ring"), base_dir, seen)
     g = ring.groupoid
-    raw = _require(data, "signatures", "matrix ring")
-    signatures = [[g.morphism_from_json(m) for m in sig] for sig in raw]
+    raw = _require(data, "signatures", "matrix ring", _LIST)
+    signatures = [[g.morphism_from_json(m) for m in _typed(sig, _LIST, "signature")] for sig in raw]
     return MatrixRing(ring, signatures)
 
 
@@ -88,10 +127,10 @@ def load_matrix(data, base_dir="", seen=frozenset()):
     data, base_dir = _chase(data, base_dir, seen)
     ring = load_division_ring(_require(data, "ring", "matrix"), base_dir, seen)
     g = ring.groupoid
-    rows = [g.morphism_from_json(m) for m in _require(data, "row_signature", "matrix")]
-    cols = [g.morphism_from_json(m) for m in _require(data, "col_signature", "matrix")]
+    rows = [g.morphism_from_json(m) for m in _require(data, "row_signature", "matrix", _LIST)]
+    cols = [g.morphism_from_json(m) for m in _require(data, "col_signature", "matrix", _LIST)]
     entries = {}
-    for row in data.get("entries", []):
+    for row in _optional_list(data, "entries", "matrix"):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise FormatError(f"matrix entry must be [row, col, scalar], got {row!r}")
         i, j, raw_val = row
@@ -105,7 +144,7 @@ def load_module(data, base_dir="", seen=frozenset()):
     data, base_dir = _chase(data, base_dir, seen)
     ring = load_division_ring(_require(data, "ring", "module"), base_dir, seen)
     g = ring.groupoid
-    shifts = [g.morphism_from_json(m) for m in _require(data, "shifts", "module")]
+    shifts = [g.morphism_from_json(m) for m in _require(data, "shifts", "module", _LIST)]
     return GradedModule(ring, shifts)
 
 
@@ -115,10 +154,10 @@ def load_vectors(data, base_dir="", seen=frozenset()):
     module = load_module(_require(data, "module", "vectors"), base_dir, seen)
     g = module.ring.groupoid
     vectors = []
-    for vd in _require(data, "vectors", "vectors"):
+    for vd in _require(data, "vectors", "vectors", _LIST):
         degree = g.morphism_from_json(_require(vd, "degree", "vector"))
         entries = {}
-        for row in vd.get("entries", []):
+        for row in _optional_list(vd, "entries", "vector"):
             if not (isinstance(row, (list, tuple)) and len(row) == 2 and isinstance(row[0], int)):
                 raise FormatError(f"vector entry must be [index, scalar], got {row!r}")
             entries[row[0]] = module.ring.field.coerce(row[1])
@@ -132,33 +171,31 @@ def load_category(data, base_dir="", seen=frozenset()):
     if "raw_category" in data:
         raw = data["raw_category"]
         field = load_field(_require(raw, "field", "raw category"), base_dir, seen)
-        objects = _require(raw, "objects", "raw category")
+        objects = _names(_require(raw, "objects", "raw category"), "raw category objects")
         hom_dims = {}
-        for row in _require(raw, "homs", "raw category"):
-            if not (isinstance(row, (list, tuple)) and len(row) == 3):
+        for row in _require(raw, "homs", "raw category", _LIST):
+            if not (isinstance(row, _LIST) and len(row) == 3 and isinstance(row[0], str) and isinstance(row[1], str)):
                 raise FormatError(f"hom row must be [target, source, dim], got {row!r}")
             hom_dims[(row[0], row[1])] = row[2]
         compose = {}
-        for row in raw.get("compose", []):
-            if not (isinstance(row, (list, tuple)) and len(row) == 3):
+        for row in _optional_list(raw, "compose", "raw category"):
+            if not (isinstance(row, _LIST) and len(row) == 3 and _is_basis(row[0]) and _is_basis(row[1])):
                 raise FormatError(f"compose row must be [left, right, coeffs], got {row!r}")
             left, right, coeffs = row
-            compose[(tuple(left), tuple(right))] = {
-                pair[0]: pair[1] for pair in coeffs
-            }
+            compose[(tuple(left), tuple(right))] = _coeff_dict(coeffs, f"compose coefficients in {row!r}")
         identities = {
-            name: {pair[0]: pair[1] for pair in vec}
-            for name, vec in _require(raw, "identities", "raw category").items()
+            name: _coeff_dict(vec, f"identity of {name!r}")
+            for name, vec in _require(raw, "identities", "raw category", dict).items()
         }
         return RawCategory(objects, field, hom_dims, compose, identities)
     fields = [
         load_field(fd, base_dir, seen)
-        for fd in _require(data, "division_rings", "category")
+        for fd in _require(data, "division_rings", "category", _LIST)
     ]
     dims = _require(data, "dims", "category")
     if not isinstance(dims, dict):
         raise FormatError(f"category dims must map object names to count lists, got {dims!r}")
-    return MatrixFormCategory(_require(data, "objects", "category"), fields, dims)
+    return MatrixFormCategory(_names(_require(data, "objects", "category"), "category objects"), fields, dims)
 
 
 _LOADERS = [

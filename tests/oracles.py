@@ -54,6 +54,38 @@ def field_solve(field, rows, rhs):
     return x
 
 
+def _slot_scalar(matrix, i, j):
+    """Entry (i, j) as a homogeneous scalar, its degree alpha_i beta_j^-1 read off the signatures."""
+    ring = matrix.ring
+    g = ring.groupoid
+    c = matrix.entries.get((i, j))
+    if c is None:
+        return ring.zero()
+    return ring.scalar(g.compose(matrix.row_sig[i], g.inverse(matrix.col_sig[j])), c)
+
+
+def graded_product(a, b):
+    """The product a*b from the definition (ab)_ij = sum_k a_ik b_kj.
+
+    Every term is one ring.mul of homogeneous scalars, so this shares no
+    code with the coefficient kernel of HomMatrix.mul.  Each nonzero sum
+    must sit at the degree its slot is pinned to.
+    """
+    ring = a.ring
+    g = ring.groupoid
+    assert a.col_sig == b.row_sig
+    entries = {}
+    for i in range(len(a.row_sig)):
+        for j in range(len(b.col_sig)):
+            total = ring.zero()
+            for k in range(len(a.col_sig)):
+                total = ring.add(total, ring.mul(_slot_scalar(a, i, k), _slot_scalar(b, k, j)))
+            if not total.is_zero:
+                assert total.degree == g.compose(a.row_sig[i], g.inverse(b.col_sig[j]))
+                entries[(i, j)] = total.coeff
+    return HomMatrix(ring, a.row_sig, b.col_sig, entries)
+
+
 def _inverse_shape(matrix):
     """The zero matrix of the shape a two-sided inverse would have."""
     return HomMatrix(matrix.ring, matrix.col_sig, matrix.row_sig)
@@ -159,16 +191,53 @@ def ring_f3_twisted_c2():
     return GradedDivisionRing.twisted_group_ring(PrimeField(3), FiniteGroup.cyclic(2), twist)
 
 
-def ring_two_object_prime():
-    q = Rationals()
+def ring_two_object_prime(field=Rationals()):
     g = FiniteGroupoid.pair([1, 2])
     ident = g.identity(1)
-    corner = GradedDivisionRing(q, g, [ident], {(ident, ident): q.one()})
+    corner = GradedDivisionRing(field, g, [ident], {(ident, ident): field.one()})
     return GradedDivisionRing.prime_form(corner, [ident, Morphism(0, 1, 0, 2)])
+
+
+def ring_two_object_c2(field):
+    """Full support on two objects with C_2 isotropy; the loop u_g squares to 2 u_1.
+
+    Products of a morphism and its inverse land on loops at different
+    objects, so a coboundary twist makes factor(s, t) and factor(t, s)
+    differ, which the one-object and trivial-isotropy rings cannot.
+    """
+    g = FiniteGroupoid([ConnectedBlock([0, 1], FiniteGroup.cyclic(2))])
+    loops = g.isotropy(0)
+    two = field.coerce(2)
+    factor = {(s, t): two if s.elem == t.elem == 1 else field.one() for s in loops for t in loops}
+    corner = GradedDivisionRing(field, g, loops, factor)
+    return GradedDivisionRing.prime_form(corner, [g.identity(0), Morphism(0, 0, 0, 1)])
 
 
 def reference_rings():
     return [ring_q_trivial(), ring_f5_c2(), ring_f3_twisted_c2(), ring_two_object_prime()]
+
+
+def product_test_rings(rng):
+    """The reference rings and three more two-object rings, each also with a random coboundary twist."""
+    f7 = PrimeField(7)
+    base = reference_rings() + [ring_two_object_prime(f7), ring_two_object_c2(f7), ring_two_object_c2(Rationals())]
+    return base + [coboundary_twist(ring, rng) for ring in base]
+
+
+def coboundary_twist(ring, rng):
+    """The same ring with its factor set times the coboundary c(s)c(t)/c(st), c random.
+
+    A coboundary keeps the cocycle and normalization laws (c is 1 on
+    identities) but makes factor(s, t) differ from factor(t, s) and from 1,
+    so a product that swaps or drops the factor gives a different answer.
+    """
+    field, g = ring.field, ring.groupoid
+    c = {m: field.one() if g.is_identity(m) else random_scalar(rng, field, nonzero=True) for m in ring.support}
+    factor = {
+        (s, t): field.div(field.mul(v, field.mul(c[s], c[t])), c[g.compose(s, t)])
+        for (s, t), v in ring.factor.items()
+    }
+    return GradedDivisionRing(field, g, ring.support, factor)
 
 
 # -- random data -------------------------------------------------------------
@@ -199,11 +268,13 @@ def random_signature(rng, ring, n):
 
 
 def random_matrix(rng, ring, m, n, density=0.6):
-    rows = random_signature(rng, ring, m)
-    cols = random_signature(rng, ring, n)
+    return random_matrix_on(rng, ring, random_signature(rng, ring, m), random_signature(rng, ring, n), density)
+
+
+def random_matrix_on(rng, ring, rows, cols, density=0.6):
     out = HomMatrix(ring, rows, cols)
-    for i in range(m):
-        for j in range(n):
+    for i in range(len(rows)):
+        for j in range(len(cols)):
             if out.slot_degree(i, j) is not None and rng.random() < density:
                 out._set(i, j, random_scalar(rng, ring.field))
     return out

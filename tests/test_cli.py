@@ -151,6 +151,35 @@ class TestExitCodes:
         assert out == ""
         assert "signature.d_unique" in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"blocks": 5},
+            {"blocks": [{"objects": 3, "group": {"mult": [[0]]}}]},
+            {"raw_category": {"field": {"kind": "Q"}, "objects": [["a"], ["b"]], "homs": [], "identities": {}}},
+            {"blocks": [{"objects": [0], "group": {"mult": 5}}]},
+            {"raw": {"objects": [0], "morphisms": [{"source": [0], "target": 0}], "compose": []}},
+            {"field": {"kind": "Q"}, "groupoid": {"ref": "pair3.groupoid.json"}, "support": 5, "factor": []},
+            {"raw_category": {"field": {"kind": "Q"}, "objects": ["a"], "homs": [], "identities": []}},
+        ],
+        ids=[
+            "blocks_not_a_list",
+            "objects_not_a_list",
+            "raw_category_list_names",
+            "mult_not_a_table",
+            "raw_morphism_list_source",
+            "support_not_a_list",
+            "identities_not_an_object",
+        ],
+    )
+    def test_mistyped_slot_is_a_format_error(self, capsys, tmp_path, spec):
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(spec).replace("pair3.groupoid.json", fx("pair3.groupoid.json")))
+        code, out, err = call(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestJsonEmission:
     def test_classify_payload(self, capsys):

@@ -201,6 +201,11 @@ class TestCornersAndOpposite:
         opop = d.opposite().opposite()
         assert opop.factor == d.factor
 
+    def test_opposite_is_built_once(self):
+        d = twisted_c2_f3()
+        assert d.opposite() is d.opposite()
+        assert d.opposite().opposite() is d
+
 
 class TestPrimeForm:
     def build(self):

@@ -17,6 +17,8 @@ from gradix.errors import GradixError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrices import HomMatrix
+from oracles import graded_product, product_test_rings
+from oracles import random_matrix as oracle_matrix
 
 Q = Rationals()
 
@@ -307,3 +309,30 @@ class TestSolve:
         b = HomMatrix(d, [e, e], [e])
         with pytest.raises(GradixError):
             solve(a, b)
+
+
+class TestAgainstDefinitionProduct:
+    def test_transforms_reproduce_the_matrix(self):
+        rng = random.Random(37)
+        for ring in product_test_rings(rng):
+            for _ in range(10):
+                a = oracle_matrix(rng, ring, rng.randrange(1, 6), rng.randrange(1, 6))
+                for mat in (a, a.transpose_opposite()):
+                    red = row_reduce(mat)
+                    assert graded_product(red.transform, mat).entries == red.echelon.entries
+                    assert graded_product(red.inverse_transform, red.echelon).entries == mat.entries
+
+    def test_row_outside_gamma0_gets_no_unit(self):
+        # The support lives on objects 0 and 1; a row signature ending at 2
+        # has only dead slots, and its local unit 1_2 is zero.
+        g = FiniteGroupoid.pair([0, 1, 2])
+        support = [m for m in g.morphisms() if m.source != 2 and m.target != 2]
+        factor = {(s, t): Q.one() for s in support for t in support if g.is_composable(s, t)}
+        ring = GradedDivisionRing(Q, g, support, factor)
+        e0, into_1, into_2 = g.identity(0), Morphism(0, 1, 0, 0), Morphism(0, 2, 0, 0)
+        a = HomMatrix(ring, [e0, into_2, into_1], [into_1, e0], {(0, 0): 2, (0, 1): 1, (2, 0): 3})
+        red = row_reduce(a)
+        for t in (red.transform, red.inverse_transform):
+            assert all(t.slot_degree(i, j) is not None for (i, j) in t.entries)
+        assert graded_product(red.transform, a).entries == red.echelon.entries
+        assert graded_product(red.inverse_transform, red.echelon).entries == a.entries

@@ -8,6 +8,7 @@ from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrices import HomMatrix
+from oracles import graded_product, product_test_rings, random_matrix_on, random_signature
 
 Q = Rationals()
 
@@ -161,3 +162,27 @@ def test_scale_left_shifts_row_signature():
     assert b.row_sig == (g01,)
     assert b.coeff(0, 0) == 2
     assert b.slot_degree(0, 0) == g01
+
+
+def test_mul_matches_the_definition():
+    rng = random.Random(31)
+    for ring in product_test_rings(rng):
+        for _ in range(15):
+            m, k, n = (rng.randrange(1, 6) for _ in range(3))
+            middle = random_signature(rng, ring, k)
+            a = random_matrix_on(rng, ring, random_signature(rng, ring, m), middle)
+            b = random_matrix_on(rng, ring, middle, random_signature(rng, ring, n))
+            assert a.mul(b).entries == graded_product(a, b).entries
+
+
+def test_scale_left_is_a_diagonal_product():
+    rng = random.Random(32)
+    for ring in product_test_rings(rng):
+        g = ring.groupoid
+        for _ in range(10):
+            x = ring.scalar(rng.choice(sorted(ring.support)), ring.field.sample_nonzero(rng))
+            rows = [rng.choice([m for m in g.morphisms() if m.target == x.degree.source]) for _ in range(3)]
+            a = random_matrix_on(rng, ring, rows, random_signature(rng, ring, 3))
+            scaled = a.scale_left(x)
+            diag = HomMatrix(ring, scaled.row_sig, a.row_sig, {(i, i): x.coeff for i in range(3)})
+            assert scaled.entries == graded_product(diag, a).entries

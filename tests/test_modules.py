@@ -7,6 +7,7 @@ from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
 from gradix.modules import GradedModule, hom_degree_dimension
+from oracles import product_test_rings, ring_two_object_prime
 
 Q = Rationals()
 
@@ -99,6 +100,20 @@ class TestVectors:
             assert m.equal(lhs, rhs)
 
 
+class TestCoefficientAction:
+    def test_scale_right_matches_ring_product(self):
+        rng = random.Random(43)
+        for ring in product_test_rings(rng):
+            support = sorted(ring.support)
+            m = GradedModule(ring, [d for d in support if d.target in ring.gamma0()][:4])
+            for _ in range(10):
+                v = random_vector(m, rng)
+                degree = rng.choice([d for d in support if d.target == v.degree.source])
+                a = ring.scalar(degree, ring.field.sample_nonzero(rng))
+                expected = {i: ring.mul(ring.scalar(m.slot(i, v.degree), c), a).coeff for i, c in v.entries.items()}
+                assert m.scale_right(v, a).entries == expected
+
+
 class TestSpans:
     def test_dependent_family_detected(self):
         d = pair_ring()
@@ -155,6 +170,28 @@ class TestSpans:
         v = m.vector(e0, {0: 1})
         with pytest.raises(GradixError):
             m.extend_to_pseudo_basis([v, v])
+
+
+class TestOppositeRingBuilds:
+    def test_quotient_pdim_builds_only_the_first_opposite(self, monkeypatch):
+        ring = ring_two_object_prime()
+        g = ring.groupoid
+        m = GradedModule(ring, [g.identity(1), g.identity(2), Morphism(0, 1, 0, 2), g.identity(1)])
+        rng = random.Random(47)
+        vectors = [random_vector(m, rng) for _ in range(3)]
+        built = []
+        init = GradedDivisionRing.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(GradedDivisionRing, "__init__", counting_init)
+        first = m.quotient_pdim(vectors)
+        assert len(built) == 1 and built[0] is ring.opposite()
+        built.clear()
+        assert m.quotient_pdim(vectors) == first
+        assert built == []
 
 
 class TestShifts:
