@@ -10,6 +10,36 @@ from fractions import Fraction
 
 from .errors import FormatError, GradixError
 
+# Strong-probable-prime tests to the first 13 prime bases are exact below
+# 3317044064679887385961981, the least composite passing all of them
+# (Sorenson and Webster, 2015); larger moduli are refused.
+MAX_PRIME = 3317044064679887385961980
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin primality for 0 <= n <= MAX_PRIME."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class Rationals:
     """The field Q, backed by fractions.Fraction."""
@@ -102,7 +132,9 @@ class PrimeField:
     def __init__(self, p):
         if not isinstance(p, int) or p < 2:
             raise FormatError(f"prime field needs a prime, got {p!r}")
-        if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p > MAX_PRIME:
+            raise FormatError(f"prime field modulus {p} exceeds the ceiling MAX_PRIME = {MAX_PRIME}")
+        if not is_prime(p):
             raise FormatError(f"{p} is not prime")
         self.p = p
 

@@ -173,6 +173,64 @@ def minor_rank(matrix):
     return 0
 
 
+# -- isomorphism certificates ------------------------------------------------
+
+
+def _single_entry_generators(block):
+    g = block.ring.groupoid
+    return [
+        block.element(gamma, {(i, j): 1})
+        for i in range(block.size)
+        for j in range(block.size)
+        for gamma in g.morphisms()
+        if block.slot_degree(i, j, gamma) is not None
+    ]
+
+
+def certificate_is_isomorphism(cert):
+    """True when a block certificate describes a graded ring isomorphism.
+
+    Exhaustive, and written without the library's pruned verifier: each
+    single-entry generator E_ij of degree gamma goes to (pi i, pi j) with
+    the coefficient of map_scalar(u_i a u_j^-1).  That image must sit at
+    the target's slot degree for gamma, the images must be distinct and
+    cover every generator of the target, and phi(xy) = phi(x)phi(y) must
+    hold on all pairs of generators, products by MatrixRingElement.mul.
+    """
+    src, dst = cert.source, cert.target
+    d = src.ring
+
+    def phi(x):
+        if x.is_zero:
+            return dst.zero()
+        entries = {}
+        for (i, j), coeff in x.entries.items():
+            w = d.mul(d.mul(cert.units[i], d.scalar(src.slot_degree(i, j, x.degree), coeff)), d.inv(cert.units[j]))
+            if w.is_zero or w.degree not in cert.coboundary:
+                return None
+            image = cert.map_scalar(w)
+            key = (cert.pi[i], cert.pi[j])
+            if image.is_zero or image.degree != dst.slot_degree(key[0], key[1], x.degree):
+                return None
+            entries[key] = dst.ring.field.add(entries.get(key, dst.ring.field.zero()), image.coeff)
+        return dst.element(x.degree, entries)
+
+    gens = _single_entry_generators(src)
+    images = [phi(x) for x in gens]
+    if any(im is None or im.is_zero for im in images):
+        return False
+    hit = {(im.degree, key) for im in images for key in im.entries}
+    want = {(y.degree, key) for y in _single_entry_generators(dst) for key in y.entries}
+    if len(hit) != len(gens) or hit != want:
+        return False
+    for x, fx in zip(gens, images):
+        for y, fy in zip(gens, images):
+            left = phi(x.mul(y))
+            if left is None or not left.equal(fx.mul(fy)):
+                return False
+    return True
+
+
 # -- the four reference coefficient rings -----------------------------------
 
 

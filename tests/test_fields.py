@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradix.errors import FormatError
-from gradix.fields import PrimeField, Rationals, field_from_json, field_to_json
+from gradix.fields import MAX_PRIME, PrimeField, Rationals, field_from_json, field_to_json, is_prime
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -44,6 +45,40 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
     with pytest.raises(FormatError):
         PrimeField(1)
+
+
+def test_large_prime_field_is_quick():
+    start = time.perf_counter()
+    assert PrimeField(10**18 + 3).p == 10**18 + 3
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [561, 3215031751])
+def test_pseudoprimes_are_composite(n):
+    # 561 is a Carmichael number; 3215031751 = 151 * 751 * 28351 is a
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(n)
+    with pytest.raises(FormatError):
+        PrimeField(n)
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+    rng = random.Random(29)
+    for n in [rng.randrange(10**6, 10**7) for _ in range(200)] + [2**31 - 1, 2**31 + 1]:
+        assert is_prime(n) == trial(n)
+
+
+def test_modulus_above_the_ceiling_is_refused():
+    # the least composite that passes all thirteen bases sits just above
+    # the ceiling; the test would call it prime, so the field refuses it
+    psi13 = 1287836182261 * 2575672364521
+    assert psi13 == MAX_PRIME + 1 and is_prime(psi13)
+    with pytest.raises(FormatError, match="MAX_PRIME"):
+        PrimeField(MAX_PRIME + 1)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))

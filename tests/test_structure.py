@@ -1,13 +1,20 @@
+import json
+import os
 import random
+import time
 
 import pytest
 
+import gradix.structure as structure
 from gradix.division import GradedDivisionRing
 from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrix_ring import MatrixRing, matrix_form
+from gradix.specfiles import load_matrix_ring
 from gradix.structure import (
+    MAX_DLOG_ORDER,
+    IsoCertificate,
     SemisimpleRingSpec,
     classify,
     corner_structure,
@@ -20,7 +27,10 @@ from gradix.structure import (
     wedderburn_decompose,
 )
 
+from oracles import certificate_is_isomorphism, coboundary_twist
+
 Q = Rationals()
+FIXTURES = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
 
 
 def concentrated(field, groupoid, obj):
@@ -358,6 +368,207 @@ class TestIso:
         match = spec_iso(left, right)
         assert match is not None and match[0][:2] == (0, 0)
         assert spec_iso(SemisimpleRingSpec([big]), left) is None
+
+
+def c2_groupoid():
+    return FiniteGroupoid([ConnectedBlock([0, 1], FiniteGroup.cyclic(2))])
+
+
+def corrupted(cert, pi=None, coboundary=None, units=None):
+    """A fresh, unverified copy of a certificate with some of its data replaced."""
+    return IsoCertificate(
+        cert.source,
+        cert.target,
+        cert.tau,
+        cert.pi if pi is None else pi,
+        cert.coboundary if coboundary is None else coboundary,
+        cert.units if units is None else units,
+    )
+
+
+def pruned_accepts(cert):
+    try:
+        structure._verify_certificate(cert)
+    except GradixError:
+        return False
+    return True
+
+
+class TestCertificateVerification:
+    LOOP = Morphism(0, 0, 1, 0)
+
+    def _found(self, field=PrimeField(7)):
+        """A certificate between a block over the C_2 loops at object 0 (u_g^2 = 3)
+        and a copy: factor set twisted by a coboundary, signatures moved by the
+        loop and listed in reverse."""
+        d = loops_c2(field, c2_groupoid(), 0, twist=3)
+        g = d.groupoid
+        sigs = [Morphism(0, 0, 0, 0), Morphism(0, 0, 1, 1), Morphism(0, 0, 0, 1)]
+        moved = [g.compose(self.LOOP, s) for s in reversed(sigs)]
+        block1 = MatrixRing(d, [[s] for s in sigs])
+        block2 = MatrixRing(coboundary_twist(d, random.Random(4)), [[s] for s in moved])
+        cert = structure._find_certificate(block1, block2, structure.DEFAULT_COBOUNDARY_BOUND)
+        assert cert is not None and not cert.verified
+        return cert
+
+    def test_found_certificate_verifies(self):
+        cert = self._found()
+        assert structure._verify_certificate(cert) == 3**3 * 2**2
+        assert cert.verified
+        assert certificate_is_isomorphism(cert)
+
+    def test_scaled_coboundary_value_is_rejected(self):
+        cert = self._found()
+        field = cert.source.ring.field
+        c = dict(cert.coboundary)
+        # 2^2 != 1 in F_7, so c(g) c(g) f2(g, g) = f1(g, g) breaks
+        c[self.LOOP] = field.mul(c[self.LOOP], 2)
+        bad = corrupted(cert, coboundary=c)
+        with pytest.raises(GradixError, match="not multiplicative"):
+            structure._verify_certificate(bad)
+        assert not bad.verified
+        assert not certificate_is_isomorphism(bad)
+
+    def test_swapped_index_targets_are_rejected(self):
+        cert = self._found()
+        pi = list(cert.pi)
+        # indices 1 and 2 both start at object 1, so the swap keeps a
+        # source-preserving bijection, but their partners differ
+        pi[1], pi[2] = pi[2], pi[1]
+        bad = corrupted(cert, pi=pi)
+        with pytest.raises(GradixError, match="internal error"):
+            structure._verify_certificate(bad)
+        assert not certificate_is_isomorphism(bad)
+
+    def test_scaled_unit_is_rejected(self):
+        cert = self._found()
+        d = cert.source.ring
+        units = dict(cert.units)
+        units[0] = d.mul(units[0], d.unit(self.LOOP))
+        bad = corrupted(cert, units=units)
+        with pytest.raises(GradixError, match="internal error"):
+            structure._verify_certificate(bad)
+        assert not certificate_is_isomorphism(bad)
+
+    def test_unit_times_a_field_scalar_stays_an_isomorphism(self):
+        # conjugation by a diagonal of nonzero scalars is an automorphism
+        cert = self._found()
+        d = cert.source.ring
+        units = dict(cert.units)
+        units[0] = d.mul(units[0], d.scalar(d.groupoid.identity(0), 5))
+        ok = corrupted(cert, units=units)
+        assert pruned_accepts(ok)
+        assert certificate_is_isomorphism(ok)
+
+    def test_pruned_check_agrees_with_the_exhaustive_oracle(self):
+        rng = random.Random(20261018)
+        g = c2_groupoid()
+        verdicts = set()
+        for trial in range(24):
+            field = PrimeField(7) if trial % 2 else Q
+            kind = trial % 3
+            d = concentrated(field, g, 0) if kind == 0 else loops_c2(field, g, 0, twist=3 if kind == 2 else None)
+            sigs = [Morphism(0, 0, rng.randint(0, 1), rng.randint(0, 1)) for _ in range(rng.randint(1, 3))]
+            h = rng.choice([g.identity(0), self.LOOP])
+            moved = [g.compose(h, s) for s in sigs]
+            rng.shuffle(moved)
+            block1 = MatrixRing(d, [[s] for s in sigs])
+            block2 = MatrixRing(coboundary_twist(d, rng), [[s] for s in moved])
+            cert = structure._find_certificate(block1, block2, structure.DEFAULT_COBOUNDARY_BOUND)
+            assert cert is not None
+
+            supp = sorted(d.support)
+            c = dict(cert.coboundary)
+            s = rng.choice(supp)
+            c[s] = field.mul(c[s], field.coerce(rng.choice([-1, 2, 3])))
+            variants = [cert, corrupted(cert, coboundary=c)]
+            n = block1.size
+            if n > 1:
+                i, k = rng.sample(range(n), 2)
+                pi = list(cert.pi)
+                pi[i], pi[k] = pi[k], pi[i]
+                variants.append(corrupted(cert, pi=pi))
+            i = rng.randrange(n)
+            for factor in (d.scalar(g.identity(0), 2), d.unit(self.LOOP) if self.LOOP in d.support else None):
+                if factor is not None:
+                    units = dict(cert.units)
+                    units[i] = d.mul(units[i], factor)
+                    variants.append(corrupted(cert, units=units))
+            for v in variants:
+                verdict = certificate_is_isomorphism(v)
+                assert pruned_accepts(v) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+class TestVerificationWork:
+    """Deterministic work counts: certificates verified and products compared."""
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        log = []
+        real = structure._verify_certificate
+
+        def counting(cert):
+            checked = real(cert)
+            log.append((cert, checked))
+            return checked
+
+        monkeypatch.setattr(structure, "_verify_certificate", counting)
+        return log
+
+    def _blocks(self):
+        d = loops_c2(PrimeField(5), c2_groupoid(), 0)
+        g = d.groupoid
+        small = MatrixRing(d, [[g.identity(0)]])
+        big = MatrixRing(d, [[g.identity(0)], [Morphism(0, 0, 0, 1)]])
+        return small, big
+
+    def test_spec_iso_verifies_one_certificate_per_matched_block(self, verified):
+        small, big = self._blocks()
+        spec = SemisimpleRingSpec([small, small, big])
+        # five block pairs have a certificate; three survive the matching
+        match = spec_iso(spec, spec)
+        assert match is not None and len(match) == 3
+        assert [cert for cert, _ in verified] == [cert for _, _, cert in match]
+        assert all(cert.verified for _, _, cert in match)
+
+    def test_no_match_verifies_nothing(self, verified):
+        small, big = self._blocks()
+        # small pairs with small twice, but nothing pairs with big
+        assert spec_iso(SemisimpleRingSpec([small, small]), SemisimpleRingSpec([small, big])) is None
+        assert verified == []
+
+    def test_pfm_m3_self_iso_pair_count(self, verified):
+        with open(os.path.join(FIXTURES, "pfm_m3.ring.json")) as fh:
+            spec = wedderburn_decompose(load_matrix_ring(json.load(fh)))
+        match = spec_iso(spec, spec)
+        assert match is not None
+        # three indices over a one-dimensional support: 3^3 products
+        # E_ij E_jl, against 9^2 = 81 for all generator pairs
+        assert [checked for _, checked in verified] == [27]
+        assert iso_test(spec.blocks[0], spec.blocks[0]).verified
+        assert [checked for _, checked in verified] == [27, 27]
+
+
+class TestDiscreteLogCeiling:
+    def test_large_prime_field_is_refused_before_the_table(self, monkeypatch):
+        def no_table(p):
+            raise AssertionError("the discrete-log table was started")
+
+        monkeypatch.setattr(structure, "_primitive_root", no_table)
+        d = GradedDivisionRing.group_ring(PrimeField(10**18 + 3), FiniteGroup.cyclic(2))
+        start = time.perf_counter()
+        with pytest.raises(GradixError, match="MAX_DLOG_ORDER"):
+            solve_coboundary(d, d, d.groupoid.identity(0))
+        assert time.perf_counter() - start < 1
+
+    def test_largest_affordable_field_still_solves(self):
+        p = 262139
+        assert p - 1 <= MAX_DLOG_ORDER
+        d = GradedDivisionRing.group_ring(PrimeField(p), FiniteGroup.cyclic(2))
+        c = solve_coboundary(d, d, d.groupoid.identity(0))
+        assert c is not None
 
 
 class TestCorners:
