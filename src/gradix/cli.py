@@ -308,7 +308,6 @@ def _cmd_category(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emit", choices=["text", "json"], default="text")
-    common.add_argument("--seed", type=int, default=0, help="seed for any sampling")
 
     parser = argparse.ArgumentParser(prog="gradix", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -18,7 +18,7 @@ element carries no degree.  Products of non-composable degrees are zero.
 import os
 
 from .errors import GradixError, ValidationError
-from .groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
+from .groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism, union_classes
 
 DEFAULT_BRUTE_FORCE = 20
 
@@ -202,22 +202,7 @@ class GradedDivisionRing:
 
     def primality_classes(self):
         """Partition of gamma0 by the relation e ~ f iff support meets hom(f, e)."""
-        parent = {e: e for e in self._gamma0}
-
-        def find(e):
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        for m in self.support:
-            a, b = find(m.source), find(m.target)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        classes = {}
-        for e in self._gamma0:
-            classes.setdefault(find(e), []).append(e)
-        return [sorted(classes[r]) for r in sorted(classes)]
+        return union_classes(self._gamma0, ((m.source, m.target) for m in self.support))
 
     def is_gr_prime(self):
         return len(self.primality_classes()) == 1

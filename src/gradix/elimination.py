@@ -26,26 +26,6 @@ from .matrices import HomMatrix
 DEFAULT_RANK_BOUND = 8
 
 
-class EliminationStep:
-    """One recorded row operation."""
-
-    __slots__ = ("kind", "i", "j", "coeff", "new_signature")
-
-    def __init__(self, kind, i, j, coeff, new_signature):
-        self.kind = kind  # 'swap' | 'scale' | 'transvect'
-        self.i = i
-        self.j = j
-        self.coeff = coeff
-        self.new_signature = new_signature
-
-    def __repr__(self):
-        if self.kind == "swap":
-            return f"P(r{self.i},r{self.j})"
-        if self.kind == "scale":
-            return f"D(r{self.i}; {self.coeff!r})"
-        return f"T(r{self.i}->r{self.j}; {self.coeff!r})"
-
-
 def p_swap(ring, sig, i, j):
     """The permutation matrix interchanging rows i and j, in [sig'][sig]."""
     sig = list(sig)
@@ -126,7 +106,6 @@ class _Worksheet:
         g = self.ring.groupoid
         self._col_inv = [g.inverse(b) for b in self.col_sig]
         self._orig_inv = [g.inverse(a) for a in matrix.row_sig]
-        self.steps = []
 
     def _rows(self, i):
         """Row i of M and of U, each with the inverted column signature of its slots."""
@@ -138,7 +117,6 @@ class _Worksheet:
         for lines in (self.m_rows, self.u_rows, self.v_cols):
             lines[i], lines[j] = lines[j], lines[i]
         self.row_sig[i], self.row_sig[j] = self.row_sig[j], self.row_sig[i]
-        self.steps.append(EliminationStep("swap", i, j, None, tuple(self.row_sig)))
 
     def scale(self, i, a):
         """Multiply row i by the invertible homogeneous scalar a."""
@@ -157,7 +135,6 @@ class _Worksheet:
             deg = g.compose(self.orig.row_sig[r], alpha_inv)
             col[r] = mul(mul(x, a_inv.coeff), factor[(deg, a_inv.degree)])
         self.row_sig[i] = g.compose(a.degree, alpha)
-        self.steps.append(EliminationStep("scale", i, None, a, tuple(self.row_sig)))
 
     def transvect(self, i, j, a):
         """Add a*row_i to row_j; the coefficient degree is alpha_j*alpha_i^{-1}."""
@@ -176,7 +153,6 @@ class _Worksheet:
         for r, x in self.v_cols[j].items():
             deg = g.compose(self.orig.row_sig[r], beta_inv)
             _accumulate(field, dst, r, field.mul(field.mul(x, neg_a), factor[(deg, a.degree)]))
-        self.steps.append(EliminationStep("transvect", i, j, a, tuple(self.row_sig)))
 
     def matrix(self):
         out = HomMatrix(self.ring, self.row_sig, self.col_sig)
@@ -208,15 +184,14 @@ def _accumulate(field, line, k, term):
 
 
 class Reduction:
-    """The result of row_reduce: echelon form, transforms, pivots, steps."""
+    """The result of row_reduce: echelon form, transforms and pivots."""
 
-    def __init__(self, original, echelon, transform, inverse_transform, pivots, steps):
+    def __init__(self, original, echelon, transform, inverse_transform, pivots):
         self.original = original
         self.echelon = echelon
         self.transform = transform
         self.inverse_transform = inverse_transform
         self.pivots = tuple(pivots)  # (row, column) pairs
-        self.steps = steps
 
     @property
     def rank(self):
@@ -261,17 +236,16 @@ def row_reduce(matrix):
         r += 1
         if r == m:
             break
-    return Reduction(matrix, ws.matrix(), ws.transform(), ws.inverse_transform(), pivots, ws.steps)
+    return Reduction(matrix, ws.matrix(), ws.transform(), ws.inverse_transform(), pivots)
 
 
 class RankReport:
-    def __init__(self, rho_r, rho_c, rho, rho_i, rho_i_skipped, steps, factorization):
+    def __init__(self, rho_r, rho_c, rho, rho_i, rho_i_skipped, factorization):
         self.rho_r = rho_r
         self.rho_c = rho_c
         self.rho = rho
         self.rho_i = rho_i
         self.rho_i_skipped = rho_i_skipped
-        self.steps = steps
         self.factorization = factorization  # (B, C) with A = B*C of inner size rho
 
     def all_equal(self):
@@ -321,7 +295,7 @@ def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
                 break
             rho_i = size
 
-    report = RankReport(rho_r, rho_c, rho, rho_i, skipped, red.steps, (b, c))
+    report = RankReport(rho_r, rho_c, rho, rho_i, skipped, (b, c))
     if not report.all_equal():
         raise GradixError(
             f"rank values disagree: rho_r={rho_r}, rho_c={rho_c}, rho={rho}, "

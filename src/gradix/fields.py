@@ -7,6 +7,7 @@ through the field object.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import FormatError, GradixError
 
@@ -39,6 +40,18 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def _exact_root(n, d):
+    """The integer d-th root of n >= 0 when n is a perfect d-th power, else None."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x if x**d == n else None
+        x = y
 
 
 class Rationals:
@@ -84,6 +97,20 @@ class Rationals:
 
     def div(self, a, b):
         return a * self.inv(b)
+
+    def power(self, a, k):
+        return a**k
+
+    def root(self, a, d):
+        """Some z with z**d == a for a unit a and a nonzero integer d, or None."""
+        if d < 0:
+            a, d = 1 / a, -d
+        if a < 0 and d % 2 == 0:
+            return None
+        num, den = _exact_root(abs(a.numerator), d), _exact_root(a.denominator, d)
+        if num is None or den is None:
+            return None
+        return Fraction(num if a > 0 else -num, den)
 
     def is_zero(self, a):
         return a == 0
@@ -168,6 +195,54 @@ class PrimeField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def power(self, a, k):
+        return pow(a, k, self.p)
+
+    def root(self, a, d):
+        """Some z with z**d == a for a unit a and a nonzero integer d, or None.
+
+        With g = gcd(d, p - 1), a has a d-th root iff a^((p-1)/g) = 1.  A
+        g-th root w is taken one prime factor q of g at a time (a q-th root
+        of a g-th power is a (g/q)-th power), and z = w^e for e the inverse
+        of d/g mod (p-1)/g.  g divides a Smith diagonal entry of a small
+        coboundary system, so trial division factors it.
+        """
+        p, n = self.p, self.p - 1
+        g = gcd(d, n)
+        if pow(a, n // g, p) != 1:
+            return None
+        w, rest, q = a, g, 2
+        while rest > 1:
+            while rest % q == 0:
+                w = self._prime_root(w, q)
+                rest //= q
+            q += 1
+        return pow(w, pow(d // g, -1, n // g), p)
+
+    def _prime_root(self, a, q):
+        """Some q-th root of a q-th power a, for a prime q dividing p - 1
+        (Adleman, Manders and Miller, 1977).
+
+        With p - 1 = q^s t and q not dividing t, x = a^(q^-1 mod t) has
+        x^q = a b for b in the q-Sylow subgroup S.  The discrete log of
+        a / x^q to a generator of S, read digit by digit in base q, is a
+        multiple of q; its q-th part gives y in S with (x y)^q = a.
+        """
+        p, n = self.p, self.p - 1
+        s, t = 0, n
+        while t % q == 0:
+            s, t = s + 1, t // q
+        x = pow(a, pow(q, -1, t), p)
+        h = a * pow(x, -q, p) % p
+        rho = next(r for r in range(2, p) if pow(r, n // q, p) != 1)
+        zeta = pow(rho, t, p)
+        gamma = pow(zeta, q ** (s - 1), p)
+        k = 0
+        for i in range(s):
+            e = pow(h * pow(zeta, -k, p) % p, q ** (s - 1 - i), p)
+            k += next(j for j in range(q) if pow(gamma, j, p) == e) * q**i
+        return x * pow(zeta, k // q, p) % p
 
     def is_zero(self, a):
         return a % self.p == 0

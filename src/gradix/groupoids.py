@@ -319,6 +319,27 @@ class FiniteGroupoid:
         return f"FiniteGroupoid({len(self.blocks)} blocks, {len(self._block_of)} objects)"
 
 
+def union_classes(elements, links):
+    """Classes of the equivalence on ``elements`` generated by the pairs in
+    ``links``, each a sorted list, ordered by least element."""
+    parent = {x: x for x in elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return [sorted(classes[r]) for r in sorted(classes)]
+
+
 def groupoid_from_json(data):
     """Build a groupoid from its JSON description (block form or raw)."""
     if not isinstance(data, dict):
@@ -456,28 +477,9 @@ def from_composition_table(objects, morphisms, table):
                         "groupoid.associativity", f"(a o b) o c != a o (b o c) for (a,b,c)=({a},{b},{c})"
                     )
 
-    # Connected components over objects.
-    parent = {x: x for x in obj_set}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in range(n):
-        a, b = find(src[m]), find(tgt[m])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    components = {}
-    for x in obj_set:
-        components.setdefault(find(x), []).append(x)
-
     blocks = []
     relabel = {}
-    for root in sorted(components):
-        xs = sorted(components[root])
+    for xs in union_classes(obj_list, zip(src, tgt)):
         e0 = xs[0]
         loops = sorted(m for m in range(n) if src[m] == tgt[m] == e0)
         index = {m: i for i, m in enumerate(loops)}
@@ -494,7 +496,7 @@ def from_composition_table(objects, morphisms, table):
         bi = len(blocks)
         blocks.append(ConnectedBlock(xs, group))
         for m in range(n):
-            if find(src[m]) != root:
+            if src[m] not in sect:
                 continue
             loop = comp[(comp[(sect[tgt[m]], m)], inv[sect[src[m]]])]
             relabel[m] = Morphism(bi, tgt[m], index[loop], src[m])

@@ -11,9 +11,10 @@ shifted free modules.
 Isomorphism of blocks reduces to a conjugating morphism between the base
 objects, a matching of signatures, and an equivalence of the two twists
 up to a multiplicative coboundary.  The coboundary system is solved
-exactly: over a prime field through discrete logarithms (for p - 1 up to
-MAX_DLOG_ORDER), over the rationals prime by prime, both on top of one
-integer Smith-form solver.
+exactly and the same way over every field: an integer Smith form of the
+exponent matrix turns it into independent equations z^d = y, which need
+only exact d-th roots: integer roots over Q, Adleman-Manders-Miller roots
+over F_p.
 
 The search yields an unverified certificate.  A certificate is verified
 once it is returned: by ``iso_test`` directly, and by ``spec_iso`` only
@@ -23,16 +24,11 @@ is complete: the image of E_ij sits at (pi i, pi j) and pi is injective,
 so every other product of generators is zero on both sides.
 """
 
-from fractions import Fraction
-from math import gcd
-
 from .errors import GradixError, ValidationError
+from .groupoids import union_classes
 from .matrix_ring import MatrixRing
 
 DEFAULT_COBOUNDARY_BOUND = 12
-# Over F_p the coboundary solve tabulates a discrete logarithm for every
-# element of F_p^*: about 0.16 s and 25 MB at this ceiling on p - 1.
-MAX_DLOG_ORDER = 2**18
 
 
 # -- product-ring elements ---------------------------------------------------
@@ -430,85 +426,37 @@ def _smith(a, nrows, ncols):
     return a, u, v
 
 
-def _mat_vec(m, x):
-    return [sum(r[j] * x[j] for j in range(len(x))) for r in m]
+def _multiplicative_solve(field, rows, ratios):
+    """One unit vector c with prod_j c_j^rows[i][j] = ratios[i] for every i,
+    or None.
 
+    With U*A*V = D from _smith, put y_i = prod_j r_j^U_ij; then z solves
+    z_k^d_k = y_k, every other y_k must be 1, and c_i = prod_k z_k^V_ik.
+    Only exact d-th roots are needed, in any field.
+    """
+    nrows, ncols = len(rows), len(rows[0])
+    d, u, v = _smith([list(r) for r in rows], nrows, ncols)
+    one = field.one()
 
-def solve_integer_system(rows, b):
-    """One integer solution of rows * x = b, or None."""
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    a = [list(r) for r in rows]
-    a, u, v = _smith(a, nrows, ncols)
-    y = _mat_vec(u, b)
-    xp = [0] * ncols
+    def combine(bases, exps):
+        out = one
+        for base, k in zip(bases, exps):
+            if k:
+                out = field.mul(out, field.power(base, k))
+        return out
+
+    z = [one] * ncols
     for k in range(nrows):
-        dk = a[k][k] if k < ncols else 0
+        y = combine(ratios, u[k])
+        dk = d[k][k] if k < ncols else 0
         if dk == 0:
-            if y[k] != 0:
+            if not field.equal(y, one):
                 return None
         else:
-            if y[k] % dk:
+            z[k] = field.root(y, dk)
+            if z[k] is None:
                 return None
-            xp[k] = y[k] // dk
-    return _mat_vec(v, xp)
-
-
-def solve_modular_system(rows, b, m):
-    """One solution of rows * x = b over the integers mod m, or None."""
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    a = [list(r) for r in rows]
-    a, u, v = _smith(a, nrows, ncols)
-    y = [val % m for val in _mat_vec(u, b)]
-    xp = [0] * ncols
-    for k in range(nrows):
-        dk = a[k][k] if k < ncols else 0
-        if dk == 0:
-            if y[k] % m:
-                return None
-        else:
-            gg = gcd(dk, m)
-            if y[k] % gg:
-                return None
-            mm = m // gg
-            xp[k] = (y[k] // gg) * pow((dk // gg) % mm, -1, mm) % mm if mm > 1 else 0
-    return [val % m for val in _mat_vec(v, xp)]
-
-
-def _primitive_root(p):
-    if p == 2:
-        return 1
-    order = p - 1
-    factors = set()
-    n = order
-    q = 2
-    while q * q <= n:
-        while n % q == 0:
-            factors.add(q)
-            n //= q
-        q += 1
-    if n > 1:
-        factors.add(n)
-    for g in range(2, p):
-        if all(pow(g, order // q, p) != 1 for q in factors):
-            return g
-    raise GradixError(f"no primitive root mod {p}")
-
-
-def _factor_fraction(fr):
-    """Sign bit and prime exponent dict of a nonzero rational."""
-    sign = 1 if fr < 0 else 0
-    exps = {}
-    for val, direction in ((abs(fr.numerator), 1), (fr.denominator, -1)):
-        n = val
-        q = 2
-        while q * q <= n:
-            while n % q == 0:
-                exps[q] = exps.get(q, 0) + direction
-                n //= q
-            q += 1
-        if n > 1:
-            exps[n] = exps.get(n, 0) + direction
-    return sign, exps
+    return [combine(z, row) for row in v]
 
 
 def solve_coboundary(d1, d2, tau, bound=DEFAULT_COBOUNDARY_BOUND):
@@ -527,11 +475,6 @@ def solve_coboundary(d1, d2, tau, bound=DEFAULT_COBOUNDARY_BOUND):
     if len(supp) > bound:
         raise GradixError(
             f"support size {len(supp)} exceeds the coboundary bound {bound}; raise it explicitly"
-        )
-    if field.kind == "Fp" and field.p - 1 > MAX_DLOG_ORDER:
-        raise GradixError(
-            f"F_{field.p} needs a discrete-log table of p - 1 entries, "
-            f"above the ceiling MAX_DLOG_ORDER = {MAX_DLOG_ORDER}"
         )
     index = {s: k for k, s in enumerate(supp)}
     tau_inv = g.inverse(tau)
@@ -555,44 +498,10 @@ def solve_coboundary(d1, d2, tau, bound=DEFAULT_COBOUNDARY_BOUND):
                 field.div(d1.factor_value(s, t), d2.factor_value(conj(s), conj(t)))
             )
 
-    if field.kind == "Fp":
-        p = field.p
-        root = _primitive_root(p)
-        dlog = {}
-        acc = 1
-        for k in range(p - 1):
-            dlog[acc] = k
-            acc = acc * root % p
-        b = [dlog[r] for r in ratios]
-        exps = solve_modular_system(rows, b, p - 1)
-        if exps is None:
-            return None
-        c = {s: pow(root, exps[index[s]] % (p - 1), p) for s in supp}
-    else:
-        signs = []
-        factored = []
-        primes = set()
-        for r in ratios:
-            sg, ex = _factor_fraction(Fraction(r))
-            signs.append(sg)
-            factored.append(ex)
-            primes.update(ex)
-        sign_sol = solve_modular_system(rows, signs, 2)
-        if sign_sol is None:
-            return None
-        exps_by_prime = {}
-        for q in sorted(primes):
-            b = [ex.get(q, 0) for ex in factored]
-            sol = solve_integer_system(rows, b)
-            if sol is None:
-                return None
-            exps_by_prime[q] = sol
-        c = {}
-        for s in supp:
-            val = Fraction(-1 if sign_sol[index[s]] % 2 else 1)
-            for q, sol in exps_by_prime.items():
-                val *= Fraction(q) ** sol[index[s]]
-            c[s] = val
+    sol = _multiplicative_solve(field, rows, ratios)
+    if sol is None:
+        return None
+    c = {s: sol[index[s]] for s in supp}
 
     for (row, ratio) in zip(rows, ratios):
         lhs = field.one()
@@ -872,27 +781,9 @@ def corner_structure(block, e):
     here = [k for k in range(block.size) if block.signatures[k][0].source == e]
     if not here:
         raise GradixError(f"object {e} carries no index of this block")
-    parent = {k: k for k in here}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in here:
-        for b in here:
-            sa = block.signatures[a][0]
-            sb = block.signatures[b][0]
-            if g.compose(sa, g.inverse(sb)) in d.support:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    sizes = {}
-    for k in here:
-        r = find(k)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sorted(sizes.values())
+    sig = [s[0] for s in block.signatures]
+    links = ((a, b) for a in here for b in here if g.compose(sig[a], g.inverse(sig[b])) in d.support)
+    return sorted(len(cls) for cls in union_classes(here, links))
 
 
 def simple_dimension(spec, shifts):

@@ -10,6 +10,7 @@ the library's echelon code cannot vouch for itself.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from gradix.division import GradedDivisionRing
 from gradix.fields import PrimeField, Rationals
@@ -229,6 +230,41 @@ def certificate_is_isomorphism(cert):
             if left is None or not left.equal(fx.mul(fy)):
                 return False
     return True
+
+
+def _coboundary_equations(d1, d2, tau):
+    """(s, t, st, f1(s, t), f2(s', t')) for all composable s, t in supp(d1),
+    primes denoting conjugation by tau."""
+    g = d1.groupoid
+    tau_inv = g.inverse(tau)
+    conj = {s: g.compose(tau, g.compose(s, tau_inv)) for s in d1.support}
+    return [
+        (s, t, g.compose(s, t), d1.factor[(s, t)], d2.factor[(conj[s], conj[t])])
+        for s in sorted(d1.support)
+        for t in sorted(d1.support)
+        if g.is_composable(s, t)
+    ]
+
+
+def _solves(field, equations, c):
+    return all(
+        field.equal(field.mul(field.mul(c[s], c[t]), f2), field.mul(f1, c[st])) for s, t, st, f1, f2 in equations
+    )
+
+
+def is_coboundary(d1, d2, tau, c):
+    """True when c(s)c(t)f2(s', t') = f1(s, t)c(st) for all composable s, t
+    in supp(d1), primes denoting conjugation by tau."""
+    return _solves(d1.field, _coboundary_equations(d1, d2, tau), c)
+
+
+def coboundary_exists(d1, d2, tau):
+    """Whether some c in (F_p^*)^supp(d1) passes is_coboundary, by trying
+    every one."""
+    equations = _coboundary_equations(d1, d2, tau)
+    supp = sorted(d1.support)
+    units = range(1, d1.field.p)
+    return any(_solves(d1.field, equations, dict(zip(supp, c))) for c in product(units, repeat=len(supp)))
 
 
 # -- the four reference coefficient rings -----------------------------------

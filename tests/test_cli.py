@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -99,6 +100,26 @@ class TestExpectedLines:
         code, out, err = call(capsys, "iso", fx("pair_ring.json"), fx("pair_ring.json"))
         assert code == 0
         assert out.splitlines()[0] == "isomorphic: true"
+
+    def test_iso_over_a_huge_prime_field(self, capsys, tmp_path):
+        p = 10**18 + 3
+        one, g = [0, 0, 0, 0], [0, 0, 1, 0]
+        paths = []
+        for lam in (4, p - 1):
+            ring = {
+                "field": {"kind": "Fp", "p": p},
+                "groupoid": {"blocks": [{"objects": [0], "group": {"mult": [[0, 1], [1, 0]]}}]},
+                "support": [one, g],
+                "factor": [[one, one, 1], [one, g, 1], [g, one, 1], [g, g, lam]],
+            }
+            path = tmp_path / f"ring_{lam}.json"
+            path.write_text(json.dumps(ring))
+            paths.append(str(path))
+        start = time.perf_counter()
+        # x^2 = 4 splits over F_p, and x^2 = -1 does not, as p = 3 (mod 4)
+        assert call(capsys, "iso", paths[0], paths[0])[:2] == (0, "isomorphic: true\npair: 0 -> 0 (tau=[0, 0, 0, 0])\n")
+        assert call(capsys, "iso", paths[0], paths[1])[:2] == (0, "isomorphic: false\n")
+        assert time.perf_counter() - start < 1
 
     def test_decompose_wrong_kind(self, capsys):
         code, out, err = call(capsys, "decompose", fx("pair3.groupoid.json"))

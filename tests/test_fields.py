@@ -114,3 +114,33 @@ def test_sampling_stays_in_field():
         assert 0 <= F5.sample(rng) < 5
         assert F5.sample_nonzero(rng) != 0
         assert Q.sample_nonzero(rng) != 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 101, 257])
+def test_prime_field_roots_agree_with_brute_force(p):
+    # d runs over +-1..13, so it shares 2, 3, 4, 8 or 12 with p - 1 for
+    # some of these p and is prime to p - 1 for others
+    field = PrimeField(p)
+    for d in [k for k in range(-13, 14) if k]:
+        powers = {pow(z, d, p) for z in range(1, p)}
+        for a in range(1, p):
+            z = field.root(a, d)
+            if a in powers:
+                assert z is not None and pow(z, d, p) == a
+            else:
+                assert z is None
+
+
+def test_rational_roots():
+    big = 10**18 + 3
+    assert Q.root(Fraction(big**2), 2) in (big, -big)
+    assert Q.root(Fraction(big), 2) is None
+    assert Q.root(Fraction(-8, 27), 3) == Fraction(-2, 3)
+    assert Q.root(Fraction(-8, 27), -3) == Fraction(-3, 2)
+    assert Q.root(Fraction(-4), 2) is None
+    assert Q.root(Fraction(4, 9), -2) ** -2 == Fraction(4, 9)
+    assert Q.root(Fraction(2, 9), 2) is None
+    assert Q.root(Fraction(16, 3), 4) is None
+    assert Q.root(Fraction(81, 16), 4) ** 4 == Fraction(81, 16)
+    assert Q.root(Fraction(-7, 5), 1) == Fraction(-7, 5)
+    assert Q.root(Fraction(1), 12) ** 12 == 1

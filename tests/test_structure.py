@@ -2,6 +2,8 @@ import json
 import os
 import random
 import time
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -13,7 +15,6 @@ from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphi
 from gradix.matrix_ring import MatrixRing, matrix_form
 from gradix.specfiles import load_matrix_ring
 from gradix.structure import (
-    MAX_DLOG_ORDER,
     IsoCertificate,
     SemisimpleRingSpec,
     classify,
@@ -21,13 +22,11 @@ from gradix.structure import (
     iso_test,
     simple_dimension,
     solve_coboundary,
-    solve_integer_system,
-    solve_modular_system,
     spec_iso,
     wedderburn_decompose,
 )
 
-from oracles import certificate_is_isomorphism, coboundary_twist
+from oracles import certificate_is_isomorphism, coboundary_exists, coboundary_twist, is_coboundary
 
 Q = Rationals()
 FIXTURES = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
@@ -229,23 +228,44 @@ class TestWedderburn:
         ] == [[groupoid.identity(0), Morphism(0, 0, 0, 1)], [groupoid.identity(2)]]
 
 
+def power_system(field, rows, base, b):
+    """_multiplicative_solve on the ratios base^b_i; a returned c is checked."""
+    c = structure._multiplicative_solve(field, rows, [field.power(base, bi) for bi in b])
+    if c is not None:
+        for row, bi in zip(rows, b):
+            lhs = field.one()
+            for cj, aij in zip(c, row):
+                lhs = field.mul(lhs, field.power(cj, aij))
+            assert field.equal(lhs, field.power(base, bi))
+    return c
+
+
 class TestIntegerSolvers:
+    """The multiplicative solve on integer exponent systems, ratios base^b."""
+
     def test_integer_system(self):
         rows = [[2, 0], [0, 3]]
-        assert solve_integer_system(rows, [4, 9]) == [2, 3]
-        assert solve_integer_system(rows, [3, 9]) is None
+        c = power_system(Q, rows, Q.coerce(2), [4, 9])
+        assert c is not None and c[0] ** 2 == 16 and c[1] == 8
+        # c_0^2 = 2^3 has no rational root, nor a root in F_13, where 2
+        # generates the units
+        assert power_system(Q, rows, Q.coerce(2), [3, 9]) is None
+        assert power_system(PrimeField(13), rows, 2, [3, 9]) is None
+        assert power_system(PrimeField(13), rows, 2, [4, 9]) is not None
 
     def test_inconsistent_row(self):
         rows = [[1, 1], [1, 1]]
-        assert solve_integer_system(rows, [1, 2]) is None
-        sol = solve_integer_system(rows, [5, 5])
-        assert sol is not None and sum(sol) == 5
+        for field, base in ((Q, Q.coerce(2)), (PrimeField(7), 3)):
+            assert power_system(field, rows, base, [1, 2]) is None
+            c = power_system(field, rows, base, [5, 5])
+            assert c is not None and field.equal(field.mul(c[0], c[1]), field.power(base, 5))
 
     def test_modular_system(self):
-        rows = [[2]]
-        assert solve_modular_system(rows, [1], 4) is None
-        sol = solve_modular_system(rows, [2], 4)
-        assert sol is not None and (2 * sol[0]) % 4 == 2
+        # 2 x = 1 (mod 12) has no solution, 2 x = 2 (mod 12) has
+        f13 = PrimeField(13)
+        assert power_system(f13, [[2]], 2, [1]) is None
+        c = power_system(f13, [[2]], 2, [2])
+        assert c is not None and c[0] in (2, 11)
 
     def test_random_solvable_systems(self):
         rng = random.Random(7)
@@ -254,18 +274,9 @@ class TestIntegerSolvers:
             a = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
             x = [rng.randint(-3, 3) for _ in range(ncols)]
             b = [sum(a[i][j] * x[j] for j in range(ncols)) for i in range(nrows)]
-            sol = solve_integer_system(a, b)
-            assert sol is not None
-            assert all(
-                sum(a[i][j] * sol[j] for j in range(ncols)) == b[i] for i in range(nrows)
-            )
-            m = rng.choice([2, 5, 6, 12])
-            msol = solve_modular_system(a, [v % m for v in b], m)
-            assert msol is not None
-            assert all(
-                sum(a[i][j] * msol[j] for j in range(ncols)) % m == b[i] % m
-                for i in range(nrows)
-            )
+            assert power_system(Q, a, Q.coerce(rng.choice([2, -3, "2/5"])), b) is not None
+            field = PrimeField(rng.choice([7, 13]))
+            assert power_system(field, a, rng.randrange(1, field.p), b) is not None
 
 
 class TestIso:
@@ -551,24 +562,87 @@ class TestVerificationWork:
         assert [checked for _, checked in verified] == [27, 27]
 
 
-class TestDiscreteLogCeiling:
-    def test_large_prime_field_is_refused_before_the_table(self, monkeypatch):
-        def no_table(p):
-            raise AssertionError("the discrete-log table was started")
+def cyclic_twist(field, n, lam):
+    """F[x]/(x^n - lam) as a twisted group ring of C_n: factor lam when the
+    exponents wrap around."""
+    return GradedDivisionRing.twisted_group_ring(
+        field, FiniteGroup.cyclic(n), lambda a, b: lam if a + b >= n else 1
+    )
 
-        monkeypatch.setattr(structure, "_primitive_root", no_table)
-        d = GradedDivisionRing.group_ring(PrimeField(10**18 + 3), FiniteGroup.cyclic(2))
-        start = time.perf_counter()
-        with pytest.raises(GradixError, match="MAX_DLOG_ORDER"):
-            solve_coboundary(d, d, d.groupoid.identity(0))
-        assert time.perf_counter() - start < 1
 
-    def test_largest_affordable_field_still_solves(self):
-        p = 262139
-        assert p - 1 <= MAX_DLOG_ORDER
-        d = GradedDivisionRing.group_ring(PrimeField(p), FiniteGroup.cyclic(2))
-        c = solve_coboundary(d, d, d.groupoid.identity(0))
-        assert c is not None
+def klein_twist(field, lam1, lam2, mu):
+    """A twist of the Klein four group C2 x C2: generators square to lam1
+    and lam2, and commute up to the sign mu.  Every twist class has this
+    form."""
+    group = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+
+    def twist(a, b):
+        (a1, a2), (b1, b2) = divmod(a, 2), divmod(b, 2)
+        return field.mul(field.mul(field.power(lam1, a1 * b1), field.power(lam2, a2 * b2)), field.power(mu, a1 * b2))
+
+    return GradedDivisionRing.twisted_group_ring(field, group, twist)
+
+
+def timed_coboundary(d1, d2):
+    start = time.perf_counter()
+    c = solve_coboundary(d1, d2, d1.groupoid.identity(0))
+    assert time.perf_counter() - start < 1
+    return c
+
+
+class TestCoboundaryExistence:
+    """solve_coboundary finds a coboundary exactly when enumerating every
+    c in (F_p^*)^supp finds one."""
+
+    @staticmethod
+    def agree(d1, d2):
+        tau = d1.groupoid.identity(0)
+        c = solve_coboundary(d1, d2, tau)
+        assert (c is not None) == coboundary_exists(d1, d2, tau)
+        assert c is None or is_coboundary(d1, d2, tau, c)
+        return c is not None
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cyclic_twists(self, p, n):
+        field = PrimeField(p)
+        rings = [cyclic_twist(field, n, lam) for lam in range(1, p)]
+        found = [self.agree(d1, d2) for d1 in rings for d2 in rings]
+        # the twists fall into gcd(n, p - 1) classes, F_p^* mod n-th powers
+        assert all(found) == (gcd(n, p - 1) == 1)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_klein_twists(self, p):
+        field = PrimeField(p)
+        units = range(1, p)
+        rings = [klein_twist(field, lam1, lam2, mu) for lam1, lam2 in product(units, repeat=2) for mu in (1, p - 1)]
+        plain, other = rings[0], rings[-1]
+        for d in rings:
+            self.agree(d, plain)
+            self.agree(d, other)
+
+
+class TestLargeInputs:
+    """Coboundaries over a huge prime field and with huge rational ratios."""
+
+    P = 10**18 + 3
+
+    def test_large_prime_field_solves(self):
+        field = PrimeField(self.P)
+        plain = cyclic_twist(field, 2, 1)
+        assert timed_coboundary(plain, plain) is not None
+        # P = 3 (mod 4): 4 is a square, -1 is not
+        assert timed_coboundary(cyclic_twist(field, 2, 4), plain) is not None
+        assert timed_coboundary(cyclic_twist(field, 2, self.P - 1), plain) is None
+
+    def test_square_of_a_large_prime_splits_over_q(self):
+        plain = cyclic_twist(Q, 2, 1)
+        c = timed_coboundary(cyclic_twist(Q, 2, self.P**2), plain)
+        assert c is not None and abs(c[Morphism(0, 0, 1, 0)]) == self.P
+
+    def test_large_prime_does_not_split_over_q(self):
+        plain = cyclic_twist(Q, 2, 1)
+        assert timed_coboundary(cyclic_twist(Q, 2, self.P), plain) is None
 
 
 class TestCorners:
