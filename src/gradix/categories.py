@@ -14,6 +14,7 @@ product is composition when the middle object matches, zero otherwise.
 """
 
 from .errors import GradixError, ValidationError
+from .fields import accumulate
 from .groupoids import FiniteGroupoid, Morphism
 from .division import GradedDivisionRing
 from .matrix_ring import MatrixRing
@@ -247,11 +248,7 @@ class RawCategory:
         for i, xi in x.items():
             for j, yj in y.items():
                 for k, ck in self._basis_compose((a, b, i), (b, c, j)).items():
-                    s = field.add(out.get(k, field.zero()), field.mul(field.mul(xi, yj), ck))
-                    if field.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    accumulate(field, out, k, field.mul(field.mul(xi, yj), ck))
         return out
 
     def _validate(self):
@@ -309,14 +306,9 @@ class CategoryRingElement:
             return self
         if self.degree != other.degree:
             raise GradixError("can only add elements of equal degree")
-        field = self.ring.field
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = field.add(out.get(k, field.zero()), v)
-            if field.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(self.ring.field, out, k, v)
         if not out:
             return self.ring.zero()
         return CategoryRingElement(self.ring, self.degree, out)
@@ -352,11 +344,6 @@ class CategoryRing:
         self.field = raw.field
         self.object_names = raw.objects
         self.groupoid = FiniteGroupoid.pair(list(range(len(raw.objects))))
-        self._index = {name: k for k, name in enumerate(raw.objects)}
-
-    def pair_morphism(self, a, b):
-        """The groupoid degree under the pair (A, B)."""
-        return Morphism(0, self._index[a], 0, self._index[b])
 
     def component_dimension(self, a, b):
         return self.raw.dim(a, b)

@@ -15,19 +15,11 @@ A homogeneous element is a degree plus a field coefficient; the zero
 element carries no degree.  Products of non-composable degrees are zero.
 """
 
-import os
-
 from .errors import GradixError, ValidationError
-from .groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism, union_classes
+from .groupoids import FiniteGroupoid, union_classes
 
-DEFAULT_BRUTE_FORCE = 20
-
-
-def brute_force_bound():
-    try:
-        return int(os.environ.get("GRADIX_MAX_BRUTE_FORCE", DEFAULT_BRUTE_FORCE))
-    except ValueError:
-        return DEFAULT_BRUTE_FORCE
+# Largest support on which check_gr_prime_brute_force runs.
+BRUTE_FORCE_BOUND = 20
 
 
 class HomogeneousScalar:
@@ -177,9 +169,6 @@ class GradedDivisionRing:
             return x
         return HomogeneousScalar(x.degree, self.field.neg(x.coeff))
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def mul(self, x, y):
         """Product; zero when the degrees do not compose."""
         if x.is_zero or y.is_zero:
@@ -210,10 +199,10 @@ class GradedDivisionRing:
     def check_gr_prime_brute_force(self):
         """Cross-check primality as: a D b != 0 for all nonzero homogeneous a, b.
 
-        Only runs when the support is small (GRADIX_MAX_BRUTE_FORCE);
+        Only runs when the support has at most BRUTE_FORCE_BOUND degrees;
         returns None when skipped.
         """
-        if len(self.support) > brute_force_bound():
+        if len(self.support) > BRUTE_FORCE_BOUND:
             return None
         g = self.groupoid
         for a in self.support:

@@ -15,12 +15,17 @@ inverses, solvers and factorizations all fall out of one pass.
 The worksheet holds bare field coefficients.  A slot's degree is fixed
 by the signatures, so the product of coefficients x and y at composable
 degrees d and e is the field element x*y*factor(d, e); no entry is
-wrapped as a homogeneous scalar.
+wrapped as a homogeneous scalar.  A row operation takes its scalar as a
+(degree, coefficient) pair and is built from two kernels: _left
+left-multiplies row i of M and of U, and _right right-multiplies column
+i of V.  A scaling replaces the row and column with these products; a
+transvection adds them into another row and column.
 """
 
 from itertools import combinations
 
 from .errors import GradixError
+from .fields import accumulate
 from .matrices import HomMatrix
 
 DEFAULT_RANK_BOUND = 8
@@ -107,9 +112,30 @@ class _Worksheet:
         self._col_inv = [g.inverse(b) for b in self.col_sig]
         self._orig_inv = [g.inverse(a) for a in matrix.row_sig]
 
-    def _rows(self, i):
-        """Row i of M and of U, each with the inverted column signature of its slots."""
-        return ((self.m_rows[i], self._col_inv), (self.u_rows[i], self._orig_inv))
+    def _left(self, i, deg, coeff):
+        """a*row_i of M and of U, for a = coeff at degree deg: one term dict each.
+
+        Entry k of the row sits at alpha_i * inv[k], so the term is
+        coeff*x*factor(deg, alpha_i*inv[k]); no term is zero.
+        """
+        g = self.ring.groupoid
+        mul, factor = self.field.mul, self.ring.factor
+        alpha = self.row_sig[i]
+        return [
+            {k: mul(mul(coeff, x), factor[(deg, g.compose(alpha, inv[k]))]) for k, x in row.items()}
+            for row, inv in ((self.m_rows[i], self._col_inv), (self.u_rows[i], self._orig_inv))
+        ]
+
+    def _right(self, i, deg, coeff):
+        """col_i*a of V, for a = coeff at degree deg; entry r sits at orig_r * alpha_i^{-1}."""
+        g = self.ring.groupoid
+        mul, factor = self.field.mul, self.ring.factor
+        alpha_inv = g.inverse(self.row_sig[i])
+        orig = self.orig.row_sig
+        return {
+            r: mul(mul(x, coeff), factor[(g.compose(orig[r], alpha_inv), deg)])
+            for r, x in self.v_cols[i].items()
+        }
 
     def swap(self, i, j):
         if i == j:
@@ -118,41 +144,30 @@ class _Worksheet:
             lines[i], lines[j] = lines[j], lines[i]
         self.row_sig[i], self.row_sig[j] = self.row_sig[j], self.row_sig[i]
 
-    def scale(self, i, a):
-        """Multiply row i by the invertible homogeneous scalar a."""
-        g = self.ring.groupoid
-        mul, factor = self.field.mul, self.ring.factor
-        alpha = self.row_sig[i]
-        # M and U rows are left-multiplied by a; V's column i is
-        # right-multiplied by a^{-1}.
-        for row, inv in self._rows(i):
-            for k, x in row.items():
-                row[k] = mul(mul(a.coeff, x), factor[(a.degree, g.compose(alpha, inv[k]))])
-        a_inv = self.ring.inv(a)
-        alpha_inv = g.inverse(alpha)
-        col = self.v_cols[i]
-        for r, x in col.items():
-            deg = g.compose(self.orig.row_sig[r], alpha_inv)
-            col[r] = mul(mul(x, a_inv.coeff), factor[(deg, a_inv.degree)])
-        self.row_sig[i] = g.compose(a.degree, alpha)
+    def scale(self, i, deg, coeff):
+        """Multiply row i by the invertible scalar coeff at degree deg.
 
-    def transvect(self, i, j, a):
-        """Add a*row_i to row_j; the coefficient degree is alpha_j*alpha_i^{-1}."""
-        g = self.ring.groupoid
-        field, factor = self.field, self.ring.factor
-        alpha = self.row_sig[i]
-        assert g.compose(a.degree, alpha) == self.row_sig[j]
-        for (src, inv), (dst, _) in zip(self._rows(i), self._rows(j)):
-            for k, x in src.items():
-                term = field.mul(field.mul(a.coeff, x), factor[(a.degree, g.compose(alpha, inv[k]))])
-                _accumulate(field, dst, k, term)
+        M and U rows are left-multiplied by it; V's column i is
+        right-multiplied by its inverse.
+        """
+        g, field = self.ring.groupoid, self.field
+        deg_inv = g.inverse(deg)
+        coeff_inv = field.inv(field.mul(coeff, self.ring.factor[(deg, deg_inv)]))
+        self.m_rows[i], self.u_rows[i] = self._left(i, deg, coeff)
+        self.v_cols[i] = self._right(i, deg_inv, coeff_inv)
+        self.row_sig[i] = g.compose(deg, self.row_sig[i])
+
+    def transvect(self, i, j, deg, coeff):
+        """Add a*row_i to row_j for a = coeff at degree deg = alpha_j*alpha_i^{-1}."""
+        field = self.field
+        assert self.ring.groupoid.compose(deg, self.row_sig[i]) == self.row_sig[j]
+        for dst, terms in zip((self.m_rows[j], self.u_rows[j]), self._left(i, deg, coeff)):
+            for k, t in terms.items():
+                accumulate(field, dst, k, t)
         # V gains the inverse column operation: col_i -= col_j * a.
-        neg_a = field.neg(a.coeff)
-        beta_inv = g.inverse(self.row_sig[j])
         dst = self.v_cols[i]
-        for r, x in self.v_cols[j].items():
-            deg = g.compose(self.orig.row_sig[r], beta_inv)
-            _accumulate(field, dst, r, field.mul(field.mul(x, neg_a), factor[(deg, a.degree)]))
+        for r, t in self._right(j, deg, field.neg(coeff)).items():
+            accumulate(field, dst, r, t)
 
     def matrix(self):
         out = HomMatrix(self.ring, self.row_sig, self.col_sig)
@@ -168,19 +183,6 @@ class _Worksheet:
         out = HomMatrix(self.ring, self.orig.row_sig, self.row_sig)
         out.entries = {(r, k): c for k, col in enumerate(self.v_cols) for r, c in col.items()}
         return out
-
-
-def _accumulate(field, line, k, term):
-    """Add a nonzero term at index k of a row or column dict, dropping a zero sum."""
-    old = line.get(k)
-    if old is None:
-        line[k] = term
-        return
-    total = field.add(old, term)
-    if field.is_zero(total):
-        del line[k]
-    else:
-        line[k] = total
 
 
 class Reduction:
@@ -208,7 +210,8 @@ def row_reduce(matrix):
     """
     ws = _Worksheet(matrix)
     ring = matrix.ring
-    g = ring.groupoid
+    g, field = ring.groupoid, ring.field
+    one = field.one()
     m, n = matrix.shape
     pivots = []
     r = 0
@@ -221,17 +224,17 @@ def row_reduce(matrix):
         if pivot_row is None:
             continue
         ws.swap(r, pivot_row)
-        pivot_deg = g.compose(ws.row_sig[r], g.inverse(ws.col_sig[col]))
-        pivot = ring.scalar(pivot_deg, ws.m_rows[r][col])
-        one = ring.one(ws.col_sig[col].target)
-        if not ring.equal(pivot, one):
-            ws.scale(r, ring.inv(pivot))
+        col_inv = g.inverse(ws.col_sig[col])
+        pivot_deg = g.compose(ws.row_sig[r], col_inv)
+        x = ws.m_rows[r][col]
+        if not (g.is_identity(pivot_deg) and field.equal(x, one)):
+            inv_deg = g.inverse(pivot_deg)
+            ws.scale(r, inv_deg, field.inv(field.mul(x, ring.factor[(pivot_deg, inv_deg)])))
         for row in range(m):
             if row == r or col not in ws.m_rows[row]:
                 continue
-            c_deg = g.compose(ws.row_sig[row], g.inverse(ws.col_sig[col]))
-            c = ring.neg(ring.scalar(c_deg, ws.m_rows[row][col]))
-            ws.transvect(r, row, c)
+            c_deg = g.compose(ws.row_sig[row], col_inv)
+            ws.transvect(r, row, c_deg, field.neg(ws.m_rows[row][col]))
         pivots.append((r, col))
         r += 1
         if r == m:

@@ -275,6 +275,16 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def accumulate(field, line, key, term):
+    """Add term at key of a sparse dict of field elements; a zero sum is never stored."""
+    old = line.get(key)
+    total = term if old is None else field.add(old, term)
+    if field.is_zero(total):
+        line.pop(key, None)
+    else:
+        line[key] = total
+
+
 def field_from_json(data):
     """Build a field from its JSON description {"kind": "Q"} or {"kind": "Fp", "p": 5}."""
     if not isinstance(data, dict) or "kind" not in data:

@@ -13,6 +13,25 @@ with no cross terms.
 """
 
 from .errors import GradixError, ValidationError
+from .fields import accumulate
+
+
+def sparse_product(ring, left, right, left_slot, right_slot):
+    """The product of coefficient tables {(i, k): x} and {(k, j): y}: each
+    x*y*factor(left_slot(i, k), right_slot(k, j)) is added at (i, j)."""
+    field, factor = ring.field, ring.factor
+    right_rows = {}
+    for (k, j), y in right.items():
+        right_rows.setdefault(k, []).append((j, right_slot(k, j), y))
+    out = {}
+    for (i, k), x in left.items():
+        row = right_rows.get(k)
+        if row is None:
+            continue
+        dx = left_slot(i, k)
+        for j, dy, y in row:
+            accumulate(field, out, (i, j), field.mul(field.mul(x, y), factor[(dx, dy)]))
+    return out
 
 
 class HomMatrix:
@@ -91,20 +110,10 @@ class HomMatrix:
         if self.row_sig != other.row_sig or self.col_sig != other.col_sig:
             raise GradixError("signature mismatch in matrix addition")
         out = HomMatrix(self.ring, self.row_sig, self.col_sig)
-        f = self.ring.field
-        for key in set(self.entries) | set(other.entries):
-            c = f.add(self.coeff(*key), other.coeff(*key))
-            if not f.is_zero(c):
-                out.entries[key] = c
+        out.entries = dict(self.entries)
+        for key, c in other.entries.items():
+            accumulate(self.ring.field, out.entries, key, c)
         return out
-
-    def neg(self):
-        out = HomMatrix(self.ring, self.row_sig, self.col_sig)
-        out.entries = {k: self.ring.field.neg(c) for k, c in self.entries.items()}
-        return out
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def mul(self, other):
         """Matrix product [alpha][beta] x [beta][tau] -> [alpha][tau].
@@ -115,22 +124,8 @@ class HomMatrix:
         """
         if self.col_sig != other.row_sig:
             raise GradixError("signature mismatch: column signature must equal the other row signature")
-        field, factor = self.ring.field, self.ring.factor
-        right_rows = {}
-        for (k, j), y in sorted(other.entries.items()):
-            right_rows.setdefault(k, []).append((j, other.slot_degree(k, j), y))
-        acc = {}
-        for (i, k), x in self.entries.items():
-            row = right_rows.get(k)
-            if row is None:
-                continue
-            dx = self.slot_degree(i, k)
-            for j, dy, y in row:
-                t = field.mul(field.mul(x, y), factor[(dx, dy)])
-                prev = acc.get((i, j))
-                acc[(i, j)] = t if prev is None else field.add(prev, t)
         out = HomMatrix(self.ring, self.row_sig, other.col_sig)
-        out.entries = {key: c for key, c in acc.items() if not field.is_zero(c)}
+        out.entries = sparse_product(self.ring, self.entries, other.entries, self.slot_degree, other.slot_degree)
         return out
 
     def scale_left(self, x):
@@ -185,10 +180,6 @@ class HomMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, row_sig, col_sig):
-        return cls(ring, row_sig, col_sig)
-
-    @classmethod
     def identity(cls, ring, sig):
         """I_{r(alpha)}: the diagonal of local units 1_{r(alpha_i)}."""
         sig = tuple(sig)
@@ -199,14 +190,6 @@ class HomMatrix:
         out = cls(ring, sig, sig)
         for i in range(len(sig)):
             out.entries[(i, i)] = ring.field.one()
-        return out
-
-    @classmethod
-    def from_entries(cls, ring, row_sig, col_sig, triples):
-        """Build from [i, j, coeff] triples (repeats accumulate); dead slots are rejected."""
-        out = cls(ring, row_sig, col_sig)
-        for i, j, c in triples:
-            out._set(i, j, ring.field.add(out.coeff(i, j), ring.field.coerce(c)))
         return out
 
     def __repr__(self):

@@ -11,14 +11,15 @@ j with source d(gamma); when either selection fails, or the resulting
 degree falls outside the support, the slot is dead and the entry must
 be zero.
 
-Multiplication routes through the rectangular block form: a homogeneous
-element is a hom-space matrix over D, and the product of two elements is
-a hom-space matrix product after translating the second block so the
-signatures meet.  All twist bookkeeping is inherited from HomMatrix.
+Since every component of D is one-dimensional, an element stores a bare
+field coefficient per live slot.  A product adds, at (i, j), the
+coefficient product times the factor of the two slot degrees, read off
+the signatures like the degrees of a hom-space matrix product.
 """
 
 from .errors import GradixError, ValidationError
-from .matrices import HomMatrix
+from .fields import accumulate
+from .matrices import sparse_product
 
 
 class MatrixRingElement:
@@ -60,14 +61,9 @@ class MatrixRingElement:
             return self
         if self.degree != other.degree:
             raise GradixError("can only add homogeneous elements of equal degree")
-        field = p.ring.field
         out = dict(self.entries)
         for key, c in other.entries.items():
-            s = field.add(out.get(key, field.zero()), c)
-            if field.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(p.ring.field, out, key, c)
         if not out:
             return p.zero()
         return MatrixRingElement(p, self.degree, out)
@@ -80,20 +76,10 @@ class MatrixRingElement:
             self.parent, self.degree, {k: field.neg(c) for k, c in self.entries.items()}
         )
 
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def scale(self, c):
-        """Multiply every entry by a field scalar."""
-        field = self.parent.ring.field
-        c = field.coerce(c)
-        if self.is_zero or field.is_zero(c):
-            return self.parent.zero()
-        return MatrixRingElement(
-            self.parent, self.degree, {k: field.mul(v, c) for k, v in self.entries.items()}
-        )
-
     def mul(self, other):
+        """The sparse product on the slot degrees at gamma1 and gamma2: index k
+        has one signature at d(gamma1) = r(gamma2), so slot(i, k) slot(k, j)
+        is the slot of (i, j) at gamma1*gamma2."""
         p = self.parent
         if self.parent is not other.parent and not self.parent.same_shape(other.parent):
             raise GradixError("cannot multiply elements of different matrix rings")
@@ -102,35 +88,12 @@ class MatrixRingElement:
         g = p.ring.groupoid
         if not g.is_composable(self.degree, other.degree):
             return p.zero()
-        new_degree = g.compose(self.degree, other.degree)
-        a = self.rectangular_block()
-        b = p.translate_block(other.rectangular_block(), g.inverse(self.degree))
-        return p.from_block(a.mul(b), new_degree)
-
-    def rectangular_block(self):
-        """The hom-space matrix carrying this element's entries.
-
-        Rows are indexed by the live row indices of the degree (signature
-        morphisms with source r(degree)), columns by the live column
-        indices with signatures translated by degree^-1 so the slot
-        degrees come out to delta*gamma*sigma^-1.
-        """
-        if self.is_zero:
-            raise GradixError("the zero element has no block form")
-        p = self.parent
-        g = p.ring.groupoid
-        gamma = self.degree
-        rows = p.live_indices(gamma.target)
-        cols = p.live_indices(gamma.source)
-        row_sig = [p.selection(i, gamma.target) for i in rows]
-        inv = g.inverse(gamma)
-        col_sig = [g.compose(p.selection(j, gamma.source), inv) for j in cols]
-        block = HomMatrix(p.ring, row_sig, col_sig)
-        pos_r = {i: a for a, i in enumerate(rows)}
-        pos_c = {j: b for b, j in enumerate(cols)}
-        for (i, j), c in self.entries.items():
-            block.entries[(pos_r[i], pos_c[j])] = c
-        return block
+        gamma1, gamma2 = self.degree, other.degree
+        out = sparse_product(
+            p.ring, self.entries, other.entries,
+            lambda i, k: p.slot_degree(i, k, gamma1), lambda k, j: p.slot_degree(k, j, gamma2),
+        )
+        return p.element(g.compose(gamma1, gamma2), out)
 
 
 class MatrixRing:
@@ -271,31 +234,6 @@ class MatrixRing:
             if not el.is_zero:
                 out.append((e, el))
         return out
-
-    def translate_block(self, block, tau):
-        """Right-compose both signatures of a hom matrix with tau.
-
-        Slot degrees are unchanged, so the entries carry over verbatim.
-        """
-        g = self.ring.groupoid
-        rows = [g.compose(a, tau) for a in block.row_sig]
-        cols = [g.compose(b, tau) for b in block.col_sig]
-        return HomMatrix(self.ring, rows, cols, dict(block.entries))
-
-    def from_block(self, block, gamma):
-        """Rebuild an element of degree gamma from its rectangular block."""
-        rows = self.live_indices(gamma.target)
-        cols = self.live_indices(gamma.source)
-        if block.shape != (len(rows), len(cols)):
-            raise GradixError(
-                f"block shape {block.shape} does not match the live index sets at {gamma}"
-            )
-        entries = {}
-        for (a, b), c in block.entries.items():
-            entries[(rows[a], cols[b])] = c
-        if not entries:
-            return self.zero()
-        return self.element(gamma, entries)
 
 
 class MatrixFormBridge:

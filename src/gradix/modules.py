@@ -11,6 +11,7 @@ the elimination machinery.
 
 from .elimination import row_reduce, solve
 from .errors import GradixError, ValidationError
+from .fields import accumulate
 from .matrices import HomMatrix
 
 
@@ -96,14 +97,9 @@ class GradedModule:
     def add(self, v, w):
         if v.degree != w.degree:
             raise GradixError("can only add vectors of equal degree")
-        field = self.ring.field
         out = dict(v.entries)
         for i, c in w.entries.items():
-            s = field.add(out.get(i, field.zero()), c)
-            if field.is_zero(s):
-                out.pop(i, None)
-            else:
-                out[i] = s
+            accumulate(self.ring.field, out, i, c)
         return HomogeneousVector(self, v.degree, out)
 
     def scale_right(self, v, a):

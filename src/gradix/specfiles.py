@@ -36,6 +36,8 @@ def load_json(path):
 def _chase(data, base_dir, seen):
     """Follow {"ref": path} indirections, returning (data, directory)."""
     while isinstance(data, dict) and set(data) == {"ref"}:
+        if not isinstance(data["ref"], str):
+            raise FormatError(f"ref must be a path string, got {data['ref']!r}")
         target = os.path.normpath(os.path.join(base_dir, data["ref"]))
         if target in seen:
             raise FormatError(f"reference cycle through {target}")
@@ -67,6 +69,17 @@ def _typed(value, kind, what):
     return value
 
 
+def _keyed(pairs, what):
+    """A dict from (key, value) pairs; a key given twice is a FormatError naming it."""
+    out = {}
+    for key, value in pairs:
+        size = len(out)
+        out[key] = value
+        if len(out) == size:
+            raise FormatError(f"{what} {key!r} is given twice")
+    return out
+
+
 def _is_index(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -82,7 +95,7 @@ def _coeff_dict(pairs, what):
     """A list of [index, scalar] pairs as a dict."""
     if not (isinstance(pairs, _LIST) and all(isinstance(p, _LIST) and len(p) == 2 and _is_index(p[0]) for p in pairs)):
         raise FormatError(f"{what} must be a list of [index, scalar] pairs, got {pairs!r}")
-    return {p[0]: p[1] for p in pairs}
+    return _keyed(pairs, f"{what}: index")
 
 
 def _is_basis(x):
@@ -104,13 +117,14 @@ def load_division_ring(data, base_dir="", seen=frozenset()):
     field = load_field(_require(data, "field", "ring"), base_dir, seen)
     groupoid = load_groupoid(_require(data, "groupoid", "ring"), base_dir, seen)
     support = [groupoid.morphism_from_json(m) for m in _require(data, "support", "ring", _LIST)]
-    factor = {}
+    factor = []
     for row in _require(data, "factor", "ring", _LIST):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise FormatError(f"factor row must be [morphism, morphism, scalar], got {row!r}")
         s = groupoid.morphism_from_json(row[0])
         t = groupoid.morphism_from_json(row[1])
-        factor[(s, t)] = field.coerce(row[2])
+        factor.append(((s, t), field.coerce(row[2])))
+    factor = _keyed(factor, "factor pair")
     return GradedDivisionRing(field, groupoid, support, factor)
 
 
@@ -129,15 +143,15 @@ def load_matrix(data, base_dir="", seen=frozenset()):
     g = ring.groupoid
     rows = [g.morphism_from_json(m) for m in _require(data, "row_signature", "matrix", _LIST)]
     cols = [g.morphism_from_json(m) for m in _require(data, "col_signature", "matrix", _LIST)]
-    entries = {}
+    entries = []
     for row in _optional_list(data, "entries", "matrix"):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise FormatError(f"matrix entry must be [row, col, scalar], got {row!r}")
         i, j, raw_val = row
         if not isinstance(i, int) or not isinstance(j, int):
             raise FormatError(f"matrix entry indices must be integers, got {row!r}")
-        entries[(i, j)] = ring.field.coerce(raw_val)
-    return HomMatrix(ring, rows, cols, entries)
+        entries.append(((i, j), ring.field.coerce(raw_val)))
+    return HomMatrix(ring, rows, cols, _keyed(entries, "matrix entry position"))
 
 
 def load_module(data, base_dir="", seen=frozenset()):
@@ -156,12 +170,12 @@ def load_vectors(data, base_dir="", seen=frozenset()):
     vectors = []
     for vd in _require(data, "vectors", "vectors", _LIST):
         degree = g.morphism_from_json(_require(vd, "degree", "vector"))
-        entries = {}
+        entries = []
         for row in _optional_list(vd, "entries", "vector"):
             if not (isinstance(row, (list, tuple)) and len(row) == 2 and isinstance(row[0], int)):
                 raise FormatError(f"vector entry must be [index, scalar], got {row!r}")
-            entries[row[0]] = module.ring.field.coerce(row[1])
-        vectors.append(module.vector(degree, entries))
+            entries.append((row[0], module.ring.field.coerce(row[1])))
+        vectors.append(module.vector(degree, _keyed(entries, "vector coordinate")))
     return module, vectors
 
 
@@ -172,17 +186,18 @@ def load_category(data, base_dir="", seen=frozenset()):
         raw = data["raw_category"]
         field = load_field(_require(raw, "field", "raw category"), base_dir, seen)
         objects = _names(_require(raw, "objects", "raw category"), "raw category objects")
-        hom_dims = {}
-        for row in _require(raw, "homs", "raw category", _LIST):
+        homs = _require(raw, "homs", "raw category", _LIST)
+        for row in homs:
             if not (isinstance(row, _LIST) and len(row) == 3 and isinstance(row[0], str) and isinstance(row[1], str)):
                 raise FormatError(f"hom row must be [target, source, dim], got {row!r}")
-            hom_dims[(row[0], row[1])] = row[2]
-        compose = {}
+        hom_dims = _keyed((((row[0], row[1]), row[2]) for row in homs), "hom pair")
+        compose = []
         for row in _optional_list(raw, "compose", "raw category"):
             if not (isinstance(row, _LIST) and len(row) == 3 and _is_basis(row[0]) and _is_basis(row[1])):
                 raise FormatError(f"compose row must be [left, right, coeffs], got {row!r}")
             left, right, coeffs = row
-            compose[(tuple(left), tuple(right))] = _coeff_dict(coeffs, f"compose coefficients in {row!r}")
+            compose.append(((tuple(left), tuple(right)), _coeff_dict(coeffs, f"compose coefficients in {row!r}")))
+        compose = _keyed(compose, "compose pair")
         identities = {
             name: _coeff_dict(vec, f"identity of {name!r}")
             for name, vec in _require(raw, "identities", "raw category", dict).items()

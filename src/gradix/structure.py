@@ -57,9 +57,6 @@ class ProductElement:
             self.spec, [a.add(b) for a, b in zip(self.parts, other.parts)]
         )
 
-    def neg(self):
-        return ProductElement(self.spec, [a.neg() for a in self.parts])
-
     def mul(self, other):
         return ProductElement(
             self.spec, [a.mul(b) for a, b in zip(self.parts, other.parts)]
@@ -143,9 +140,6 @@ class SemisimpleRingSpec:
     def summability(self):
         """Per object, the blocks meeting it; the finiteness witness."""
         return {e: self.blocks_at(e) for e in self.objects()}
-
-    def total_size(self):
-        return sum(self.block_size(j) for j in range(len(self.blocks)))
 
     def global_index(self, j, k):
         """1-based position of block j, index k in the concatenated index list."""
@@ -534,30 +528,22 @@ class IsoCertificate:
         self.units = units
         self.verified = False
 
-    def map_scalar(self, a):
-        """The base-ring map: conjugate the degree by tau, twist the coefficient."""
-        if a.is_zero:
-            return self.target.ring.zero()
-        g = self.source.ring.groupoid
-        new_degree = g.compose(self.tau, g.compose(a.degree, g.inverse(self.tau)))
-        field = self.source.ring.field
-        return self.target.ring.scalar(new_degree, field.mul(self.coboundary[a.degree], a.coeff))
-
     def apply(self, x):
-        """Carry a homogeneous element of the source block to the target."""
+        """Carry a homogeneous element of the source block to the target.
+
+        Entry (i, j) is conjugated by the units, w = u_i a u_j^-1, and goes
+        to (pi i, pi j) with coefficient c(deg w) coeff(w); its degree there
+        is deg w conjugated by tau.
+        """
         if x.is_zero:
             return self.target.zero()
         d = self.source.ring
-        out_entries = {}
         field = d.field
+        out_entries = {}
         for (i, j), coeff in x.entries.items():
             slot = self.source.slot_degree(i, j, x.degree)
-            a = d.scalar(slot, coeff)
-            conj = d.mul(d.mul(self.units[i], a), d.inv(self.units[j]))
-            image = self.map_scalar(conj)
-            key = (self.pi[i], self.pi[j])
-            prev = out_entries.get(key, field.zero())
-            out_entries[key] = field.add(prev, image.coeff)
+            w = d.mul(d.mul(self.units[i], d.scalar(slot, coeff)), d.inv(self.units[j]))
+            out_entries[(self.pi[i], self.pi[j])] = field.mul(self.coboundary[w.degree], w.coeff)
         return self.target.element(x.degree, out_entries)
 
 

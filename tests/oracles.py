@@ -16,6 +16,7 @@ from gradix.division import GradedDivisionRing
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrices import HomMatrix
+from gradix.matrix_ring import MatrixRing
 
 
 def field_solve(field, rows, rhs):
@@ -85,6 +86,40 @@ def graded_product(a, b):
                 assert total.degree == g.compose(a.row_sig[i], g.inverse(b.col_sig[j]))
                 entries[(i, j)] = total.coeff
     return HomMatrix(ring, a.row_sig, b.col_sig, entries)
+
+
+def _element_scalar(x, i, j):
+    """Entry (i, j) of a matrix-ring element as a homogeneous scalar at
+    delta_i gamma sigma_j^-1, the signatures of i and j at r(gamma) and d(gamma)."""
+    ring = x.parent.ring
+    g = ring.groupoid
+    c = x.entries.get((i, j))
+    if c is None:
+        return ring.zero()
+    delta = next(s for s in x.parent.signatures[i] if s.source == x.degree.target)
+    sigma = next(s for s in x.parent.signatures[j] if s.source == x.degree.source)
+    return ring.scalar(g.compose(g.compose(delta, x.degree), g.inverse(sigma)), c)
+
+
+def matrix_ring_product(x, y):
+    """The product x*y of matrix-ring elements from (xy)_ij = sum_k x_ik y_kj.
+
+    Every term is one ring.mul of homogeneous scalars, as in graded_product,
+    so this shares no code with MatrixRingElement.mul.
+    """
+    p = x.parent
+    ring, g = p.ring, p.ring.groupoid
+    if x.is_zero or y.is_zero or not g.is_composable(x.degree, y.degree):
+        return p.zero()
+    entries = {}
+    for i in range(p.size):
+        for j in range(p.size):
+            total = ring.zero()
+            for k in range(p.size):
+                total = ring.add(total, ring.mul(_element_scalar(x, i, k), _element_scalar(y, k, j)))
+            if not total.is_zero:
+                entries[(i, j)] = total.coeff
+    return p.element(g.compose(x.degree, y.degree), entries)
 
 
 def _inverse_shape(matrix):
@@ -191,15 +226,18 @@ def _single_entry_generators(block):
 def certificate_is_isomorphism(cert):
     """True when a block certificate describes a graded ring isomorphism.
 
-    Exhaustive, and written without the library's pruned verifier: each
+    Exhaustive, and written without the library's certificate code: each
     single-entry generator E_ij of degree gamma goes to (pi i, pi j) with
-    the coefficient of map_scalar(u_i a u_j^-1).  That image must sit at
-    the target's slot degree for gamma, the images must be distinct and
-    cover every generator of the target, and phi(xy) = phi(x)phi(y) must
-    hold on all pairs of generators, products by MatrixRingElement.mul.
+    coefficient c(deg w) coeff(w) for w = u_i a u_j^-1, at degree
+    tau (deg w) tau^-1.  That degree must be the target's slot degree for
+    gamma, the images must be distinct and cover every generator of the
+    target, and phi(xy) = phi(x)phi(y) must hold on all pairs of
+    generators, products by MatrixRingElement.mul.
     """
     src, dst = cert.source, cert.target
-    d = src.ring
+    d, field = src.ring, src.ring.field
+    g = d.groupoid
+    tau_inv = g.inverse(cert.tau)
 
     def phi(x):
         if x.is_zero:
@@ -209,11 +247,13 @@ def certificate_is_isomorphism(cert):
             w = d.mul(d.mul(cert.units[i], d.scalar(src.slot_degree(i, j, x.degree), coeff)), d.inv(cert.units[j]))
             if w.is_zero or w.degree not in cert.coboundary:
                 return None
-            image = cert.map_scalar(w)
             key = (cert.pi[i], cert.pi[j])
-            if image.is_zero or image.degree != dst.slot_degree(key[0], key[1], x.degree):
+            if g.compose(cert.tau, g.compose(w.degree, tau_inv)) != dst.slot_degree(key[0], key[1], x.degree):
                 return None
-            entries[key] = dst.ring.field.add(entries.get(key, dst.ring.field.zero()), image.coeff)
+            image = field.mul(cert.coboundary[w.degree], w.coeff)
+            if field.is_zero(image):
+                return None
+            entries[key] = field.add(entries.get(key, field.zero()), image)
         return dst.element(x.degree, entries)
 
     gens = _single_entry_generators(src)
@@ -372,6 +412,29 @@ def random_matrix_on(rng, ring, rows, cols, density=0.6):
             if out.slot_degree(i, j) is not None and rng.random() < density:
                 out._set(i, j, random_scalar(rng, ring.field))
     return out
+
+
+def random_matrix_ring(rng, ring, size):
+    """Signature sets of morphisms into gamma0, no two in a set sharing a source or a target."""
+    pool = [m for m in ring.groupoid.morphisms() if m.target in ring.gamma0()]
+    sigs = []
+    for _ in range(size):
+        sig = [rng.choice(pool)]
+        for m in pool:
+            if rng.random() < 0.5 and all(m.source != s.source and m.target != s.target for s in sig):
+                sig.append(m)
+        sigs.append(sig)
+    return MatrixRing(ring, sigs)
+
+
+def random_element(rng, mring, gamma, density=0.7):
+    """A homogeneous element of degree gamma with random entries in its live slots."""
+    entries = {}
+    for i in range(mring.size):
+        for j in range(mring.size):
+            if mring.slot_degree(i, j, gamma) is not None and rng.random() < density:
+                entries[(i, j)] = random_scalar(rng, mring.ring.field, nonzero=True)
+    return mring.element(gamma, entries)
 
 
 def random_module(rng, ring, max_pdim=6):

@@ -182,6 +182,7 @@ class TestExitCodes:
             {"raw": {"objects": [0], "morphisms": [{"source": [0], "target": 0}], "compose": []}},
             {"field": {"kind": "Q"}, "groupoid": {"ref": "pair3.groupoid.json"}, "support": 5, "factor": []},
             {"raw_category": {"field": {"kind": "Q"}, "objects": ["a"], "homs": [], "identities": []}},
+            {"field": {"kind": "Q"}, "groupoid": {"ref": 3}, "support": [], "factor": []},
         ],
         ids=[
             "blocks_not_a_list",
@@ -191,6 +192,7 @@ class TestExitCodes:
             "raw_morphism_list_source",
             "support_not_a_list",
             "identities_not_an_object",
+            "ref_not_a_string",
         ],
     )
     def test_mistyped_slot_is_a_format_error(self, capsys, tmp_path, spec):
@@ -200,6 +202,38 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "name, edit, key",
+        [
+            ("pair_ring.json", lambda d: d["factor"].insert(0, [[0, 2, 0, 1], [0, 1, 0, 1], 5]), "factor pair"),
+            ("rank1.matrix.json", lambda d: d["entries"].append([1, 0, 3]), "matrix entry position (1, 0)"),
+            ("span.vectors.json", lambda d: d["vectors"][0]["entries"].append([0, 0]), "vector coordinate 0"),
+            (
+                "two_sizes.category.json",
+                lambda d: d.update(
+                    raw_category={
+                        "field": {"kind": "Q"},
+                        "objects": ["a"],
+                        "homs": [["a", "a", 1], ["a", "a", 1]],
+                        "identities": {"a": [[0, 1]]},
+                    }
+                ),
+                "hom pair ('a', 'a')",
+            ),
+        ],
+        ids=["factor", "matrix_entry", "vector_coordinate", "hom"],
+    )
+    def test_repeated_key_is_a_format_error(self, capsys, tmp_path, name, edit, key):
+        with open(fx(name), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        edit(spec)
+        path = tmp_path / name
+        path.write_text(json.dumps(spec).replace('"point_ring.json"', json.dumps(fx("point_ring.json"))))
+        code, out, err = call(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert key in err and "given twice" in err
 
 
 class TestJsonEmission:

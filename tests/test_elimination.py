@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradix import division
 from gradix.division import GradedDivisionRing
 from gradix.elimination import (
     d_scale,
@@ -17,7 +18,7 @@ from gradix.errors import GradixError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrices import HomMatrix
-from oracles import graded_product, product_test_rings
+from oracles import graded_product, product_test_rings, random_element, random_matrix_on, random_matrix_ring
 from oracles import random_matrix as oracle_matrix
 
 Q = Rationals()
@@ -336,3 +337,39 @@ class TestAgainstDefinitionProduct:
             assert all(t.slot_degree(i, j) is not None for (i, j) in t.entries)
         assert graded_product(red.transform, a).entries == red.echelon.entries
         assert graded_product(red.inverse_transform, red.echelon).entries == a.entries
+
+
+class TestNoScalarWrappers:
+    def test_kernels_build_no_homogeneous_scalar(self, monkeypatch):
+        # Entries are bare coefficients from elimination to matrix-ring
+        # products; HomogeneousScalar is only the division ring's element API.
+        rng = random.Random(43)
+        inputs = []
+        for ring in product_test_rings(rng):
+            pool = sorted(ring.support)
+            sig = [rng.choice(pool) for _ in range(4)]
+            a = random_matrix_on(rng, ring, sig, sig, density=0.9)
+            b = random_matrix_on(rng, ring, sig, [rng.choice(pool) for _ in range(3)])
+            r = random_matrix_ring(rng, ring, 3)
+            gamma = rng.choice(pool)
+            x, y = random_element(rng, r, gamma), random_element(rng, r, ring.groupoid.identity(gamma.source))
+            inputs.append((a, b, x, y))
+        built = []
+        init = division.HomogeneousScalar.__init__
+
+        def counting(self, degree, coeff):
+            built.append(degree)
+            init(self, degree, coeff)
+
+        monkeypatch.setattr(division.HomogeneousScalar, "__init__", counting)
+        inverted = 0
+        for a, b, x, y in inputs:
+            row_reduce(a)
+            assert built == []
+            inverted += invert_square(a) is not None
+            assert built == []
+            a.mul(b)
+            assert built == []
+            x.mul(y)
+            assert built == []
+        assert inverted > 0

@@ -7,6 +7,7 @@ from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrix_ring import MatrixRing, matrix_form
+from oracles import matrix_ring_product, product_test_rings, random_element, random_matrix_ring
 
 Q = Rationals()
 
@@ -180,12 +181,25 @@ class TestArithmetic:
         x = r.element(one_1, {(0, 1): 4})
         assert x.add(x.neg()).is_zero
 
-    def test_block_round_trip(self):
-        d, r = m3_shape_ring()
-        g = d.groupoid
-        x = r.element(Morphism(0, 1, 0, 2), {(0, 2): 3, (1, 2): -2})
-        back = r.from_block(x.rectangular_block(), x.degree)
-        assert back.equal(x)
+
+class TestAgainstDefinitionProduct:
+    def test_product_matches_the_oracle(self):
+        # The coboundary twists make factor(s, t) differ from factor(t, s),
+        # so a product that swaps the slot degrees gives a different answer.
+        rng = random.Random(41)
+        nonzero = 0
+        for ring in product_test_rings(rng):
+            r = random_matrix_ring(rng, ring, rng.randrange(1, 4))
+            degrees = list(ring.groupoid.morphisms())
+            for _ in range(20):
+                gamma = rng.choice(degrees)
+                after = [m for m in degrees if m.target == gamma.source]
+                x = random_element(rng, r, gamma)
+                y = random_element(rng, r, rng.choice(after if rng.random() < 0.9 else degrees))
+                product = x.mul(y)
+                assert product.equal(matrix_ring_product(x, y))
+                nonzero += not product.is_zero
+        assert nonzero > 100
 
 
 class TestMatrixForm:
