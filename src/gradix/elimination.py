@@ -22,12 +22,12 @@ i of V.  A scaling replaces the row and column with these products; a
 transvection adds them into another row and column.
 """
 
-from itertools import combinations
-
 from .errors import GradixError
 from .fields import accumulate
 from .matrices import HomMatrix
 
+# rank_all reports rho_i as skipped for a matrix with more rows or columns
+# than this; below it, rho_i is read off one extra reduction.
 DEFAULT_RANK_BOUND = 8
 
 
@@ -264,9 +264,11 @@ def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
     Row rank by reduction, column rank by reducing the transpose over the
     opposite ring, inner rank from the factorization A = B*C with B the
     pivot columns of the inverse transform and C the pivot rows of the
-    echelon form, and the invertible-submatrix rank by bounded minor
-    search with early stop (sizes are tried in increasing order, and a
-    size with no invertible minor after a successful one ends the search).
+    echelon form.  The invertible-submatrix rank comes from the pivot
+    minor: the pivot columns of the reduction are independent columns of
+    A, those of the transposed reduction independent rows, so the minor
+    on them is invertible when the ranks agree, and its rank is rho_i.
+    A matrix with more than rank_bound rows or columns skips rho_i.
     """
     red = row_reduce(matrix)
     rho_r = red.rank
@@ -280,23 +282,11 @@ def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
         raise GradixError("internal error: factorization witness failed to reproduce the matrix")
     rho = rho_r
 
-    m, n = matrix.shape
-    skipped = max(m, n) > rank_bound
-    rho_i = None if skipped else 0
+    skipped = max(matrix.shape) > rank_bound
+    rho_i = None
     if not skipped:
-        for size in range(1, min(m, n) + 1):
-            found = False
-            for rows in combinations(range(m), size):
-                for cols in combinations(range(n), size):
-                    sub = matrix.submatrix(rows, cols)
-                    if row_reduce(sub).rank == size:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                break
-            rho_i = size
+        minor = matrix.submatrix([j for (_, j) in red_op.pivots], [j for (_, j) in red.pivots])
+        rho_i = row_reduce(minor).rank
 
     report = RankReport(rho_r, rho_c, rho, rho_i, skipped, (b, c))
     if not report.all_equal():

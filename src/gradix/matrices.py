@@ -52,7 +52,7 @@ class HomMatrix:
 
     def _set(self, i, j, coeff):
         if not (0 <= i < len(self.row_sig) and 0 <= j < len(self.col_sig)):
-            raise GradixError(f"entry position ({i},{j}) outside a {self.shape} matrix")
+            raise ValidationError("matrix.entry_slot", f"entry position ({i},{j}) outside a {self.shape} matrix")
         coeff = self.ring.field.coerce(coeff)
         if self.ring.field.is_zero(coeff):
             self.entries.pop((i, j), None)

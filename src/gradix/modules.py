@@ -5,11 +5,13 @@ down by the list of shift morphisms.  A homogeneous vector of degree tau
 stores one field coefficient per summand whose slot shift*tau lands in
 the support; all other coordinates are forced to zero.  Families of
 vectors convert to hom-space matrices (one column per vector, column
-signature tau^-1), which puts ranks, independence and solving on top of
-the elimination machinery.
+signature tau^-1), which puts ranks, independence and bases on top of
+the elimination machinery: row operations keep every right-linear
+relation among columns, so the pivot columns of one reduction are the
+first-scan independent subfamily.
 """
 
-from .elimination import row_reduce, solve
+from .elimination import row_reduce
 from .errors import GradixError, ValidationError
 from .fields import accumulate
 from .matrices import HomMatrix
@@ -134,72 +136,61 @@ class GradedModule:
     # -- spans and bases ----------------------------------------------------
 
     def pdim_of_span(self, vectors):
-        """Pseudo-dimension of the span: column rank of the column matrix."""
-        if not vectors:
-            return 0
-        return row_reduce(self.columns(vectors).transpose_opposite()).rank
+        """Pseudo-dimension of the span: the rank of the column matrix."""
+        return row_reduce(self.columns(vectors)).rank
 
     def is_pseudo_independent(self, vectors):
         return self.pdim_of_span(vectors) == len(vectors)
 
+    def _pivot_scan(self, vectors):
+        """Reduce [vectors | standard generators] once; return (kept, added).
+
+        A column is a pivot exactly when it lies outside the span of the
+        columns before it.  So the pivots in the first block are the
+        first-scan maximal independent subfamily (kept, as indices into
+        vectors) and those in the second block are the standard
+        generators that complete it to a basis (added, in summand order).
+        Each dropped vector is verified to be the combination of the kept
+        ones that the echelon form records.
+        """
+        n = len(vectors)
+        red = row_reduce(self.columns(vectors).hstack(HomMatrix.identity(self.ring, self.shifts)))
+        if red.rank != self.pdim():
+            raise GradixError("internal error: standard generators failed to complete the family")
+        rows = [r for (r, col) in red.pivots if col < n]
+        kept = [col for (_, col) in red.pivots if col < n]
+        dropped = [l for l in range(n) if l not in kept]
+        if dropped:
+            combination = self.columns([vectors[l] for l in kept]).mul(red.echelon.submatrix(rows, dropped))
+            if not combination.equal(self.columns([vectors[l] for l in dropped])):
+                raise GradixError("internal error: dropped generator is outside the kept span")
+        return kept, [col - n for (_, col) in red.pivots if col >= n]
+
     def basis_from_generators(self, vectors):
         """First-scan maximal independent subfamily of a generating family.
 
-        Every dropped vector is verified to be solvable over the kept
+        Every dropped vector is verified to lie in the span of the kept
         ones, so the kept family spans the same submodule.
         """
-        kept = []
-        rank = 0
-        dropped = []
-        for v in vectors:
-            if v.is_zero:
-                dropped.append(v)
-                continue
-            r = self.pdim_of_span(kept + [v])
-            if r > rank:
-                kept.append(v)
-                rank = r
-            else:
-                dropped.append(v)
-        for v in dropped:
-            if v.is_zero:
-                continue
-            if solve(self.columns(kept), self.columns([v])) is None:
-                raise GradixError("internal error: dropped generator is outside the kept span")
-        return kept
+        kept, _ = self._pivot_scan(vectors)
+        return [vectors[l] for l in kept]
 
     def extend_to_pseudo_basis(self, vectors):
         """Complete an independent family to a basis of the whole module.
 
-        Standard generators are tried in summand order; the ones that
-        keep the family independent are appended.  The result always has
-        pdim(M) members.
+        The standard generators outside the span of the family and of
+        the generators before them are appended in summand order.  The
+        result always has pdim(M) members.
         """
-        if not self.is_pseudo_independent(vectors):
+        kept, added = self._pivot_scan(vectors)
+        if len(kept) != len(vectors):
             raise GradixError("extension needs a pseudo-independent family")
-        out = list(vectors)
-        rank = len(vectors)
-        for i in range(len(self.shifts)):
-            if rank == self.pdim():
-                break
-            g = self.standard_generator(i)
-            r = self.pdim_of_span(out + [g])
-            if r > rank:
-                out.append(g)
-                rank = r
-        if rank != self.pdim():
-            raise GradixError("internal error: standard generators failed to complete the family")
-        return out
+        return list(vectors) + [self.standard_generator(i) for i in added]
 
     def quotient_pdim(self, vectors):
-        """Pseudo-dimension of the quotient by the span of the vectors.
-
-        Computed by completing a basis of the span with standard
-        generators and counting how many were added.
-        """
-        basis = self.basis_from_generators(list(vectors))
-        full = self.extend_to_pseudo_basis(basis)
-        return len(full) - len(basis)
+        """Pseudo-dimension of the quotient by the span of the vectors:
+        the number of standard generators that complete a basis of it."""
+        return len(self._pivot_scan(list(vectors))[1])
 
     def shift(self, sigma):
         """The shifted module: each summand shift composes with sigma.

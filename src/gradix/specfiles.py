@@ -24,9 +24,10 @@ from .modules import GradedModule
 
 
 def load_json(path):
+    """The JSON value in a file; a key repeated inside one object is a FormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=lambda pairs: _keyed(pairs, f"{path}: key"))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -148,7 +149,7 @@ def load_matrix(data, base_dir="", seen=frozenset()):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise FormatError(f"matrix entry must be [row, col, scalar], got {row!r}")
         i, j, raw_val = row
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not (_is_index(i) and _is_index(j)):
             raise FormatError(f"matrix entry indices must be integers, got {row!r}")
         entries.append(((i, j), ring.field.coerce(raw_val)))
     return HomMatrix(ring, rows, cols, _keyed(entries, "matrix entry position"))
@@ -172,7 +173,7 @@ def load_vectors(data, base_dir="", seen=frozenset()):
         degree = g.morphism_from_json(_require(vd, "degree", "vector"))
         entries = []
         for row in _optional_list(vd, "entries", "vector"):
-            if not (isinstance(row, (list, tuple)) and len(row) == 2 and isinstance(row[0], int)):
+            if not (isinstance(row, (list, tuple)) and len(row) == 2 and _is_index(row[0])):
                 raise FormatError(f"vector entry must be [index, scalar], got {row!r}")
             entries.append((row[0], module.ring.field.coerce(row[1])))
         vectors.append(module.vector(degree, _keyed(entries, "vector coordinate")))
@@ -182,7 +183,7 @@ def load_vectors(data, base_dir="", seen=frozenset()):
 def load_category(data, base_dir="", seen=frozenset()):
     """Either matrix form or a raw structure-constant category."""
     data, base_dir = _chase(data, base_dir, seen)
-    if "raw_category" in data:
+    if isinstance(data, dict) and "raw_category" in data:
         raw = data["raw_category"]
         field = load_field(_require(raw, "field", "raw category"), base_dir, seen)
         objects = _names(_require(raw, "objects", "raw category"), "raw category objects")
@@ -208,7 +209,7 @@ def load_category(data, base_dir="", seen=frozenset()):
         for fd in _require(data, "division_rings", "category", _LIST)
     ]
     dims = _require(data, "dims", "category")
-    if not isinstance(dims, dict):
+    if not (isinstance(dims, dict) and all(isinstance(row, _LIST) for row in dims.values())):
         raise FormatError(f"category dims must map object names to count lists, got {dims!r}")
     return MatrixFormCategory(_names(_require(data, "objects", "category"), "category objects"), fields, dims)
 

@@ -209,6 +209,18 @@ def minor_rank(matrix):
     return 0
 
 
+def first_scan_basis(module, vectors):
+    """The vectors kept by a left-to-right scan: v is kept when it raises the
+    minor rank of the kept family's column matrix."""
+    kept, rank = [], 0
+    for v in vectors:
+        r = minor_rank(module.columns(kept + [v]))
+        if r > rank:
+            kept.append(v)
+            rank = r
+    return kept
+
+
 # -- isomorphism certificates ------------------------------------------------
 
 

@@ -11,6 +11,20 @@ from gradix.cli import run
 FIXTURES = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
 
 
+# A 1x1 matrix over the one-object trivial ring over Q.
+POINT = [0, 1, 0, 1]
+POINT_MATRIX = {
+    "ring": {
+        "field": {"kind": "Q"},
+        "groupoid": {"blocks": [{"objects": [1], "group": {"mult": [[0]]}}]},
+        "support": [POINT],
+        "factor": [[POINT, POINT, 1]],
+    },
+    "row_signature": [POINT],
+    "col_signature": [POINT],
+}
+
+
 def fx(name):
     return os.path.join(FIXTURES, name)
 
@@ -183,6 +197,8 @@ class TestExitCodes:
             {"field": {"kind": "Q"}, "groupoid": {"ref": "pair3.groupoid.json"}, "support": 5, "factor": []},
             {"raw_category": {"field": {"kind": "Q"}, "objects": ["a"], "homs": [], "identities": []}},
             {"field": {"kind": "Q"}, "groupoid": {"ref": 3}, "support": [], "factor": []},
+            {"objects": ["A"], "division_rings": [{"kind": "Q"}], "dims": {"A": 1}},
+            dict(POINT_MATRIX, entries=[[0, True, 1]]),
         ],
         ids=[
             "blocks_not_a_list",
@@ -193,6 +209,8 @@ class TestExitCodes:
             "support_not_a_list",
             "identities_not_an_object",
             "ref_not_a_string",
+            "dims_row_not_a_list",
+            "bool_entry_index",
         ],
     )
     def test_mistyped_slot_is_a_format_error(self, capsys, tmp_path, spec):
@@ -202,6 +220,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_category_file_that_is_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "number.category.json"
+        path.write_text("3")
+        code, out, err = call(capsys, "category", "to-ring", str(path))
+        assert (code, out) == (2, "")
+        assert "missing key" in err
+
+    def test_entry_position_outside_the_shape_names_the_invariant(self, capsys, tmp_path):
+        path = tmp_path / "outside.matrix.json"
+        path.write_text(json.dumps(dict(POINT_MATRIX, entries=[[0, 5, 1]])))
+        code, out, err = call(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: matrix.entry_slot: ")
 
     @pytest.mark.parametrize(
         "name, edit, key",
@@ -234,6 +266,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert key in err and "given twice" in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"objects": ["A", "B"], "division_rings": [{"kind": "Q"}], "dims": {"A": [1], "B": [2], "A": [3]}}', "'A'"),
+            ('{"objects": ["A", "B"], "division_rings": [{"kind": "Q"}], "dims": {"A": [1], "B": [2]}, "objects": ["A", "B"]}', "'objects'"),
+        ],
+        ids=["dims", "top_level"],
+    )
+    def test_repeated_json_object_key_is_a_format_error(self, capsys, tmp_path, text, key):
+        path = tmp_path / "repeated.category.json"
+        path.write_text(text)
+        code, out, err = call(capsys, "category", "to-ring", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"key {key} is given twice" in err
 
 
 class TestJsonEmission:

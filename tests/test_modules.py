@@ -2,12 +2,21 @@ import random
 
 import pytest
 
+from gradix import elimination, modules
 from gradix.division import GradedDivisionRing
+from gradix.elimination import rank_all, row_reduce
 from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
 from gradix.modules import GradedModule, hom_degree_dimension
-from oracles import product_test_rings, ring_two_object_prime
+from oracles import (
+    first_scan_basis,
+    product_test_rings,
+    random_matrix_on,
+    random_module,
+    random_vectors,
+    ring_two_object_prime,
+)
 
 Q = Rationals()
 
@@ -172,26 +181,153 @@ class TestSpans:
             m.extend_to_pseudo_basis([v, v])
 
 
+def _count_builds(monkeypatch):
+    """A list that collects every GradedDivisionRing built from now on."""
+    built = []
+    init = GradedDivisionRing.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(GradedDivisionRing, "__init__", counting_init)
+    return built
+
+
+def _count_reductions(monkeypatch):
+    """A list that collects every row_reduce call made by elimination or modules."""
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return row_reduce(matrix)
+
+    monkeypatch.setattr(elimination, "row_reduce", counting)
+    monkeypatch.setattr(modules, "row_reduce", counting)
+    return calls
+
+
+def two_object_module():
+    ring = ring_two_object_prime()
+    g = ring.groupoid
+    return GradedModule(ring, [g.identity(1), g.identity(2), Morphism(0, 1, 0, 2), g.identity(1)])
+
+
 class TestOppositeRingBuilds:
-    def test_quotient_pdim_builds_only_the_first_opposite(self, monkeypatch):
-        ring = ring_two_object_prime()
-        g = ring.groupoid
-        m = GradedModule(ring, [g.identity(1), g.identity(2), Morphism(0, 1, 0, 2), g.identity(1)])
+    def test_spans_build_no_opposite(self, monkeypatch):
+        m = two_object_module()
         rng = random.Random(47)
         vectors = [random_vector(m, rng) for _ in range(3)]
-        built = []
-        init = GradedDivisionRing.__init__
+        built = _count_builds(monkeypatch)
+        m.quotient_pdim(vectors)
+        m.pdim_of_span(vectors)
+        assert built == []
 
-        def counting_init(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(GradedDivisionRing, "__init__", counting_init)
-        first = m.quotient_pdim(vectors)
+    def test_rank_all_builds_the_first_opposite_only(self, monkeypatch):
+        ring = ring_two_object_prime()
+        a = random_matrix_on(random.Random(53), ring, [ring.groupoid.identity(1)] * 3, [ring.groupoid.identity(2)] * 2)
+        built = _count_builds(monkeypatch)
+        first = rank_all(a).rho
         assert len(built) == 1 and built[0] is ring.opposite()
         built.clear()
-        assert m.quotient_pdim(vectors) == first
+        assert rank_all(a).rho == first
         assert built == []
+
+
+class TestReductionCounts:
+    """One reduction per span question, three per rank_all (two when rho_i is skipped)."""
+
+    def test_one_reduction_per_span_question(self, monkeypatch):
+        m = two_object_module()
+        rng = random.Random(59)
+        vectors = [random_vector(m, rng) for _ in range(4)]
+        calls = _count_reductions(monkeypatch)
+        for ask in (m.pdim_of_span, m.basis_from_generators, m.quotient_pdim):
+            calls.clear()
+            ask(vectors)
+            assert len(calls) == 1, ask.__name__
+        basis = m.basis_from_generators(vectors)
+        calls.clear()
+        m.extend_to_pseudo_basis(basis)
+        assert len(calls) == 1
+
+    def test_three_reductions_per_rank_all(self, monkeypatch):
+        rng = random.Random(61)
+        ring = f5_c2()
+        e = ring.groupoid.identity(0)
+        # a 6x6 matrix of rank 4: the product of random 6x4 and 4x6 factors
+        while True:
+            a = random_matrix_on(rng, ring, [e] * 6, [e] * 4).mul(random_matrix_on(rng, ring, [e] * 4, [e] * 6))
+            if rank_all(a).rho == 4:
+                break
+        calls = _count_reductions(monkeypatch)
+        assert rank_all(a).rho_i == 4
+        assert len(calls) == 3
+        calls.clear()
+        assert rank_all(a, rank_bound=5).rho_i_skipped
+        assert len(calls) == 2
+
+
+def _corrupting(monkeypatch, corrupt):
+    """Make the modules' row_reduce hand back a reduction that corrupt(reduction) has damaged."""
+
+    def reduce_then_corrupt(matrix):
+        red = row_reduce(matrix)
+        corrupt(red)
+        return red
+
+    monkeypatch.setattr(modules, "row_reduce", reduce_then_corrupt)
+
+
+class TestSelfChecks:
+    def test_a_wrong_echelon_entry_is_caught(self, monkeypatch):
+        d = pair_ring()
+        e0 = d.groupoid.identity(0)
+        m = GradedModule(d, [e0, e0])
+        v = m.vector(e0, {0: 1, 1: 2})
+        w = m.vector(e0, {0: 2, 1: 4})
+
+        def bump(red):
+            (row, _), = [p for p in red.pivots if p[1] == 0]
+            red.echelon.entries[(row, 1)] += 1
+
+        _corrupting(monkeypatch, bump)
+        with pytest.raises(GradixError, match="dropped generator is outside the kept span"):
+            m.basis_from_generators([v, w])
+
+    def test_a_lost_pivot_is_caught(self, monkeypatch):
+        m = two_object_module()
+        vectors = [random_vector(m, random.Random(67)) for _ in range(2)]
+
+        def drop_last(red):
+            red.pivots = red.pivots[:-1]
+
+        _corrupting(monkeypatch, drop_last)
+        with pytest.raises(GradixError, match="standard generators failed to complete the family"):
+            m.quotient_pdim(vectors)
+
+
+class TestFirstScanOracle:
+    """basis_from_generators and extend_to_pseudo_basis choose what a scan by minor_rank chooses."""
+
+    def test_same_choices_as_the_scan(self):
+        rng = random.Random(71)
+        for ring in product_test_rings(rng):
+            for _ in range(4):
+                m = random_module(rng, ring, max_pdim=4)
+                vectors = random_vectors(rng, m, 4)
+                # a repeat, a zero and a right multiple of another degree
+                degrees = [d for d in sorted(ring.support) if d.target == vectors[2].degree.source]
+                multiple = m.scale_right(vectors[2], ring.scalar(rng.choice(degrees), ring.field.sample_nonzero(rng)))
+                family = vectors + [vectors[0], m.zero_vector(vectors[1].degree), multiple]
+                rng.shuffle(family)
+                basis = m.basis_from_generators(family)
+                expected = first_scan_basis(m, family)
+                assert [id(v) for v in basis] == [id(v) for v in expected]
+                full = m.extend_to_pseudo_basis(basis)
+                scanned = first_scan_basis(m, basis + [m.standard_generator(i) for i in range(m.pdim())])
+                assert len(full) == len(scanned) == m.pdim()
+                assert all(v.degree == w.degree and m.equal(v, w) for v, w in zip(full, scanned))
 
 
 class TestShifts:
