@@ -18,9 +18,6 @@ element carries no degree.  Products of non-composable degrees are zero.
 from .errors import GradixError, ValidationError
 from .groupoids import FiniteGroupoid, union_classes
 
-# Largest support on which check_gr_prime_brute_force runs.
-BRUTE_FORCE_BOUND = 20
-
 
 class HomogeneousScalar:
     """A homogeneous element: a degree morphism and a nonzero coefficient.
@@ -196,20 +193,15 @@ class GradedDivisionRing:
     def is_gr_prime(self):
         return len(self.primality_classes()) == 1
 
-    def check_gr_prime_brute_force(self):
-        """Cross-check primality as: a D b != 0 for all nonzero homogeneous a, b.
-
-        Only runs when the support has at most BRUTE_FORCE_BOUND degrees;
-        returns None when skipped.
-        """
-        if len(self.support) > BRUTE_FORCE_BOUND:
-            return None
-        g = self.groupoid
-        for a in self.support:
-            for b in self.support:
-                if not any(g.is_composable(a, x) and g.is_composable(x, b) for x in self.support):
-                    return False
-        return True
+    def connector(self, f, e):
+        """The degree connecting object f to object e: the identity when
+        f == e, otherwise the least supported morphism f -> e."""
+        if f == e:
+            return self.groupoid.identity(e)
+        for m in self.groupoid.hom(f, e):
+            if m in self.support:
+                return m
+        raise GradixError(f"no supported morphism connects {f} to {e}")
 
     def restrict_to_objects(self, objs):
         """The graded division ring on the support morphisms inside a set of objects."""

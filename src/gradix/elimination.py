@@ -22,7 +22,7 @@ i of V.  A scaling replaces the row and column with these products; a
 transvection adds them into another row and column.
 """
 
-from .errors import GradixError
+from .errors import GradixError, ValidationError
 from .fields import accumulate
 from .matrices import HomMatrix
 
@@ -306,11 +306,13 @@ def invert_square(matrix):
     """
     m, n = matrix.shape
     if m != n:
-        raise GradixError(f"inversion needs a square signature, got {m}x{n}")
+        raise ValidationError("invert.square", f"inversion needs a square signature, got {m}x{n}")
     gamma0 = set(matrix.ring.gamma0())
     for a in matrix.row_sig + matrix.col_sig:
         if a.target not in gamma0:
-            raise GradixError(f"signature target {a.target} is outside gamma0; its local unit is zero")
+            raise ValidationError(
+                "invert.gamma0", f"signature target {a.target} is outside gamma0; its local unit is zero"
+            )
     red = row_reduce(matrix)
     if red.rank < n:
         return None
@@ -333,9 +335,9 @@ def solve(matrix, rhs):
     columns of A are pseudo-independent the solution is unique.
     """
     if rhs.shape[1] != 1:
-        raise GradixError("right-hand side must be a single column")
+        raise ValidationError("solve.rhs_column", "right-hand side must be a single column")
     if rhs.row_sig != matrix.row_sig:
-        raise GradixError("right-hand side row signature must match the matrix")
+        raise ValidationError("solve.rhs_signature", "right-hand side row signature must match the matrix")
     n = matrix.shape[1]
     red = row_reduce(matrix.hstack(rhs))
     for (_, col) in red.pivots:

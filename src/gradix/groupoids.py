@@ -5,7 +5,10 @@ is isomorphic to X x G x X: pairs of objects decorated with an element of
 the isotropy group G of a chosen base object.  We store exactly that.  A
 morphism (y, g, x) runs from x to y; composition (z, h, w) o (y, g, x) is
 defined when w == y and equals (z, h*g, x); inversion flips the endpoints
-and inverts the group element.
+and inverts the group element.  A morphism is the named tuple
+Morphism(block, target, elem, source): a plain value whose tuple
+equality, hash and order are what every factor table and sorted choice
+relies on, so morphisms sort by block, target, element, source.
 
 Raw groupoids (explicit morphism lists with a partial composition table)
 are accepted at the boundary and converted to block form after exhaustive
@@ -16,10 +19,17 @@ block) are enforced at construction so every later check can afford to be
 exhaustive.
 """
 
+from typing import NamedTuple
+
 from .errors import FormatError, GradixError, ValidationError
 
 MAX_OBJECTS = 64
 MAX_GROUP_ORDER = 64
+
+
+def is_index(x):
+    """An integer id read from JSON; true and false are not ids."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class FiniteGroup:
@@ -42,7 +52,7 @@ class FiniteGroup:
             if len(row) != n:
                 raise ValidationError("group.closure", f"row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not is_index(v) or not 0 <= v < n:
                     raise ValidationError("group.closure", f"entry ({i},{j}) = {v!r} is not an element index")
 
         identity = None
@@ -133,7 +143,7 @@ class ConnectedBlock:
         if not ids:
             raise ValidationError("groupoid.object_ids", "block with no objects")
         for x in ids:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            if not is_index(x) or x < 0:
                 raise ValidationError("groupoid.object_ids", f"object id {x!r} is not a nonnegative integer")
         if len(set(ids)) != len(ids):
             raise ValidationError("groupoid.object_ids", f"duplicate object ids in block: {sorted(ids)}")
@@ -148,31 +158,20 @@ class ConnectedBlock:
         return f"ConnectedBlock(objects={self.objects}, group_order={self.group.order})"
 
 
-class Morphism:
-    """A groupoid morphism (block, target, elem, source), running source -> target."""
+class Morphism(NamedTuple):
+    """A groupoid morphism (block, target, elem, source), running source -> target.
 
-    __slots__ = ("block", "target", "elem", "source")
+    A plain value: equality, hashing and order are those of the tuple, so
+    morphisms sort by block, then target, element and source.
+    """
 
-    def __init__(self, block, target, elem, source):
-        self.block = block
-        self.target = target
-        self.elem = elem
-        self.source = source
+    block: int
+    target: int
+    elem: int
+    source: int
 
     def key(self):
-        return (self.block, self.target, self.elem, self.source)
-
-    def __eq__(self, other):
-        return isinstance(other, Morphism) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __repr__(self):
-        return f"Morphism(block={self.block}, target={self.target}, elem={self.elem}, source={self.source})"
+        return tuple(self)
 
 
 class FiniteGroupoid:
@@ -297,10 +296,10 @@ class FiniteGroupoid:
     # -- serialization ------------------------------------------------------
 
     def morphism_to_json(self, m):
-        return [m.block, m.target, m.elem, m.source]
+        return list(m)
 
     def morphism_from_json(self, data):
-        if not (isinstance(data, (list, tuple)) and len(data) == 4 and all(isinstance(v, int) for v in data)):
+        if not (isinstance(data, (list, tuple)) and len(data) == 4 and all(is_index(v) for v in data)):
             raise FormatError(f"morphism must be [block, target, elem, source], got {data!r}")
         m = Morphism(*data)
         if not self.contains(m):
@@ -359,6 +358,8 @@ def groupoid_from_json(data):
             mult = gd["mult"]
             if not (isinstance(mult, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in mult)):
                 raise FormatError(f"group 'mult' must be a list of rows, got {mult!r}")
+            if not all(is_index(v) for row in mult for v in row):
+                raise FormatError(f"group 'mult' entries must be element indices, got {mult!r}")
             group = FiniteGroup(mult)
             if "order" in gd and gd["order"] != group.order:
                 raise FormatError(f"stated group order {gd['order']} does not match table size {group.order}")
@@ -374,7 +375,7 @@ def groupoid_from_json(data):
             raise FormatError("raw groupoid needs 'objects', 'morphisms', 'compose'") from exc
         if not all(isinstance(v, (list, tuple)) for v in (objects, morphisms, compose)):
             raise FormatError("raw groupoid 'objects', 'morphisms' and 'compose' must be lists")
-        if not all(isinstance(x, int) for x in objects):
+        if not all(is_index(x) for x in objects):
             raise FormatError(f"raw groupoid objects must be integer ids, got {objects!r}")
         groupoid, _ = from_composition_table(objects, morphisms, compose)
         return groupoid
@@ -400,7 +401,7 @@ def from_composition_table(objects, morphisms, table):
     src = []
     tgt = []
     for i, md in enumerate(morphisms):
-        if not (isinstance(md, dict) and isinstance(md.get("source"), int) and isinstance(md.get("target"), int)):
+        if not (isinstance(md, dict) and is_index(md.get("source")) and is_index(md.get("target"))):
             raise FormatError(f"morphism record {i} needs integer 'source' and 'target', got {md!r}")
         if md["source"] not in obj_set or md["target"] not in obj_set:
             raise ValidationError("groupoid.object_ids", f"morphism {i} touches an unknown object")
@@ -414,7 +415,7 @@ def from_composition_table(objects, morphisms, table):
             raise FormatError(f"composition entry must be [g, h, gh], got {entry!r}")
         g, h, gh = entry
         for v in (g, h, gh):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not is_index(v) or not 0 <= v < n:
                 raise FormatError(f"composition entry {entry!r} refers to an unknown morphism")
         if (g, h) in comp and comp[(g, h)] != gh:
             raise ValidationError("groupoid.composability", f"two products given for pair ({g},{h})")

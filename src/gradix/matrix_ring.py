@@ -281,20 +281,15 @@ def matrix_form(ring):
     """Present a gr-prime graded division ring as a matrix ring over its corner.
 
     The base object is the smallest element of gamma0.  For every object
-    f of gamma0 the connecting section is the first supported morphism
-    f -> base in morphism order; at the base itself this is the identity,
-    so the corner embeds verbatim.  Returns a MatrixFormBridge.
+    f of gamma0 the connecting section is ``ring.connector(f, base)``; at
+    the base itself this is the identity, so the corner embeds verbatim.
+    Returns a MatrixFormBridge.
     """
     if not ring.is_gr_prime():
         raise GradixError("matrix form needs a gr-prime ring; decompose first")
     gamma0 = ring.gamma0()
     base = gamma0[0]
-    sections = {}
-    for f in gamma0:
-        candidates = sorted(m for m in ring.support if m.source == f and m.target == base)
-        if not candidates:
-            raise GradixError(f"no supported morphism from {f} to the base object {base}")
-        sections[f] = candidates[0]
+    sections = {f: ring.connector(f, base) for f in gamma0}
     corner = ring.corner(base)
     ring_sigs = [[sections[f]] for f in gamma0]
     m_ring = MatrixRing(corner, ring_sigs)

@@ -17,7 +17,7 @@ from .categories import MatrixFormCategory, RawCategory
 from .division import GradedDivisionRing
 from .errors import FormatError
 from .fields import field_from_json
-from .groupoids import groupoid_from_json
+from .groupoids import groupoid_from_json, is_index
 from .matrices import HomMatrix
 from .matrix_ring import MatrixRing
 from .modules import GradedModule
@@ -81,8 +81,9 @@ def _keyed(pairs, what):
     return out
 
 
-def _is_index(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+def _distinct(morphisms, what):
+    """The morphisms in order; one given twice is a FormatError naming it."""
+    return list(_keyed(((m, None) for m in morphisms), what))
 
 
 def _names(names, what):
@@ -94,13 +95,13 @@ def _names(names, what):
 
 def _coeff_dict(pairs, what):
     """A list of [index, scalar] pairs as a dict."""
-    if not (isinstance(pairs, _LIST) and all(isinstance(p, _LIST) and len(p) == 2 and _is_index(p[0]) for p in pairs)):
+    if not (isinstance(pairs, _LIST) and all(isinstance(p, _LIST) and len(p) == 2 and is_index(p[0]) for p in pairs)):
         raise FormatError(f"{what} must be a list of [index, scalar] pairs, got {pairs!r}")
     return _keyed(pairs, f"{what}: index")
 
 
 def _is_basis(x):
-    return isinstance(x, _LIST) and len(x) == 3 and isinstance(x[0], str) and isinstance(x[1], str) and _is_index(x[2])
+    return isinstance(x, _LIST) and len(x) == 3 and isinstance(x[0], str) and isinstance(x[1], str) and is_index(x[2])
 
 
 def load_groupoid(data, base_dir="", seen=frozenset()):
@@ -117,7 +118,9 @@ def load_division_ring(data, base_dir="", seen=frozenset()):
     data, base_dir = _chase(data, base_dir, seen)
     field = load_field(_require(data, "field", "ring"), base_dir, seen)
     groupoid = load_groupoid(_require(data, "groupoid", "ring"), base_dir, seen)
-    support = [groupoid.morphism_from_json(m) for m in _require(data, "support", "ring", _LIST)]
+    support = _distinct(
+        (groupoid.morphism_from_json(m) for m in _require(data, "support", "ring", _LIST)), "support morphism"
+    )
     factor = []
     for row in _require(data, "factor", "ring", _LIST):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
@@ -134,7 +137,10 @@ def load_matrix_ring(data, base_dir="", seen=frozenset()):
     ring = load_division_ring(_require(data, "ring", "matrix ring"), base_dir, seen)
     g = ring.groupoid
     raw = _require(data, "signatures", "matrix ring", _LIST)
-    signatures = [[g.morphism_from_json(m) for m in _typed(sig, _LIST, "signature")] for sig in raw]
+    signatures = [
+        _distinct((g.morphism_from_json(m) for m in _typed(sig, _LIST, "signature")), "signature morphism")
+        for sig in raw
+    ]
     return MatrixRing(ring, signatures)
 
 
@@ -149,7 +155,7 @@ def load_matrix(data, base_dir="", seen=frozenset()):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise FormatError(f"matrix entry must be [row, col, scalar], got {row!r}")
         i, j, raw_val = row
-        if not (_is_index(i) and _is_index(j)):
+        if not (is_index(i) and is_index(j)):
             raise FormatError(f"matrix entry indices must be integers, got {row!r}")
         entries.append(((i, j), ring.field.coerce(raw_val)))
     return HomMatrix(ring, rows, cols, _keyed(entries, "matrix entry position"))
@@ -173,7 +179,7 @@ def load_vectors(data, base_dir="", seen=frozenset()):
         degree = g.morphism_from_json(_require(vd, "degree", "vector"))
         entries = []
         for row in _optional_list(vd, "entries", "vector"):
-            if not (isinstance(row, (list, tuple)) and len(row) == 2 and _is_index(row[0])):
+            if not (isinstance(row, (list, tuple)) and len(row) == 2 and is_index(row[0])):
                 raise FormatError(f"vector entry must be [index, scalar], got {row!r}")
             entries.append((row[0], module.ring.field.coerce(row[1])))
         vectors.append(module.vector(degree, _keyed(entries, "vector coordinate")))

@@ -306,9 +306,9 @@ def wedderburn_decompose(ring, signatures=None):
     Accepts either a MatrixRing or a division ring plus signature sets.
     Index pairs (i, sigma) are partitioned by the primality class of the
     signature's target; each class becomes one block over the corner at
-    the class representative, with connecting degrees chosen as the
-    first supported morphism in sort order.  The per-degree dimensions
-    of the product are checked against the original ring.
+    the class representative, each signature moved there by the ring's
+    connector.  The per-degree dimensions of the product are checked
+    against the original ring.
     """
     if signatures is not None:
         ring = MatrixRing(ring, signatures)
@@ -335,22 +335,8 @@ def wedderburn_decompose(ring, signatures=None):
     for cls in sorted(by_class):
         members = by_class[cls]
         base = members[0][1].target
-        corner = d.corner(base)
-        sigs = []
-        for (i, s) in members:
-            if s.target == base:
-                connect = g.identity(base)
-            else:
-                candidates = sorted(
-                    m for m in d.support if m.source == s.target and m.target == base
-                )
-                if not candidates:
-                    raise GradixError(
-                        f"no supported morphism connects {s.target} to the class base {base}"
-                    )
-                connect = candidates[0]
-            sigs.append([g.compose(connect, s)])
-        blocks.append(MatrixRing(corner, sigs))
+        sigs = [[g.compose(d.connector(s.target, base), s)] for (_, s) in members]
+        blocks.append(MatrixRing(d.corner(base), sigs))
         provenance.append(tuple(members))
 
     spec = SemisimpleRingSpec(blocks)

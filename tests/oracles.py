@@ -284,6 +284,18 @@ def certificate_is_isomorphism(cert):
     return True
 
 
+def gr_prime_by_products(ring):
+    """Primality by definition: a D b != 0 for all nonzero homogeneous a, b.
+
+    Tests a * u_x * b over every support degree x on the basis units, with
+    no use of the ring's primality classes.
+    """
+    units = [ring.unit(m) for m in sorted(ring.support)]
+    return all(
+        any(not ring.mul(ring.mul(a, x), b).is_zero for x in units) for a in units for b in units
+    )
+
+
 def _coboundary_equations(d1, d2, tau):
     """(s, t, st, f1(s, t), f2(s', t')) for all composable s, t in supp(d1),
     primes denoting conjugation by tau."""

@@ -31,6 +31,7 @@ from gradix.structure import (
 )
 
 from oracles import (
+    gr_prime_by_products,
     minor_rank,
     random_matrix,
     random_module,
@@ -142,14 +143,14 @@ def test_criterion_4_two_cluster_division_ring():
             assert d.equal(d.mul(d.inv(x), x), d.one(m.source))
 
         assert not d.is_gr_prime()
-        assert not d.check_gr_prime_brute_force()
+        assert not gr_prime_by_products(d)
         assert d.primality_classes() == [[1, 2], [3, 4]]
 
         blocks = d.decompose_prime()
         assert len(blocks) == 2
         for b in blocks:
             assert b.is_gr_prime()
-            assert b.check_gr_prime_brute_force()
+            assert gr_prime_by_products(b)
         for m in g.morphisms():
             total = sum(b.component_dimension(m) for b in blocks)
             assert total == d.component_dimension(m)

@@ -23,6 +23,8 @@ POINT_MATRIX = {
     "row_signature": [POINT],
     "col_signature": [POINT],
 }
+# The identity at object 2, outside gamma0 of point_ring2.json.
+AWAY = [0, 2, 0, 2]
 
 
 def fx(name):
@@ -199,6 +201,10 @@ class TestExitCodes:
             {"field": {"kind": "Q"}, "groupoid": {"ref": 3}, "support": [], "factor": []},
             {"objects": ["A"], "division_rings": [{"kind": "Q"}], "dims": {"A": 1}},
             dict(POINT_MATRIX, entries=[[0, True, 1]]),
+            dict(POINT_MATRIX["ring"], support=[[0, 1, 0, True]]),
+            dict(POINT_MATRIX, col_signature=[[False, 1, 0, 1]]),
+            {"blocks": [{"objects": [1], "group": {"mult": [[False]]}}]},
+            {"raw": {"objects": [0], "morphisms": [{"source": False, "target": 0}], "compose": [[0, 0, 0]]}},
         ],
         ids=[
             "blocks_not_a_list",
@@ -211,6 +217,10 @@ class TestExitCodes:
             "ref_not_a_string",
             "dims_row_not_a_list",
             "bool_entry_index",
+            "bool_support_morphism",
+            "bool_matrix_signature",
+            "bool_mult_entry",
+            "bool_raw_morphism_record",
         ],
     )
     def test_mistyped_slot_is_a_format_error(self, capsys, tmp_path, spec):
@@ -236,6 +246,33 @@ class TestExitCodes:
         assert err.startswith("error: matrix.entry_slot: ")
 
     @pytest.mark.parametrize(
+        "argv, invariant",
+        [
+            (["invert", "rhs.matrix.json"], "invert.square"),
+            (
+                ["invert", dict(POINT_MATRIX, ring={"ref": "point_ring2.json"}, row_signature=[AWAY], col_signature=[AWAY])],
+                "invert.gamma0",
+            ),
+            (["solve", "unimodular.matrix.json", "unimodular.matrix.json"], "solve.rhs_column"),
+            (["solve", POINT_MATRIX, "rhs.matrix.json"], "solve.rhs_signature"),
+        ],
+        ids=["invert_not_square", "invert_outside_gamma0", "rhs_not_a_column", "rhs_other_rows"],
+    )
+    def test_operand_shape_names_the_invariant(self, capsys, tmp_path, argv, invariant):
+        paths = []
+        for arg in argv:
+            if isinstance(arg, dict):
+                path = tmp_path / "operand.matrix.json"
+                path.write_text(json.dumps(arg).replace('"point_ring2.json"', json.dumps(fx("point_ring2.json"))))
+                arg = str(path)
+            elif arg.endswith(".json"):
+                arg = fx(arg)
+            paths.append(arg)
+        code, out, err = call(capsys, *paths)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {invariant}: ")
+
+    @pytest.mark.parametrize(
         "name, edit, key",
         [
             ("pair_ring.json", lambda d: d["factor"].insert(0, [[0, 2, 0, 1], [0, 1, 0, 1], 5]), "factor pair"),
@@ -253,8 +290,18 @@ class TestExitCodes:
                 ),
                 "hom pair ('a', 'a')",
             ),
+            (
+                "pfm_m3.ring.json",
+                lambda d: d["ring"]["support"].append([0, 1, 0, 1]),
+                "support morphism Morphism(block=0, target=1, elem=0, source=1)",
+            ),
+            (
+                "pfm_m3.ring.json",
+                lambda d: d["signatures"][2].append([0, 1, 0, 2]),
+                "signature morphism Morphism(block=0, target=1, elem=0, source=2)",
+            ),
         ],
-        ids=["factor", "matrix_entry", "vector_coordinate", "hom"],
+        ids=["factor", "matrix_entry", "vector_coordinate", "hom", "support", "signature_set"],
     )
     def test_repeated_key_is_a_format_error(self, capsys, tmp_path, name, edit, key):
         with open(fx(name), encoding="utf-8") as fh:

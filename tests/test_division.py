@@ -9,6 +9,7 @@ from gradix.division import GradedDivisionRing
 from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
+from oracles import gr_prime_by_products
 
 Q = Rationals()
 
@@ -149,7 +150,7 @@ class TestPrimality:
         d = two_block_ring()
         assert d.primality_classes() == [[1, 2], [3, 4]]
         assert not d.is_gr_prime()
-        assert d.check_gr_prime_brute_force() is False
+        assert gr_prime_by_products(d) is False
 
     def test_decompose_prime(self):
         d = two_block_ring()
@@ -157,14 +158,14 @@ class TestPrimality:
         assert len(blocks) == 2
         for blk in blocks:
             assert blk.is_gr_prime()
-            assert blk.check_gr_prime_brute_force() is True
+            assert gr_prime_by_products(blk) is True
         # Component dimensions add up degree by degree.
         for m in d.groupoid.morphisms():
             assert d.component_dimension(m) == sum(b.component_dimension(m) for b in blocks)
 
     def test_one_object_ring_is_prime(self):
         assert twisted_c2_f3().is_gr_prime()
-        assert twisted_c2_f3().check_gr_prime_brute_force() is True
+        assert gr_prime_by_products(twisted_c2_f3()) is True
 
     def test_annihilation_across_blocks(self):
         d = two_block_ring()
@@ -232,7 +233,7 @@ class TestPrimeForm:
         assert d.is_gr_prime()
         assert d.gamma0() == (0, 1)
         assert len(d.support) == 2 * 2 * 2
-        assert d.check_gr_prime_brute_force() is True
+        assert gr_prime_by_products(d) is True
 
     def test_prime_form_restricts_to_corner(self):
         d, corner = self.build()

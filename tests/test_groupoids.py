@@ -122,6 +122,36 @@ class TestCanonicalForm:
         assert g.block_signature() == ((3, (1, (1,))),)
 
 
+class TestMorphismValue:
+    """Morphisms are plain values; every factor table and sorted choice relies on it."""
+
+    @staticmethod
+    def groupoid():
+        """Klein-four isotropy on objects {5, 7}, then a trivial block on {0, 1, 2}."""
+        klein = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+        return FiniteGroupoid([ConnectedBlock([5, 7], klein), ConnectedBlock([0, 1, 2], FiniteGroup.trivial())])
+
+    def test_enumeration_is_sort_order(self):
+        g = self.groupoid()
+        ms = list(g.morphisms())
+        assert ms == sorted(ms)
+        assert len(set(ms)) == len(ms) == g.morphism_count() == 2 * 2 * 4 + 3 * 3
+
+    def test_rebuilt_from_key(self):
+        g = self.groupoid()
+        for m in g.morphisms():
+            again = Morphism(*m.key())
+            assert again == m and hash(again) == hash(m)
+            assert repr(m) == f"Morphism(block={m.block}, target={m.target}, elem={m.elem}, source={m.source})"
+            assert g.morphism_from_json(g.morphism_to_json(m)) == m
+
+    def test_plain_tuple_is_not_a_morphism(self):
+        g = self.groupoid()
+        assert g.contains(Morphism(0, 7, 3, 5))
+        assert not g.contains((0, 7, 3, 5))
+        assert not g.contains((0, 1, 0, 1))
+
+
 class TestRawConversion:
     def raw_c2(self):
         # One object, two loops: the cyclic group of order 2.

@@ -1,9 +1,10 @@
 """Mutated fixtures never crash the command line.
 
 Each example takes one file of fixtures/, changes it in one place (drops
-a key, gives a value another JSON type, or repeats a key) and runs a verb
-that reads it through gradix.cli.main.  Every run must exit 0, 1 or 2
-without a traceback, and an exit 1 must name the violated invariant.
+a key, gives a value another JSON type, repeats a key, or repeats one
+element of a list) and runs a verb that reads it through gradix.cli.main.
+Every run must exit 0, 1 or 2 without a traceback, and an exit 1 must
+name the violated invariant.
 Numbers stay small: how large inputs are refused is a separate question.
 """
 
@@ -104,6 +105,10 @@ def with_keys(tree):
     return [path for path, v in nodes(tree) if isinstance(v, Obj) and v]
 
 
+def nonempty_lists(tree):
+    return [path for path, v in nodes(tree) if isinstance(v, list) and not isinstance(v, Obj) and v]
+
+
 TREES = {}
 for name in READERS:
     with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
@@ -115,8 +120,12 @@ def mutants(draw):
     """(fixture name, mutated JSON text, argv)."""
     name = draw(st.sampled_from(sorted(READERS)))
     tree = copy.deepcopy(TREES[name])
-    how = draw(st.sampled_from(["drop", "swap", "repeat"]))
-    if how == "swap":
+    how = draw(st.sampled_from(["drop", "swap", "repeat", "duplicate"]))
+    if how == "duplicate":
+        items = lookup(tree, draw(st.sampled_from(nonempty_lists(tree))))
+        element = items[draw(st.integers(0, len(items) - 1))]
+        items.insert(draw(st.integers(0, len(items))), copy.deepcopy(element))
+    elif how == "swap":
         path, old = draw(st.sampled_from(list(nodes(tree))))
         new = draw(st.sampled_from([v for v in REPLACEMENTS if json_type(v) != json_type(old)]))
         tree = replace(tree, path, copy.deepcopy(new))

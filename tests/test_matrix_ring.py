@@ -234,6 +234,19 @@ class TestMatrixForm:
                 assert mf.to_matrix(d.mul(x, y)).equal(mf.to_matrix(x).mul(mf.to_matrix(y)))
             assert d.equal(mf.from_matrix(mf.to_matrix(d.unit(a))), d.unit(a))
 
+    def test_corner_embeds_verbatim_when_the_identity_is_not_element_0(self):
+        # Klein four as bit pairs with the identity listed last, and the
+        # cocycle (-1)^(x1 y2): the least loop (element 0) does not commute
+        # with two of the others up to the twist.
+        elems = [(1, 0), (0, 1), (1, 1), (0, 0)]
+        index = {x: i for i, x in enumerate(elems)}
+        klein = FiniteGroup([[index[(x[0] ^ y[0], x[1] ^ y[1])] for y in elems] for x in elems])
+        d = GradedDivisionRing.twisted_group_ring(Q, klein, lambda x, y: (-1) ** (elems[x][0] * elems[y][1]))
+        mf = matrix_form(d)
+        assert mf.sections[mf.base_object] == d.groupoid.identity(mf.base_object)
+        for a in sorted(d.support):
+            assert mf.to_matrix(d.unit(a)).equal(mf.matrix_ring.element(a, {(0, 0): Q.one()}))
+
     def test_twisted_two_object_form(self):
         f3 = PrimeField(3)
         g2 = FiniteGroupoid(
