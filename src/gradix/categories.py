@@ -15,7 +15,7 @@ product is composition when the middle object matches, zero otherwise.
 
 from .errors import GradixError, ValidationError
 from .fields import accumulate
-from .groupoids import FiniteGroupoid, Morphism
+from .groupoids import FiniteGroupoid, Morphism, is_index
 from .division import GradedDivisionRing
 from .matrix_ring import MatrixRing
 from .structure import SemisimpleRingSpec
@@ -45,7 +45,7 @@ class MatrixFormCategory:
                     f"object {name!r} lists {len(row)} multiplicities for {len(self.fields)} blocks",
                 )
             for n in row:
-                if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                if not is_index(n) or n < 0:
                     raise ValidationError(
                         "category.dims", f"multiplicity {n!r} at object {name!r} is not a count"
                     )
@@ -192,7 +192,7 @@ class RawCategory:
             a, b = key
             if a not in self.objects or b not in self.objects:
                 raise ValidationError("category.hom", f"hom pair {key!r} names unknown objects")
-            if not isinstance(dim, int) or dim < 0:
+            if not is_index(dim) or dim < 0:
                 raise ValidationError("category.hom", f"hom dimension {dim!r} at {key!r}")
             if dim:
                 dims[(a, b)] = dim

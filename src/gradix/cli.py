@@ -13,7 +13,7 @@ import sys
 
 from .elimination import DEFAULT_RANK_BOUND, invert_square, rank_all, solve
 from .errors import FormatError, GradixError, ValidationError
-from .categories import classify_category, ring_of_category
+from .categories import MatrixFormCategory, classify_category, raw_from_matrix_form, ring_of_category
 from .matrix_ring import MatrixRing
 from .specfiles import (
     load_any,
@@ -125,14 +125,13 @@ def _cmd_validate(args):
         module, vectors = obj
         text = [f"vectors: {len(vectors)} in a module of pdim {module.pdim()}"]
         record = {"kind": kind, "vectors": len(vectors), "pdim": module.pdim()}
+    elif isinstance(obj, MatrixFormCategory):
+        active = len(obj.active_blocks())
+        text = [f"category: {len(obj.objects)} objects, {active} active blocks"]
+        record = {"kind": kind, "objects": len(obj.objects), "active_blocks": active}
     else:
-        try:
-            active = len(obj.active_blocks())
-            text = [f"category: {len(obj.objects)} objects, {active} active blocks"]
-            record = {"kind": kind, "objects": len(obj.objects), "active_blocks": active}
-        except AttributeError:
-            text = [f"category: {len(obj.objects)} objects, raw structure constants valid"]
-            record = {"kind": kind, "objects": len(obj.objects), "raw": True}
+        text = [f"category: {len(obj.objects)} objects, raw structure constants valid"]
+        record = {"kind": kind, "objects": len(obj.objects), "raw": True}
     return text, record
 
 
@@ -291,9 +290,7 @@ def _cmd_category(args):
             "witnesses": _jsonable(flags.witnesses),
         }
         return text, record
-    if hasattr(cat, "dims"):
-        from .categories import raw_from_matrix_form
-
+    if isinstance(cat, MatrixFormCategory):
         cat = raw_from_matrix_form(cat)
     ring = ring_of_category(cat)
     text = [f"objects: {', '.join(str(n) for n in ring.object_names)}"]

@@ -68,14 +68,15 @@ class GradedDivisionRing:
         for e in sorted(touched):
             if g.identity(e) not in self.support:
                 raise ValidationError("support.identities", f"support touches object {e} but lacks its identity")
-        for s in self.support:
-            for t in self.support:
-                if g.is_composable(s, t) and g.compose(s, t) not in self.support:
-                    raise ValidationError(
-                        "support.composition_closed", f"support lacks the product of {s} and {t}"
-                    )
+        by_target = {}
+        for t in self.support:
+            by_target.setdefault(t.target, []).append(t)
+        pairs = [(s, t) for s in self.support for t in by_target.get(s.source, ())]
+        for s, t in pairs:
+            if g.compose(s, t) not in self.support:
+                raise ValidationError("support.composition_closed", f"support lacks the product of {s} and {t}")
 
-        pairs = {(s, t) for s in self.support for t in self.support if g.is_composable(s, t)}
+        pairs = set(pairs)
         for key in self.factor:
             if key not in pairs:
                 raise ValidationError("factor.domain", f"factor given for non-composable or non-support pair {key}")
@@ -91,9 +92,6 @@ class GradedDivisionRing:
                 raise ValidationError("factor.normalization", f"factor({m}, id) != 1")
             if not self.field.equal(self.factor[(g.identity(m.target), m)], one):
                 raise ValidationError("factor.normalization", f"factor(id, {m}) != 1")
-        by_target = {}
-        for t in self.support:
-            by_target.setdefault(t.target, []).append(t)
         for (s, t) in pairs:
             st = g.compose(s, t)
             for r in by_target.get(t.source, ()):

@@ -1,4 +1,4 @@
-"""Gaussian elimination over a graded division ring, with full bookkeeping.
+"""Gaussian elimination over a graded division ring.
 
 Row operations act by left multiplication with elementary matrices whose
 signatures track the degree changes: swapping rows swaps signature
@@ -8,18 +8,18 @@ when the coefficient's degree equals alpha_j*alpha_i^{-1} (which is
 exactly what elimination produces, since the coefficient comes from a
 shared column).
 
-row_reduce drives a deterministic reduced echelon form and accumulates
-both the transform U (U*A = echelon) and its inverse V, so ranks,
-inverses, solvers and factorizations all fall out of one pass.
+row_reduce drives a deterministic reduced echelon form R and records its
+pivots; every answer is read off one such form of an augmented matrix.
+Ranks come from the pivot count, the inner-rank factorization is
+A = A[:, pivot columns] * R[pivot rows], the inverse is the right block
+of the form of [A | I], and a solution the last column of [A | b].
 
-The worksheet holds bare field coefficients.  A slot's degree is fixed
-by the signatures, so the product of coefficients x and y at composable
+Rows hold bare field coefficients.  A slot's degree is fixed by the
+signatures, so the product of coefficients x and y at composable
 degrees d and e is the field element x*y*factor(d, e); no entry is
 wrapped as a homogeneous scalar.  A row operation takes its scalar as a
-(degree, coefficient) pair and is built from two kernels: _left
-left-multiplies row i of M and of U, and _right right-multiplies column
-i of V.  A scaling replaces the row and column with these products; a
-transvection adds them into another row and column.
+(degree, coefficient) pair: a scaling replaces the row with its left
+product, a transvection adds that product into another row.
 """
 
 from .errors import GradixError, ValidationError
@@ -83,116 +83,11 @@ def t_add(ring, sig, i, j, a):
     return out
 
 
-class _Worksheet:
-    """Mutable elimination state: the matrix M, the transform U, its inverse V.
-
-    Invariants maintained by every operation: U*A = M and V = U^{-1}
-    (so A = V*M), with U in [M.row_sig][original row_sig] and V in
-    [original row_sig][M.row_sig].  M and U are lists of rows and V a list
-    of columns, each a dict from index to coefficient, so an operation
-    touches only the rows or columns it changes.
-    """
-
-    def __init__(self, matrix):
-        self.ring = matrix.ring
-        self.field = matrix.ring.field
-        self.orig = matrix
-        self.row_sig = list(matrix.row_sig)
-        self.col_sig = matrix.col_sig
-        self.m_rows = [{} for _ in self.row_sig]
-        for (i, j), c in matrix.entries.items():
-            self.m_rows[i][j] = c
-        # U and V start as the identity I_{r(alpha)}, whose unit 1_e is zero
-        # when e is outside gamma0 (such a row of A is zero anyway).
-        gamma0 = set(self.ring.gamma0())
-        one = self.field.one()
-        self.u_rows = [{i: one} if a.target in gamma0 else {} for i, a in enumerate(self.row_sig)]
-        self.v_cols = [dict(row) for row in self.u_rows]
-        g = self.ring.groupoid
-        self._col_inv = [g.inverse(b) for b in self.col_sig]
-        self._orig_inv = [g.inverse(a) for a in matrix.row_sig]
-
-    def _left(self, i, deg, coeff):
-        """a*row_i of M and of U, for a = coeff at degree deg: one term dict each.
-
-        Entry k of the row sits at alpha_i * inv[k], so the term is
-        coeff*x*factor(deg, alpha_i*inv[k]); no term is zero.
-        """
-        g = self.ring.groupoid
-        mul, factor = self.field.mul, self.ring.factor
-        alpha = self.row_sig[i]
-        return [
-            {k: mul(mul(coeff, x), factor[(deg, g.compose(alpha, inv[k]))]) for k, x in row.items()}
-            for row, inv in ((self.m_rows[i], self._col_inv), (self.u_rows[i], self._orig_inv))
-        ]
-
-    def _right(self, i, deg, coeff):
-        """col_i*a of V, for a = coeff at degree deg; entry r sits at orig_r * alpha_i^{-1}."""
-        g = self.ring.groupoid
-        mul, factor = self.field.mul, self.ring.factor
-        alpha_inv = g.inverse(self.row_sig[i])
-        orig = self.orig.row_sig
-        return {
-            r: mul(mul(x, coeff), factor[(g.compose(orig[r], alpha_inv), deg)])
-            for r, x in self.v_cols[i].items()
-        }
-
-    def swap(self, i, j):
-        if i == j:
-            return
-        for lines in (self.m_rows, self.u_rows, self.v_cols):
-            lines[i], lines[j] = lines[j], lines[i]
-        self.row_sig[i], self.row_sig[j] = self.row_sig[j], self.row_sig[i]
-
-    def scale(self, i, deg, coeff):
-        """Multiply row i by the invertible scalar coeff at degree deg.
-
-        M and U rows are left-multiplied by it; V's column i is
-        right-multiplied by its inverse.
-        """
-        g, field = self.ring.groupoid, self.field
-        deg_inv = g.inverse(deg)
-        coeff_inv = field.inv(field.mul(coeff, self.ring.factor[(deg, deg_inv)]))
-        self.m_rows[i], self.u_rows[i] = self._left(i, deg, coeff)
-        self.v_cols[i] = self._right(i, deg_inv, coeff_inv)
-        self.row_sig[i] = g.compose(deg, self.row_sig[i])
-
-    def transvect(self, i, j, deg, coeff):
-        """Add a*row_i to row_j for a = coeff at degree deg = alpha_j*alpha_i^{-1}."""
-        field = self.field
-        assert self.ring.groupoid.compose(deg, self.row_sig[i]) == self.row_sig[j]
-        for dst, terms in zip((self.m_rows[j], self.u_rows[j]), self._left(i, deg, coeff)):
-            for k, t in terms.items():
-                accumulate(field, dst, k, t)
-        # V gains the inverse column operation: col_i -= col_j * a.
-        dst = self.v_cols[i]
-        for r, t in self._right(j, deg, field.neg(coeff)).items():
-            accumulate(field, dst, r, t)
-
-    def matrix(self):
-        out = HomMatrix(self.ring, self.row_sig, self.col_sig)
-        out.entries = {(r, k): c for r, row in enumerate(self.m_rows) for k, c in row.items()}
-        return out
-
-    def transform(self):
-        out = HomMatrix(self.ring, self.row_sig, self.orig.row_sig)
-        out.entries = {(r, k): c for r, row in enumerate(self.u_rows) for k, c in row.items()}
-        return out
-
-    def inverse_transform(self):
-        out = HomMatrix(self.ring, self.orig.row_sig, self.row_sig)
-        out.entries = {(r, k): c for k, col in enumerate(self.v_cols) for r, c in col.items()}
-        return out
-
-
 class Reduction:
-    """The result of row_reduce: echelon form, transforms and pivots."""
+    """The result of row_reduce: the reduced echelon form and its pivots."""
 
-    def __init__(self, original, echelon, transform, inverse_transform, pivots):
-        self.original = original
+    def __init__(self, echelon, pivots):
         self.echelon = echelon
-        self.transform = transform
-        self.inverse_transform = inverse_transform
         self.pivots = tuple(pivots)  # (row, column) pairs
 
     @property
@@ -206,40 +101,58 @@ def row_reduce(matrix):
     Scans columns left to right, picking in each the topmost unused
     nonzero entry as pivot, normalizes it to the local unit (the pivot
     row's signature becomes the pivot column's), and clears the column
-    above and below.  Returns a Reduction with exact transforms.
+    above and below.  The rows are dicts from column to coefficient, so
+    an operation touches only the rows it changes.
     """
-    ws = _Worksheet(matrix)
     ring = matrix.ring
-    g, field = ring.groupoid, ring.field
-    one = field.one()
+    g, field, factor = ring.groupoid, ring.field, ring.factor
+    mul, one = field.mul, field.one()
     m, n = matrix.shape
+    row_sig = list(matrix.row_sig)
+    col_inv = [g.inverse(b) for b in matrix.col_sig]
+    rows = [{} for _ in row_sig]
+    for (i, j), c in matrix.entries.items():
+        rows[i][j] = c
+
+    def left(i, deg, coeff):
+        """a*row_i for a = coeff at degree deg as a term dict.
+
+        Entry k of the row sits at alpha_i * col_inv[k], so the term is
+        coeff*x*factor(deg, alpha_i*col_inv[k]); no term is zero.
+        """
+        alpha = row_sig[i]
+        return {k: mul(mul(coeff, x), factor[(deg, g.compose(alpha, col_inv[k]))]) for k, x in rows[i].items()}
+
     pivots = []
     r = 0
     for col in range(n):
-        pivot_row = None
-        for row in range(r, m):
-            if col in ws.m_rows[row]:
-                pivot_row = row
-                break
+        pivot_row = next((row for row in range(r, m) if col in rows[row]), None)
         if pivot_row is None:
             continue
-        ws.swap(r, pivot_row)
-        col_inv = g.inverse(ws.col_sig[col])
-        pivot_deg = g.compose(ws.row_sig[r], col_inv)
-        x = ws.m_rows[r][col]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        row_sig[r], row_sig[pivot_row] = row_sig[pivot_row], row_sig[r]
+        pivot_deg = g.compose(row_sig[r], col_inv[col])
+        x = rows[r][col]
         if not (g.is_identity(pivot_deg) and field.equal(x, one)):
+            # scale the pivot row by the inverse of its pivot entry
             inv_deg = g.inverse(pivot_deg)
-            ws.scale(r, inv_deg, field.inv(field.mul(x, ring.factor[(pivot_deg, inv_deg)])))
+            rows[r] = left(r, inv_deg, field.inv(mul(x, factor[(pivot_deg, inv_deg)])))
+            row_sig[r] = g.compose(inv_deg, row_sig[r])
         for row in range(m):
-            if row == r or col not in ws.m_rows[row]:
+            if row == r or col not in rows[row]:
                 continue
-            c_deg = g.compose(ws.row_sig[row], col_inv)
-            ws.transvect(r, row, c_deg, field.neg(ws.m_rows[row][col]))
+            # add a*row_r to this row, a of degree alpha_row * alpha_r^{-1}
+            c_deg = g.compose(row_sig[row], col_inv[col])
+            assert g.compose(c_deg, row_sig[r]) == row_sig[row]
+            for k, t in left(r, c_deg, field.neg(rows[row][col])).items():
+                accumulate(field, rows[row], k, t)
         pivots.append((r, col))
         r += 1
         if r == m:
             break
-    return Reduction(matrix, ws.matrix(), ws.transform(), ws.inverse_transform(), pivots)
+    echelon = HomMatrix(ring, row_sig, matrix.col_sig)
+    echelon.entries = {(i, k): c for i, row in enumerate(rows) for k, c in row.items()}
+    return Reduction(echelon, pivots)
 
 
 class RankReport:
@@ -263,8 +176,9 @@ def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
 
     Row rank by reduction, column rank by reducing the transpose over the
     opposite ring, inner rank from the factorization A = B*C with B the
-    pivot columns of the inverse transform and C the pivot rows of the
-    echelon form.  The invertible-submatrix rank comes from the pivot
+    pivot columns of A and C the pivot rows of the echelon form (a pivot
+    row is normalized to the signature of its pivot column, so B*C is
+    defined).  The invertible-submatrix rank comes from the pivot
     minor: the pivot columns of the reduction are independent columns of
     A, those of the transposed reduction independent rows, so the minor
     on them is invertible when the ranks agree, and its rank is rho_i.
@@ -275,9 +189,8 @@ def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
     red_op = row_reduce(matrix.transpose_opposite())
     rho_c = red_op.rank
 
-    pivot_rows = [i for (i, _) in red.pivots]
-    b = red.inverse_transform.submatrix(range(matrix.shape[0]), pivot_rows)
-    c = red.echelon.submatrix(pivot_rows, range(matrix.shape[1]))
+    b = matrix.submatrix(range(matrix.shape[0]), [j for (_, j) in red.pivots])
+    c = red.echelon.submatrix([i for (i, _) in red.pivots], range(matrix.shape[1]))
     if not b.mul(c).equal(matrix):
         raise GradixError("internal error: factorization witness failed to reproduce the matrix")
     rho = rho_r
@@ -300,8 +213,9 @@ def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
 def invert_square(matrix):
     """The two-sided inverse of a square graded matrix, or None.
 
-    Requires a square signature whose targets all lie in gamma0.  When
-    the rank is full the reduction's transform is the inverse; both
+    Requires a square signature whose targets all lie in gamma0.  Reduces
+    [A | I]: a pivot in the right block means A is singular; otherwise
+    the left block is I and the right block is the inverse.  Both
     AB = I_{r(alpha)} and BA = I_{r(beta)} are verified exactly.
     """
     m, n = matrix.shape
@@ -313,14 +227,14 @@ def invert_square(matrix):
             raise ValidationError(
                 "invert.gamma0", f"signature target {a.target} is outside gamma0; its local unit is zero"
             )
-    red = row_reduce(matrix)
-    if red.rank < n:
+    red = row_reduce(matrix.hstack(HomMatrix.identity(matrix.ring, matrix.row_sig)))
+    if any(col >= n for (_, col) in red.pivots):
         return None
-    inverse = red.transform
+    inverse = red.echelon.submatrix(range(n), range(n, 2 * n))
     left = inverse.mul(matrix)
     right = matrix.mul(inverse)
     if not left.equal(HomMatrix.identity(matrix.ring, matrix.col_sig)):
-        raise GradixError("internal error: reduction transform is not a left inverse")
+        raise GradixError("internal error: reduced right block is not a left inverse")
     if not right.equal(HomMatrix.identity(matrix.ring, matrix.row_sig)):
         raise GradixError("internal error: left inverse failed to verify on the right")
     return inverse

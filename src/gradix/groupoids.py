@@ -361,8 +361,9 @@ def groupoid_from_json(data):
             if not all(is_index(v) for row in mult for v in row):
                 raise FormatError(f"group 'mult' entries must be element indices, got {mult!r}")
             group = FiniteGroup(mult)
-            if "order" in gd and gd["order"] != group.order:
-                raise FormatError(f"stated group order {gd['order']} does not match table size {group.order}")
+            order = gd.get("order", group.order)
+            if not is_index(order) or order != group.order:
+                raise FormatError(f"stated group order {order!r} does not match table size {group.order}")
             blocks.append(ConnectedBlock(bd["objects"], group))
         return FiniteGroupoid(blocks)
     if "raw" in data:

@@ -195,7 +195,10 @@ def load_category(data, base_dir="", seen=frozenset()):
         objects = _names(_require(raw, "objects", "raw category"), "raw category objects")
         homs = _require(raw, "homs", "raw category", _LIST)
         for row in homs:
-            if not (isinstance(row, _LIST) and len(row) == 3 and isinstance(row[0], str) and isinstance(row[1], str)):
+            if not (
+                isinstance(row, _LIST) and len(row) == 3 and isinstance(row[0], str) and isinstance(row[1], str)
+                and is_index(row[2])
+            ):
                 raise FormatError(f"hom row must be [target, source, dim], got {row!r}")
         hom_dims = _keyed((((row[0], row[1]), row[2]) for row in homs), "hom pair")
         compose = []

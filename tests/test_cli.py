@@ -205,6 +205,16 @@ class TestExitCodes:
             dict(POINT_MATRIX, col_signature=[[False, 1, 0, 1]]),
             {"blocks": [{"objects": [1], "group": {"mult": [[False]]}}]},
             {"raw": {"objects": [0], "morphisms": [{"source": False, "target": 0}], "compose": [[0, 0, 0]]}},
+            {"blocks": [{"objects": [1, 2, 3], "group": {"order": True, "mult": [[0]]}}]},
+            {
+                "raw_category": {
+                    "field": {"kind": "Q"},
+                    "objects": ["a"],
+                    "homs": [["a", "a", True]],
+                    "identities": {"a": [[0, 1]]},
+                    "compose": [[["a", "a", 0], ["a", "a", 0], [[0, 1]]]],
+                }
+            },
         ],
         ids=[
             "blocks_not_a_list",
@@ -221,6 +231,8 @@ class TestExitCodes:
             "bool_matrix_signature",
             "bool_mult_entry",
             "bool_raw_morphism_record",
+            "bool_group_order",
+            "bool_hom_dimension",
         ],
     )
     def test_mistyped_slot_is_a_format_error(self, capsys, tmp_path, spec):

@@ -14,7 +14,7 @@ from gradix.elimination import (
     solve,
     t_add,
 )
-from gradix.errors import GradixError
+from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrices import HomMatrix
@@ -115,17 +115,6 @@ class TestRowReduce:
         assert red.echelon.coeff(0, 0) == 1
         assert red.echelon.coeff(0, 1) == 2
         assert red.echelon.row_is_zero(1)
-
-    def test_transform_invariants(self):
-        rng = random.Random(11)
-        for ring in (rational_point(), f5_c2(), pair_ring(), twisted_c2_f3()):
-            for _ in range(20):
-                m = random_matrix(ring, rng, rng.randrange(1, 5), rng.randrange(1, 5))
-                red = row_reduce(m)
-                u, v = red.transform, red.inverse_transform
-                assert u.mul(m).equal(red.echelon)
-                assert v.mul(red.echelon).equal(m)
-                assert v.mul(u).equal(HomMatrix.identity(ring, list(m.row_sig)))
 
     def test_pivot_columns_strictly_increase(self):
         rng = random.Random(3)
@@ -313,17 +302,39 @@ class TestSolve:
 
 
 class TestAgainstDefinitionProduct:
-    def test_transforms_reproduce_the_matrix(self):
+    def test_pivot_columns_times_pivot_rows_reproduce_the_matrix(self):
         rng = random.Random(37)
         for ring in product_test_rings(rng):
             for _ in range(10):
                 a = oracle_matrix(rng, ring, rng.randrange(1, 6), rng.randrange(1, 6))
                 for mat in (a, a.transpose_opposite()):
                     red = row_reduce(mat)
-                    assert graded_product(red.transform, mat).entries == red.echelon.entries
-                    assert graded_product(red.inverse_transform, red.echelon).entries == mat.entries
+                    m, n = mat.shape
+                    assert [r for (r, _) in red.pivots] == list(range(red.rank))
+                    b = mat.submatrix(range(m), [j for (_, j) in red.pivots])
+                    c = red.echelon.submatrix(range(red.rank), range(n))
+                    assert graded_product(b, c).entries == mat.entries
+                    assert all(red.echelon.row_is_zero(i) for i in range(red.rank, m))
 
-    def test_row_outside_gamma0_gets_no_unit(self):
+    def test_inverse_is_two_sided_under_the_definition_product(self):
+        rng = random.Random(73)
+        inverted = 0
+        for ring in product_test_rings(rng):
+            pool = [s for s in ring.groupoid.morphisms() if s.target in ring.gamma0()]
+            for _ in range(10):
+                n = rng.randrange(1, 5)
+                a = random_matrix_on(rng, ring, [rng.choice(pool) for _ in range(n)], [rng.choice(pool) for _ in range(n)], 0.9)
+                for mat in (a, a.transpose_opposite()):
+                    inv = invert_square(mat)
+                    if inv is None:
+                        assert rank_all(mat).rho < n
+                        continue
+                    inverted += 1
+                    assert graded_product(inv, mat).entries == HomMatrix.identity(mat.ring, mat.col_sig).entries
+                    assert graded_product(mat, inv).entries == HomMatrix.identity(mat.ring, mat.row_sig).entries
+        assert inverted > 20
+
+    def test_row_outside_gamma0(self):
         # The support lives on objects 0 and 1; a row signature ending at 2
         # has only dead slots, and its local unit 1_2 is zero.
         g = FiniteGroupoid.pair([0, 1, 2])
@@ -333,10 +344,13 @@ class TestAgainstDefinitionProduct:
         e0, into_1, into_2 = g.identity(0), Morphism(0, 1, 0, 0), Morphism(0, 2, 0, 0)
         a = HomMatrix(ring, [e0, into_2, into_1], [into_1, e0], {(0, 0): 2, (0, 1): 1, (2, 0): 3})
         red = row_reduce(a)
-        for t in (red.transform, red.inverse_transform):
-            assert all(t.slot_degree(i, j) is not None for (i, j) in t.entries)
-        assert graded_product(red.transform, a).entries == red.echelon.entries
-        assert graded_product(red.inverse_transform, red.echelon).entries == a.entries
+        assert all(red.echelon.slot_degree(i, j) is not None for (i, j) in red.echelon.entries)
+        b, c = rank_all(a).factorization
+        assert graded_product(b, c).entries == a.entries
+        square = HomMatrix(ring, [e0, into_2], [into_1, e0], {(0, 0): 2, (0, 1): 1})
+        with pytest.raises(ValidationError) as caught:
+            invert_square(square)
+        assert caught.value.invariant == "invert.gamma0"
 
 
 class TestNoScalarWrappers:

@@ -235,7 +235,7 @@ class TestOppositeRingBuilds:
 
 
 class TestReductionCounts:
-    """One reduction per span question, three per rank_all (two when rho_i is skipped)."""
+    """One reduction per span question, inverse and solve; three per rank_all (two when rho_i is skipped)."""
 
     def test_one_reduction_per_span_question(self, monkeypatch):
         m = two_object_module()
@@ -266,6 +266,23 @@ class TestReductionCounts:
         calls.clear()
         assert rank_all(a, rank_bound=5).rho_i_skipped
         assert len(calls) == 2
+
+    def test_one_reduction_per_inverse_and_solve(self, monkeypatch):
+        rng = random.Random(79)
+        ring = f5_c2()
+        e, g = ring.groupoid.identity(0), Morphism(0, 0, 1, 0)
+        sig = [e, g, e, g]
+        while True:
+            a = random_matrix_on(rng, ring, sig, sig, density=0.9)
+            if rank_all(a).rho == 4:
+                break
+        b = a.mul(random_matrix_on(rng, ring, sig, [g], density=0.9))
+        calls = _count_reductions(monkeypatch)
+        assert elimination.invert_square(a) is not None
+        assert len(calls) == 1
+        calls.clear()
+        assert elimination.solve(a, b) is not None
+        assert len(calls) == 1
 
 
 def _corrupting(monkeypatch, corrupt):
