@@ -145,9 +145,6 @@ def category_to_semisimple_spec(cat):
     active = cat.active_blocks()
     if not active:
         raise GradixError("the zero category has no semisimple block form")
-    fields = {cat.fields[j] for j in active}
-    if len(fields) > 1:
-        raise GradixError("blocks over different scalar fields cannot share one graded ring")
     groupoid = FiniteGroupoid.pair(list(range(len(cat.objects))))
     index = {name: k for k, name in enumerate(cat.objects)}
     blocks = []
@@ -395,7 +392,7 @@ def raw_from_matrix_form(cat):
     active = cat.active_blocks()
     fields = {cat.fields[j] for j in active} or {cat.fields[0]}
     if len(fields) > 1:
-        raise GradixError("structure constants need a single scalar field")
+        raise ValidationError("category.common_field", "structure constants need a single scalar field")
     field = fields.pop()
 
     basis = {}

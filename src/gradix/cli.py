@@ -24,12 +24,7 @@ from .specfiles import (
     load_module,
     load_vectors,
 )
-from .structure import (
-    DEFAULT_COBOUNDARY_BOUND,
-    classify,
-    spec_iso,
-    wedderburn_decompose,
-)
+from .structure import classify, spec_iso, wedderburn_decompose
 
 SCHEMA = "gradix/1"
 
@@ -239,7 +234,7 @@ def _cmd_decompose(args):
 def _cmd_iso(args):
     left = wedderburn_decompose(_load_ring_spec(args.left))
     right = wedderburn_decompose(_load_ring_spec(args.right))
-    match = spec_iso(left, right, coboundary_bound=args.coboundary_bound)
+    match = spec_iso(left, right)
     if match is None:
         return ["isomorphic: false"], {"isomorphic": False}
     g = left.groupoid
@@ -338,7 +333,6 @@ def build_parser():
     p = sub.add_parser("iso", parents=[common], help="graded isomorphism test")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--coboundary-bound", type=int, default=DEFAULT_COBOUNDARY_BOUND)
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("module", parents=[common], help="pseudo-dimension reports")

@@ -31,58 +31,6 @@ from .matrices import HomMatrix
 DEFAULT_RANK_BOUND = 8
 
 
-def p_swap(ring, sig, i, j):
-    """The permutation matrix interchanging rows i and j, in [sig'][sig]."""
-    sig = list(sig)
-    new_sig = list(sig)
-    new_sig[i], new_sig[j] = new_sig[j], new_sig[i]
-    out = HomMatrix(ring, new_sig, sig)
-    one = ring.field.one()
-    for k in range(len(sig)):
-        if k == i:
-            out._set(i, j, one)
-        elif k == j:
-            out._set(j, i, one)
-        else:
-            out._set(k, k, one)
-    return out
-
-
-def d_scale(ring, sig, i, a):
-    """The diagonal matrix scaling row i by homogeneous a, in [sig'][sig]."""
-    if a.is_zero:
-        raise GradixError("row scale coefficient must be nonzero")
-    if a.degree.source != sig[i].target:
-        raise GradixError("scale coefficient degree does not compose with the row signature")
-    g = ring.groupoid
-    new_sig = list(sig)
-    new_sig[i] = g.compose(a.degree, sig[i])
-    out = HomMatrix(ring, new_sig, sig)
-    for k in range(len(sig)):
-        out._set(k, k, a.coeff if k == i else ring.field.one())
-    return out
-
-
-def t_add(ring, sig, i, j, a):
-    """The transvection adding a*row_i to row_j (i != j), in [sig][sig].
-
-    The coefficient degree must equal alpha_j*alpha_i^{-1}, so the row
-    signature is unchanged and the retained (j,j) unit stays coherent.
-    """
-    if i == j:
-        raise GradixError("transvection needs two distinct rows")
-    if a.is_zero:
-        raise GradixError("transvection coefficient must be nonzero")
-    g = ring.groupoid
-    if a.degree.source != sig[i].target:
-        raise GradixError("transvection coefficient degree does not compose with the source row")
-    if g.compose(a.degree, sig[i]) != sig[j]:
-        raise GradixError("transvection coefficient degree must equal alpha_j * alpha_i^-1")
-    out = HomMatrix.identity(ring, sig)
-    out.entries[(j, i)] = a.coeff
-    return out
-
-
 class Reduction:
     """The result of row_reduce: the reduced echelon form and its pivots."""
 

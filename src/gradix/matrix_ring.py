@@ -103,9 +103,12 @@ class MatrixRing:
         self.ring = ring
         self.signatures = tuple(tuple(sorted(set(sig))) for sig in signatures)
         self._validate()
-        self._by_source = []
-        for sig in self.signatures:
-            self._by_source.append({s.source: s for s in sig})
+        self._by_source = [{s.source: s for s in sig} for sig in self.signatures]
+        live = {}
+        for i, sig in enumerate(self.signatures):
+            for s in sig:
+                live.setdefault(s.source, []).append(i)
+        self._live = {e: tuple(idx) for e, idx in live.items()}
 
     def _validate(self):
         g = self.ring.groupoid
@@ -155,8 +158,8 @@ class MatrixRing:
         return self._by_source[i].get(source_obj)
 
     def live_indices(self, source_obj):
-        """Indices whose signature set touches the given source object."""
-        return tuple(i for i in range(self.size) if source_obj in self._by_source[i])
+        """Indices whose signature set touches the given source object, in order."""
+        return self._live.get(source_obj, ())
 
     def slot_degree(self, i, j, gamma):
         """The division-ring degree of entry (i, j) at element degree gamma."""

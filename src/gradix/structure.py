@@ -2,7 +2,9 @@
 
 A semisimple ring is presented as a finite product of blocks, each a
 matrix ring over a graded division ring concentrated at a single base
-object, with singleton signature sets.  On that normal form this module
+object, with singleton signature sets.  Elements of different blocks
+multiply to zero, so the product needs no arithmetic of its own: every
+check runs inside one block at a time.  On that normal form this module
 computes classification flags with certificates, decomposes a general
 matrix ring into its blocks, decides graded isomorphism of blocks and of
 products, reads off corner-ring structure, and counts simple summands of
@@ -28,54 +30,30 @@ from .errors import GradixError, ValidationError
 from .groupoids import union_classes
 from .matrix_ring import MatrixRing
 
-DEFAULT_COBOUNDARY_BOUND = 12
-
-
-# -- product-ring elements ---------------------------------------------------
-
-
-class ProductElement:
-    """A homogeneous element of a product of matrix-ring blocks.
-
-    One part per block; the nonzero parts all share the same degree.
-    """
-
-    def __init__(self, spec, parts):
-        self.spec = spec
-        self.parts = tuple(parts)
-        degrees = {p.degree for p in self.parts if not p.is_zero}
-        if len(degrees) > 1:
-            raise GradixError("product element parts disagree on the degree")
-        self.degree = degrees.pop() if degrees else None
-
-    @property
-    def is_zero(self):
-        return self.degree is None
-
-    def add(self, other):
-        return ProductElement(
-            self.spec, [a.add(b) for a, b in zip(self.parts, other.parts)]
-        )
-
-    def mul(self, other):
-        return ProductElement(
-            self.spec, [a.mul(b) for a, b in zip(self.parts, other.parts)]
-        )
-
-    def equal(self, other):
-        return all(a.equal(b) for a, b in zip(self.parts, other.parts))
+# The largest support whose coboundary system iso solves.  A single solve on
+# a twisted cyclic group ring over F_10007 or Q takes about 0.012 s at
+# support 12, 0.04 s at 16 and 0.18 s at 24 (one core of a 2-vCPU Xeon),
+# and a rejecting pair may solve once per conjugating morphism.
+MAX_COBOUNDARY_SUPPORT = 12
 
 
 class SemisimpleRingSpec:
-    """A product of matrix-ring blocks in concentrated singleton form."""
+    """A product of matrix-ring blocks in concentrated singleton form.
+
+    The spec is its validated list of blocks: each block's ring is
+    concentrated at one base object, each signature set is a singleton,
+    and all blocks share one grading groupoid and one field.  Elements of
+    different blocks multiply to zero, so the spec keeps no arithmetic of
+    its own; every question is answered by the blocks.
+    """
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
         if not self.blocks:
             raise ValidationError("block.support_at_base", "a spec needs at least one block")
         self._bases = []
-        ambient = None
-        field = None
+        first = self.blocks[0].ring
+        grading = first.groupoid.to_json()
         for j, blk in enumerate(self.blocks):
             gamma0 = blk.ring.gamma0()
             if len(gamma0) != 1:
@@ -90,20 +68,16 @@ class SemisimpleRingSpec:
                         "block.singleton_signature",
                         f"block {j}, index {k}: signature set has {len(sig)} members",
                     )
-            if ambient is None:
-                ambient = blk.ring.groupoid
-                field = blk.ring.field
-            else:
-                if blk.ring.groupoid.to_json() != ambient.to_json():
-                    raise ValidationError(
-                        "block.common_grading", f"block {j} is graded by a different groupoid"
-                    )
-                if blk.ring.field != field:
-                    raise ValidationError(
-                        "block.common_grading", f"block {j} lives over a different field"
-                    )
-        self.groupoid = ambient
-        self.field = field
+            if blk.ring.groupoid.to_json() != grading:
+                raise ValidationError(
+                    "block.common_grading", f"block {j} is graded by a different groupoid"
+                )
+            if blk.ring.field != first.field:
+                raise ValidationError(
+                    "block.common_grading", f"block {j} lives over a different field"
+                )
+        self.groupoid = first.groupoid
+        self.field = first.field
 
     def base_object(self, j):
         return self._bases[j]
@@ -116,10 +90,12 @@ class SemisimpleRingSpec:
         return self.blocks[j].size
 
     def indices_at(self, j, e):
-        """K_{j,e}: indices of block j whose signature starts at e."""
-        return tuple(
-            k for k in range(self.block_size(j)) if self.signature(j, k).source == e
-        )
+        """K_{j,e}: indices of block j whose signature starts at e.
+
+        A singleton signature's source is the only object where its index
+        is live, so these are the block's live indices at e.
+        """
+        return self.blocks[j].live_indices(e)
 
     def blocks_at(self, e):
         """J_e: blocks with at least one index at e."""
@@ -131,11 +107,7 @@ class SemisimpleRingSpec:
 
     def objects(self):
         """All objects carrying at least one index, sorted."""
-        out = set()
-        for j in range(len(self.blocks)):
-            for k in range(self.block_size(j)):
-                out.add(self.signature(j, k).source)
-        return sorted(out)
+        return sorted({sig[0].source for blk in self.blocks for sig in blk.signatures})
 
     def summability(self):
         """Per object, the blocks meeting it; the finiteness witness."""
@@ -144,23 +116,6 @@ class SemisimpleRingSpec:
     def global_index(self, j, k):
         """1-based position of block j, index k in the concatenated index list."""
         return sum(self.block_size(jp) for jp in range(j)) + k + 1
-
-    # -- product arithmetic --------------------------------------------------
-
-    def zero(self):
-        return ProductElement(self, [blk.zero() for blk in self.blocks])
-
-    def single(self, j, element):
-        """The product element supported in block j only."""
-        parts = [blk.zero() for blk in self.blocks]
-        parts[j] = element
-        return ProductElement(self, parts)
-
-    def identity_at(self, e):
-        return ProductElement(self, [blk.identity_at(e) for blk in self.blocks])
-
-    def component_dimension(self, gamma):
-        return sum(blk.component_dimension(gamma) for blk in self.blocks)
 
 
 # -- classification ----------------------------------------------------------
@@ -188,8 +143,8 @@ class ClassificationFlags:
 
 
 def _exclusive_singleton(spec, j):
-    """The smallest object held by exactly one index of block j and by no
-    other block, or None."""
+    """The object of the first index of block j, in index order, that is held
+    by that index alone and by no other block, or None."""
     for k in range(spec.block_size(j)):
         e = spec.signature(j, k).source
         if len(spec.indices_at(j, e)) != 1:
@@ -200,41 +155,44 @@ def _exclusive_singleton(spec, j):
     return None
 
 
-def _verify_ipbn_witness(spec, e, members, singleton_of):
+def _verify_ipbn_witness(spec, e, singleton_of):
     """Check AB = identity at e and BA = the diagonal of local identities.
 
-    ``members`` lists the (block, index) pairs at the crowded object;
-    ``singleton_of`` maps a block to its exclusive singleton index.
-    A is the row of E_{k, c_j}, B the column of E_{c_j, k}.
+    ``singleton_of`` maps each block with indices at the crowded object e
+    to its exclusive singleton index c.  A is the row of E_{k,c}, B the
+    column of E_{c,k}, over every index k at e.  Elements of different
+    blocks multiply to zero, so both products are checked block by block:
+    the sum of E_{k,c} E_{c,k} over the block's indices at e is its
+    identity at e, and E_{c,s} E_{t,c} is its identity at the source of
+    c's signature when s = t and zero otherwise.
     """
-    row = []
-    col = []
-    for (j, k) in members:
-        c = singleton_of[j]
-        row.append(spec.single(j, spec.blocks[j].e_unit(k, c)))
-        col.append(spec.single(j, spec.blocks[j].e_unit(c, k)))
-    ab = spec.zero()
-    for a, b in zip(row, col):
-        ab = ab.add(a.mul(b))
-    if not ab.equal(spec.identity_at(e)):
-        raise GradixError("internal error: pseudo-basis witness failed the AB identity")
-    for s, b in enumerate(col):
-        for t, a in enumerate(row):
-            prod = b.mul(a)
-            if s == t:
-                j = members[s][0]
-                f = spec.signature(j, singleton_of[j]).source
-                if not prod.equal(spec.identity_at(f)):
-                    raise GradixError("internal error: pseudo-basis witness failed the BA diagonal")
-            else:
-                if not prod.is_zero:
+    for j, c in singleton_of.items():
+        blk = spec.blocks[j]
+        here = spec.indices_at(j, e)
+        row = [blk.e_unit(k, c) for k in here]
+        col = [blk.e_unit(c, k) for k in here]
+        ab = blk.zero()
+        for a, b in zip(row, col):
+            ab = ab.add(a.mul(b))
+        if not ab.equal(blk.identity_at(e)):
+            raise GradixError("internal error: pseudo-basis witness failed the AB identity")
+        local = blk.identity_at(spec.signature(j, c).source)
+        for s, b in enumerate(col):
+            for t, a in enumerate(row):
+                prod = b.mul(a)
+                if s == t:
+                    if not prod.equal(local):
+                        raise GradixError("internal error: pseudo-basis witness failed the BA diagonal")
+                elif not prod.is_zero:
                     raise GradixError("internal error: pseudo-basis witness has off-diagonal terms")
 
 
 def classify(spec):
     """Classification flags with certificates for a semisimple spec.
 
-    A bare matrix ring is decomposed into its blocks first.
+    A bare matrix ring is decomposed into its blocks first.  Every flag is
+    read off the index counts of the blocks; a false ipbn flag comes with
+    a pseudo-basis pair that is checked block by block.
     """
     if isinstance(spec, MatrixRing):
         spec = wedderburn_decompose(spec)
@@ -272,21 +230,20 @@ def classify(spec):
 
     ipbn = True
     for e in crowded:
-        blocks_here = spec.blocks_at(e)
         singleton_of = {}
-        for j in blocks_here:
+        for j in spec.blocks_at(e):
             f = _exclusive_singleton(spec, j)
             if f is None:
                 break
             singleton_of[j] = spec.indices_at(j, f)[0]
         else:
-            members = [(j, k) for j in blocks_here for k in spec.indices_at(j, e)]
-            _verify_ipbn_witness(spec, e, members, singleton_of)
+            _verify_ipbn_witness(spec, e, singleton_of)
+            size = spec.index_count(e)
             ipbn = False
             witnesses["ipbn"] = (
-                f"the module at object {e} has verified pseudo-bases of sizes 1 and {len(members)}"
+                f"the module at object {e} has verified pseudo-bases of sizes 1 and {size}"
             )
-            witnesses["ipbn_data"] = {"object": e, "sizes": (1, len(members))}
+            witnesses["ipbn_data"] = {"object": e, "sizes": (1, size)}
             break
     if ipbn:
         witnesses.setdefault("ipbn", "no rectangular pseudo-basis pair exists")
@@ -307,8 +264,8 @@ def wedderburn_decompose(ring, signatures=None):
     Index pairs (i, sigma) are partitioned by the primality class of the
     signature's target; each class becomes one block over the corner at
     the class representative, each signature moved there by the ring's
-    connector.  The per-degree dimensions of the product are checked
-    against the original ring.
+    connector.  As a self-check, at every groupoid morphism the blocks'
+    component dimensions must sum to the ring's.
     """
     if signatures is not None:
         ring = MatrixRing(ring, signatures)
@@ -344,7 +301,7 @@ def wedderburn_decompose(ring, signatures=None):
 
     for gamma in g.morphisms():
         want = ring.component_dimension(gamma)
-        got = spec.component_dimension(gamma)
+        got = sum(blk.component_dimension(gamma) for blk in blocks)
         if want != got:
             raise GradixError(
                 f"internal error: dimension audit failed at {gamma}: {want} != {got}"
@@ -439,7 +396,7 @@ def _multiplicative_solve(field, rows, ratios):
     return [combine(z, row) for row in v]
 
 
-def solve_coboundary(d1, d2, tau, bound=DEFAULT_COBOUNDARY_BOUND):
+def solve_coboundary(d1, d2, tau):
     """A map c: supp(d1) -> units with c(s)c(t)f2(s',t') = f1(s,t)c(st),
     primes denoting tau-conjugates, or None when the twists differ.
 
@@ -447,14 +404,15 @@ def solve_coboundary(d1, d2, tau, bound=DEFAULT_COBOUNDARY_BOUND):
     the first twist to the tau-conjugated second.
 
     Both rings must be concentrated blocks and tau must conjugate the
-    first support onto the second.
+    first support onto the second, of at most MAX_COBOUNDARY_SUPPORT
+    degrees.
     """
     g = d1.groupoid
     field = d1.field
     supp = sorted(d1.support)
-    if len(supp) > bound:
-        raise GradixError(
-            f"support size {len(supp)} exceeds the coboundary bound {bound}; raise it explicitly"
+    if len(supp) > MAX_COBOUNDARY_SUPPORT:
+        raise ValidationError(
+            "coboundary.size", f"support size {len(supp)} exceeds ceiling {MAX_COBOUNDARY_SUPPORT}"
         )
     index = {s: k for k, s in enumerate(supp)}
     tau_inv = g.inverse(tau)
@@ -556,17 +514,15 @@ def _perfect_matching(candidates, n):
     return pi
 
 
-def _find_certificate(block1, block2, bound):
+def _find_certificate(block1, block2):
     """The first conjugating morphism, coboundary and index matching found,
-    as an unverified IsoCertificate, or None."""
-    for blk in (block1, block2):
-        SemisimpleRingSpec([blk])
+    as an unverified IsoCertificate, or None.
+
+    Both blocks must lie in one SemisimpleRingSpec, which checks their
+    form and their common grading.
+    """
     d1, d2 = block1.ring, block2.ring
     g = d1.groupoid
-    if g.to_json() != d2.groupoid.to_json():
-        raise GradixError("blocks are graded by different groupoids")
-    if d1.field != d2.field:
-        raise GradixError("blocks live over different fields")
     if block1.size != block2.size:
         return None
     sources1 = sorted(s[0].source for s in block1.signatures)
@@ -584,7 +540,7 @@ def _find_certificate(block1, block2, bound):
         conj_supp = {g.compose(tau, g.compose(h, tau_inv)) for h in d1.support}
         if conj_supp != supp2:
             continue
-        c = solve_coboundary(d1, d2, tau, bound=bound)
+        c = solve_coboundary(d1, d2, tau)
         if c is None:
             continue
         candidates = []
@@ -694,37 +650,41 @@ def _verify_certificate(cert):
     return checked
 
 
-def iso_test(block1, block2, coboundary_bound=DEFAULT_COBOUNDARY_BOUND):
+def iso_test(block1, block2):
     """Search for a graded isomorphism between two blocks.
 
     Returns an IsoCertificate verified by ``_verify_certificate`` (on the
     products E_ij(h) E_jl(h') only, which is complete: every other
     generator pair is zero on both sides), or None when no conjugating
-    morphism, signature matching and coboundary exist.
+    morphism, signature matching and coboundary exist.  The two blocks
+    must be graded by one groupoid over one field (``block.common_grading``).
     """
-    cert = _find_certificate(block1, block2, coboundary_bound)
+    SemisimpleRingSpec([block1, block2])
+    cert = _find_certificate(block1, block2)
     if cert is not None:
         _verify_certificate(cert)
     return cert
 
 
-def spec_iso(spec1, spec2, coboundary_bound=DEFAULT_COBOUNDARY_BOUND):
+def spec_iso(spec1, spec2):
     """Blockwise isomorphism of two semisimple specs.
 
     Returns a list pairing each block of the first spec with a block of
     the second and the certificate, or None.  Every block pair is
     searched, but only the n certificates of the final matching are
-    verified, each as in ``iso_test``; a None answer verifies none.
+    verified, each as in ``iso_test``; a None answer verifies none.  Specs
+    with equal block counts must share one grading (``block.common_grading``).
     """
     n = len(spec1.blocks)
     if n != len(spec2.blocks):
         return None
+    SemisimpleRingSpec(spec1.blocks + spec2.blocks)
     certs = {}
     candidates = []
     for j, blk in enumerate(spec1.blocks):
         row = []
         for jp, other in enumerate(spec2.blocks):
-            cert = _find_certificate(blk, other, coboundary_bound)
+            cert = _find_certificate(blk, other)
             if cert is not None:
                 row.append(jp)
                 certs[(j, jp)] = cert
@@ -772,5 +732,5 @@ def simple_dimension(spec, shifts):
     total = 0
     for eps in shifts:
         e = eps.target
-        total += sum(len(spec.indices_at(j, e)) for j in range(len(spec.blocks)))
+        total += spec.index_count(e)
     return total

@@ -188,6 +188,24 @@ class TestExitCodes:
         assert out == ""
         assert "signature.d_unique" in err
 
+    def test_mixed_field_category_names_the_common_field(self, capsys, tmp_path):
+        path = tmp_path / "mixed.category.json"
+        path.write_text(json.dumps({
+            "objects": ["A", "B"],
+            "division_rings": [{"kind": "Q"}, {"kind": "Fp", "p": 5}],
+            "dims": {"A": [1, 0], "B": [0, 1]},
+        }))
+        code, out, err = call(capsys, "category", "to-ring", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: category.common_field: ")
+
+    def test_iso_across_groupoids_names_the_common_grading(self, capsys):
+        code, out, err = call(capsys, "iso", fx("pair_ring.json"), fx("point_ring.json"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: block.common_grading: ")
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -3,9 +3,10 @@
 Every verb runs in text and ``--emit json`` form on every file under
 ``fixtures/`` and ``fixtures/broken/`` (every ordered pair of files for
 ``solve`` and ``iso``), and the exit code and stdout must equal the
-committed record in ``cli_snapshot.json``.  Standard error is left out.
-The record is a pin, not an oracle: it holds whatever the code printed
-when it was written.  A change that means to alter stdout rewrites it
+committed record in ``cli_snapshot.json``.  Standard error is not
+pinned, but every run that exits 1 must name the violated invariant on
+it, and no run may print a traceback.  The record is a pin, not an
+oracle: it holds whatever the code printed when it was written.  A change that means to alter stdout rewrites it
 with
 
     PYTHONPATH=src python tests/test_cli_snapshot.py
@@ -21,6 +22,7 @@ import os
 import pytest
 
 from gradix.cli import run
+from test_loader_fuzz import NAMED_INVARIANT
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.normpath(os.path.join(HERE, "..", "fixtures"))
@@ -58,14 +60,15 @@ def cases(verb):
 
 
 def outcome(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """[exit code, stdout] as pinned, and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    return [code, out.getvalue()]
+    return [code, out.getvalue()], err.getvalue()
 
 
 def record():
-    return {" ".join(verb): {key: outcome(argv) for key, argv in cases(verb)} for verb in SINGLE + PAIRED}
+    return {" ".join(verb): {key: outcome(argv)[0] for key, argv in cases(verb)} for verb in SINGLE + PAIRED}
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +82,15 @@ def test_stdout_and_exit_code_match_the_snapshot(snapshot, verb):
     seen = dict(cases(verb))
     pinned = snapshot[" ".join(verb)]
     assert sorted(seen) == sorted(pinned), "the fixture corpus changed; rewrite the snapshot"
-    changed = [key for key, argv in seen.items() if outcome(argv) != pinned[key]]
+    changed, unnamed = [], []
+    for key, argv in seen.items():
+        pin, err = outcome(argv)
+        if pin != pinned[key]:
+            changed.append(key)
+        if "Traceback" in err or (pin[0] == 1 and not NAMED_INVARIANT.match(err)):
+            unnamed.append((key, err))
     assert not changed, f"{len(changed)} outputs differ, first: {changed[:5]}"
+    assert not unnamed, f"{len(unnamed)} runs name no invariant, first: {unnamed[:3]}"
 
 
 if __name__ == "__main__":

@@ -90,6 +90,16 @@ class TestComponents:
         assert el.is_zero
 
 
+    def test_live_indices_match_a_signature_scan(self):
+        rng = random.Random(11)
+        for ring in product_test_rings(rng):
+            for size in (1, 3, 5):
+                r = random_matrix_ring(rng, ring, size)
+                for e in ring.groupoid.objects():
+                    scan = tuple(i for i in range(r.size) if any(s.source == e for s in r.signatures[i]))
+                    assert r.live_indices(e) == scan
+
+
 class TestUnitRelations:
     def test_unit_products(self):
         d, r = m3_shape_ring()

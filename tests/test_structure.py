@@ -367,6 +367,22 @@ class TestIso:
         with pytest.raises(ValidationError):
             iso_test(blk, blk)
 
+    def test_blocks_over_different_groupoids_name_the_common_grading(self):
+        _, ring = pfm_m3()
+        with pytest.raises(ValidationError) as err:
+            iso_test(ring, m2_one_object())
+        assert err.value.invariant == "block.common_grading"
+
+    def test_blocks_over_different_fields_name_the_common_grading(self):
+        _, block5 = self._c2_block(PrimeField(5), [0, 1])
+        _, block7 = self._c2_block(PrimeField(7), [0, 1])
+        with pytest.raises(ValidationError) as err:
+            iso_test(block5, block7)
+        assert err.value.invariant == "block.common_grading"
+        with pytest.raises(ValidationError) as err:
+            spec_iso(SemisimpleRingSpec([block5]), SemisimpleRingSpec([block7]))
+        assert err.value.invariant == "block.common_grading"
+
     def test_spec_iso_matches_blocks_across_order(self):
         f5 = PrimeField(5)
         groupoid = FiniteGroupoid([ConnectedBlock([0, 1], FiniteGroup.cyclic(2))])
@@ -418,7 +434,7 @@ class TestCertificateVerification:
         moved = [g.compose(self.LOOP, s) for s in reversed(sigs)]
         block1 = MatrixRing(d, [[s] for s in sigs])
         block2 = MatrixRing(coboundary_twist(d, random.Random(4)), [[s] for s in moved])
-        cert = structure._find_certificate(block1, block2, structure.DEFAULT_COBOUNDARY_BOUND)
+        cert = structure._find_certificate(block1, block2)
         assert cert is not None and not cert.verified
         return cert
 
@@ -485,7 +501,7 @@ class TestCertificateVerification:
             rng.shuffle(moved)
             block1 = MatrixRing(d, [[s] for s in sigs])
             block2 = MatrixRing(coboundary_twist(d, rng), [[s] for s in moved])
-            cert = structure._find_certificate(block1, block2, structure.DEFAULT_COBOUNDARY_BOUND)
+            cert = structure._find_certificate(block1, block2)
             assert cert is not None
 
             supp = sorted(d.support)
@@ -643,6 +659,76 @@ class TestLargeInputs:
     def test_large_prime_does_not_split_over_q(self):
         plain = cyclic_twist(Q, 2, 1)
         assert timed_coboundary(cyclic_twist(Q, 2, self.P), plain) is None
+
+
+class TestCoboundaryCeiling:
+    """The coboundary system is solved for supports of up to
+    MAX_COBOUNDARY_SUPPORT degrees; a larger one names its invariant."""
+
+    def _block(self, n):
+        d = GradedDivisionRing.group_ring(Q, FiniteGroup.cyclic(n))
+        return MatrixRing(d, [[d.groupoid.identity(0)]])
+
+    def test_cyclic_group_of_order_twelve_solves(self):
+        assert structure.MAX_COBOUNDARY_SUPPORT == 12
+        block = self._block(12)
+        cert = iso_test(block, block)
+        assert cert is not None and cert.verified
+
+    def test_cyclic_group_of_order_thirteen_names_the_ceiling(self):
+        block = self._block(13)
+        with pytest.raises(ValidationError) as err:
+            iso_test(block, block)
+        assert err.value.invariant == "coboundary.size"
+
+
+class TestBlockwiseChecks:
+    """The pseudo-basis witness and the dimension audit catch a wrong block."""
+
+    @pytest.mark.parametrize(
+        "wrong_at, message",
+        [(1, "failed the AB identity"), (2, "failed the BA diagonal")],
+    )
+    def test_wrong_local_identity_fails_the_witness(self, monkeypatch, wrong_at, message):
+        # pfm_m3 is crowded at object 1 (indices 0, 1); index 2 is alone at object 2.
+        _, ring = pfm_m3()
+        identity_at = MatrixRing.identity_at
+        monkeypatch.setattr(
+            MatrixRing, "identity_at", lambda self, e: self.zero() if e == wrong_at else identity_at(self, e)
+        )
+        with pytest.raises(GradixError, match=message):
+            classify(ring)
+
+    def test_wrong_matrix_unit_fails_the_witness(self, monkeypatch):
+        # B gets E_20 + E_21 in place of E_20, and the identity at 1 the matching
+        # E_01, so AB and the BA diagonal still hold but B_0 A_1 = E_22 does not vanish.
+        _, ring = pfm_m3()
+        e_unit, identity_at = MatrixRing.e_unit, MatrixRing.identity_at
+
+        def wrong_unit(self, i, j):
+            x = e_unit(self, i, j)
+            return x.add(e_unit(self, 2, 1)) if (i, j) == (2, 0) else x
+
+        def wrong_identity(self, e):
+            x = identity_at(self, e)
+            return x.add(e_unit(self, 0, 1)) if e == 1 else x
+
+        monkeypatch.setattr(MatrixRing, "e_unit", wrong_unit)
+        monkeypatch.setattr(MatrixRing, "identity_at", wrong_identity)
+        with pytest.raises(GradixError, match="has off-diagonal terms"):
+            classify(ring)
+
+    def test_corrupt_block_dimension_fails_the_audit(self, monkeypatch):
+        _, ring = two_class_ring()
+        component_dimension = MatrixRing.component_dimension
+
+        def corrupt(self, gamma):
+            # only the second block, whose ring sits at object 3
+            return component_dimension(self, gamma) + (self.ring.gamma0()[0] == 3)
+
+        monkeypatch.setattr(MatrixRing, "component_dimension", corrupt)
+        with pytest.raises(GradixError, match="dimension audit failed"):
+            wedderburn_decompose(ring)
 
 
 class TestCorners:
