@@ -15,8 +15,26 @@ A homogeneous element is a degree plus a field coefficient; the zero
 element carries no degree.  Products of non-composable degrees are zero.
 """
 
+from typing import NamedTuple
+
 from .errors import GradixError, ValidationError
 from .groupoids import FiniteGroupoid, union_classes
+
+
+class FactorRows(NamedTuple):
+    """The factor set as rows indexed by slot position.
+
+    ``pos[t]`` is the place of t among the support degrees with target
+    t.target, in sort order.  For each support degree s, ``values[s]``
+    holds factor(s, t) at pos[t] for every t with target s.source, and
+    ``numerators[s]`` the same row as integers over the one common
+    ``denominator`` of the whole table.
+    """
+
+    pos: dict
+    values: dict
+    numerators: dict
+    denominator: int
 
 
 class HomogeneousScalar:
@@ -51,6 +69,7 @@ class GradedDivisionRing:
         self._validate()
         self._gamma0 = tuple(sorted({m.source for m in self.support}))
         self._opposite = None
+        self._factor_rows = None
 
     # -- validation ---------------------------------------------------------
 
@@ -111,6 +130,25 @@ class GradedDivisionRing:
 
     def component_dimension(self, degree):
         return 1 if degree in self.support else 0
+
+    def factor_rows(self):
+        """The factor set as FactorRows, the size of the factor set, built
+        on the first call and cached (construction and validation never
+        build it; support and factor never change, so it cannot go stale)."""
+        if self._factor_rows is None:
+            support = sorted(self.support)
+            by_target = {}
+            for t in support:
+                by_target.setdefault(t.target, []).append(t)
+            pos = {t: k for ts in by_target.values() for k, t in enumerate(ts)}
+            flat = [self.factor[(s, t)] for s in support for t in by_target[s.source]]
+            nums, d = self.field.integers(flat)
+            values, numerators, k = {}, {}, 0
+            for s in support:
+                end = k + len(by_target[s.source])
+                values[s], numerators[s], k = flat[k:end], nums[k:end], end
+            self._factor_rows = FactorRows(pos, values, numerators, d)
+        return self._factor_rows
 
     def factor_value(self, s, t):
         try:

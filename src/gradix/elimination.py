@@ -19,7 +19,10 @@ signatures, so the product of coefficients x and y at composable
 degrees d and e is the field element x*y*factor(d, e); no entry is
 wrapped as a homogeneous scalar.  A row operation takes its scalar as a
 (degree, coefficient) pair: a scaling replaces the row with its left
-product, a transvection adds that product into another row.
+product, a transvection adds that product into another row.  The factor
+comes from the scalar degree's factor row of the ring, read at the slot
+position of each entry; the positions of a row signature over the
+columns are worked out once per reduction, on the first row that has it.
 """
 
 from .errors import GradixError, ValidationError
@@ -54,22 +57,47 @@ def row_reduce(matrix):
     """
     ring = matrix.ring
     g, field, factor = ring.groupoid, ring.field, ring.factor
+    pos, values, _, _ = ring.factor_rows()
     mul, one = field.mul, field.one()
     m, n = matrix.shape
     row_sig = list(matrix.row_sig)
     col_inv = [g.inverse(b) for b in matrix.col_sig]
+    cols_at = {}
+    for k, b in enumerate(matrix.col_sig):
+        cols_at.setdefault(b.source, []).append(k)
     rows = [{} for _ in row_sig]
     for (i, j), c in matrix.entries.items():
         rows[i][j] = c
+    slots = {}
+
+    def slot_positions(alpha):
+        """Per column k, the slot position of alpha * col_inv[k] (None when
+        dead), built on the first row of signature alpha."""
+        at = slots.get(alpha)
+        if at is None:
+            at = slots[alpha] = [None] * n
+            for k in cols_at.get(alpha.source, ()):
+                at[k] = pos.get(g.compose(alpha, col_inv[k]))
+        return at
 
     def left(i, deg, coeff):
         """a*row_i for a = coeff at degree deg as a term dict.
 
         Entry k of the row sits at alpha_i * col_inv[k], so the term is
-        coeff*x*factor(deg, alpha_i*col_inv[k]); no term is zero.
+        x*coeff*factor(deg, alpha_i*col_inv[k]), the factor read from
+        deg's factor row at that slot's position; coeff*factor is formed
+        once per position.  No term is zero.
         """
-        alpha = row_sig[i]
-        return {k: mul(mul(coeff, x), factor[(deg, g.compose(alpha, col_inv[k]))]) for k, x in rows[i].items()}
+        row, at = values[deg], slot_positions(row_sig[i])
+        scaled = [None] * len(row)
+        out = {}
+        for k, x in rows[i].items():
+            p = at[k]
+            c = scaled[p]
+            if c is None:
+                c = scaled[p] = mul(coeff, row[p])
+            out[k] = mul(x, c)
+        return out
 
     pivots = []
     r = 0

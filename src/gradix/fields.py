@@ -7,7 +7,7 @@ through the field object.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import FormatError, GradixError
 
@@ -100,6 +100,16 @@ class Rationals:
 
     def power(self, a, k):
         return a**k
+
+    def integers(self, values):
+        """The list of values as integer numerators over one denominator d,
+        the lcm of theirs; returns (numerators, d)."""
+        d = lcm(*(a.denominator for a in values))
+        return [a.numerator * (d // a.denominator) for a in values], d
+
+    def quotient(self, n, d):
+        """The element n/d for integers n and d != 0."""
+        return Fraction(n, d)
 
     def root(self, a, d):
         """Some z with z**d == a for a unit a and a nonzero integer d, or None."""
@@ -198,6 +208,15 @@ class PrimeField:
 
     def power(self, a, k):
         return pow(a, k, self.p)
+
+    def integers(self, values):
+        """Elements already are integers: the list as it is, over d = 1."""
+        return values, 1
+
+    def quotient(self, n, d):
+        """The element of an integer sum n over a denominator d from
+        integers, which is always 1 here."""
+        return n % self.p
 
     def root(self, a, d):
         """Some z with z**d == a for a unit a and a nonzero integer d, or None.

@@ -9,8 +9,17 @@ signatures.
 
 Products of compatible matrices are always degree-coherent: the middle
 signature cancels, so [alpha][beta] x [beta][tau] lands in [alpha][tau]
-with no cross terms.
+with no cross terms.  sparse_product, shared with matrix-ring products,
+computes them on integers: both coefficient tables and the ring's factor
+rows are put over their common denominators (d = 1 over F_p), each term
+is a product of three integers with the factor read from the left
+degree's row at the right degree's slot position, and each output entry
+is reduced once, mod p or to a Fraction.  Entries are therefore always
+canonical field elements and zeros are never stored, which lets equal
+compare entry dicts.
 """
+
+from collections import defaultdict
 
 from .errors import GradixError, ValidationError
 from .fields import accumulate
@@ -18,19 +27,33 @@ from .fields import accumulate
 
 def sparse_product(ring, left, right, left_slot, right_slot):
     """The product of coefficient tables {(i, k): x} and {(k, j): y}: each
-    x*y*factor(left_slot(i, k), right_slot(k, j)) is added at (i, j)."""
-    field, factor = ring.field, ring.factor
+    x*y*factor(left_slot(i, k), right_slot(k, j)) is added at (i, j), on
+    integers over the common denominators, and each sum is reduced once; a
+    zero sum is never stored.
+    """
+    field = ring.field
+    pos, _, factor_rows, df = ring.factor_rows()
+    xs, dl = field.integers(list(left.values()))
+    ys, dr = field.integers(list(right.values()))
     right_rows = {}
-    for (k, j), y in right.items():
-        right_rows.setdefault(k, []).append((j, right_slot(k, j), y))
+    for (k, j), y in zip(right, ys):
+        right_rows.setdefault(k, []).append((j, pos[right_slot(k, j)], y))
+    left_rows = {}
+    for (i, k), x in zip(left, xs):
+        if k in right_rows:
+            left_rows.setdefault(i, []).append((k, x))
+    quotient, d = field.quotient, dl * dr * df
     out = {}
-    for (i, k), x in left.items():
-        row = right_rows.get(k)
-        if row is None:
-            continue
-        dx = left_slot(i, k)
-        for j, dy, y in row:
-            accumulate(field, out, (i, j), field.mul(field.mul(x, y), factor[(dx, dy)]))
+    for i, terms in left_rows.items():
+        sums = defaultdict(int)
+        for k, x in terms:
+            row = factor_rows[left_slot(i, k)]
+            for j, p, y in right_rows[k]:
+                sums[j] += x * y * row[p]
+        for j, n in sums.items():
+            c = quotient(n, d)
+            if not field.is_zero(c):
+                out[(i, j)] = c
     return out
 
 
@@ -91,17 +114,15 @@ class HomMatrix:
     def is_zero(self):
         return not self.entries
 
-    def row_is_zero(self, i):
-        return all(r != i for (r, _) in self.entries)
-
     def equal(self, other):
+        """Same ring, signatures and entries.  Entries are canonical field
+        elements and a zero is never stored, so comparing the entry dicts
+        is exact."""
         same_ring = self.ring is other.ring or (
             self.ring.support == other.ring.support and self.ring.factor == other.ring.factor
         )
-        return same_ring and self.row_sig == other.row_sig and self.col_sig == other.col_sig and all(
-            self.ring.field.equal(self.coeff(i, j), other.coeff(i, j))
-            for i in range(len(self.row_sig))
-            for j in range(len(self.col_sig))
+        return same_ring and self.row_sig == other.row_sig and self.col_sig == other.col_sig and (
+            self.entries == other.entries
         )
 
     # -- algebra ------------------------------------------------------------
@@ -126,22 +147,6 @@ class HomMatrix:
             raise GradixError("signature mismatch: column signature must equal the other row signature")
         out = HomMatrix(self.ring, self.row_sig, other.col_sig)
         out.entries = sparse_product(self.ring, self.entries, other.entries, self.slot_degree, other.slot_degree)
-        return out
-
-    def scale_left(self, x):
-        """Left-multiply every entry by a homogeneous scalar (shifts every row degree)."""
-        g = self.ring.groupoid
-        if x.is_zero:
-            raise GradixError("scaling by zero loses the signature")
-        new_rows = []
-        for a in self.row_sig:
-            if x.degree.source != a.target:
-                raise GradixError("scalar degree does not compose with a row signature entry")
-            new_rows.append(g.compose(x.degree, a))
-        out = HomMatrix(self.ring, new_rows, self.col_sig)
-        field, factor = self.ring.field, self.ring.factor
-        for (i, j), c in self.entries.items():
-            out.entries[(i, j)] = field.mul(field.mul(x.coeff, c), factor[(x.degree, self.slot_degree(i, j))])
         return out
 
     # -- block helpers ------------------------------------------------------

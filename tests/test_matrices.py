@@ -152,18 +152,6 @@ def test_identity_requires_gamma0_targets():
         HomMatrix.identity(ring, [cross])
 
 
-def test_scale_left_shifts_row_signature():
-    d = pair_ring()
-    g01 = Morphism(0, 1, 0, 0)  # 0 -> 1
-    e0 = d.groupoid.identity(0)
-    a = HomMatrix(d, [e0], [e0], {(0, 0): 2})
-    x = d.unit(g01)
-    b = a.scale_left(x)
-    assert b.row_sig == (g01,)
-    assert b.coeff(0, 0) == 2
-    assert b.slot_degree(0, 0) == g01
-
-
 def test_mul_matches_the_definition():
     rng = random.Random(31)
     for ring in product_test_rings(rng):
@@ -173,16 +161,3 @@ def test_mul_matches_the_definition():
             a = random_matrix_on(rng, ring, random_signature(rng, ring, m), middle)
             b = random_matrix_on(rng, ring, middle, random_signature(rng, ring, n))
             assert a.mul(b).entries == graded_product(a, b).entries
-
-
-def test_scale_left_is_a_diagonal_product():
-    rng = random.Random(32)
-    for ring in product_test_rings(rng):
-        g = ring.groupoid
-        for _ in range(10):
-            x = ring.scalar(rng.choice(sorted(ring.support)), ring.field.sample_nonzero(rng))
-            rows = [rng.choice([m for m in g.morphisms() if m.target == x.degree.source]) for _ in range(3)]
-            a = random_matrix_on(rng, ring, rows, random_signature(rng, ring, 3))
-            scaled = a.scale_left(x)
-            diag = HomMatrix(ring, scaled.row_sig, a.row_sig, {(i, i): x.coeff for i in range(3)})
-            assert scaled.entries == graded_product(diag, a).entries
