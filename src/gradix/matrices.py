@@ -152,12 +152,18 @@ class HomMatrix:
     # -- block helpers ------------------------------------------------------
 
     def submatrix(self, rows, cols):
+        """The rows and columns at the given positions, in the given order;
+        only the stored entries are walked."""
         rows, cols = list(rows), list(cols)
         out = HomMatrix(self.ring, [self.row_sig[i] for i in rows], [self.col_sig[j] for j in cols])
+        row_at, col_at = {}, {}
         for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                c = self.coeff(i, j)
-                if not self.ring.field.is_zero(c):
+            row_at.setdefault(i, []).append(a)
+        for b, j in enumerate(cols):
+            col_at.setdefault(j, []).append(b)
+        for (i, j), c in self.entries.items():
+            for a in row_at.get(i, ()):
+                for b in col_at.get(j, ()):
                     out.entries[(a, b)] = c
         return out
 

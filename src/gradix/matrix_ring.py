@@ -17,6 +17,8 @@ coefficient product times the factor of the two slot degrees, read off
 the signatures like the degrees of a hom-space matrix product.
 """
 
+from collections import Counter
+
 from .errors import GradixError, ValidationError
 from .fields import accumulate
 from .matrices import sparse_product
@@ -171,13 +173,35 @@ class MatrixRing:
         out = g.compose(g.compose(delta, gamma), g.inverse(sigma))
         return out if out in self.ring.support else None
 
-    def component_dimension(self, gamma):
-        """Dimension over the base field of the component at gamma."""
-        rows = self.live_indices(gamma.target)
-        cols = self.live_indices(gamma.source)
-        return sum(
-            1 for i in rows for j in cols if self.slot_degree(i, j, gamma) is not None
-        )
+    def dimension_table(self):
+        """Dimension over the base field of every nonzero component, as a
+        Counter from degree to dimension, recomputed on every call.
+
+        Slot (i, j) is live at gamma exactly when delta*gamma*sigma^-1 is
+        in the support, for delta and sigma the selections of i and j at
+        r(gamma) and d(gamma).  So each delta in set i, sigma in set j and
+        support degree s from r(sigma) to r(delta) gives one live slot
+        (i, j) at gamma = delta^-1*s*sigma, and no slot twice, since a
+        selection is unique (signature.d_unique).  The cost is the total
+        dimension of the ring.
+        """
+        g = self.ring.groupoid
+        support_to = {}
+        for s in self.ring.support:
+            support_to.setdefault(s.target, []).append(s)
+        sigmas_to = {}
+        for sig in self.signatures:
+            for sigma in sig:
+                sigmas_to.setdefault(sigma.target, []).append(sigma)
+        table = Counter()
+        for sig in self.signatures:
+            for delta in sig:
+                back = g.inverse(delta)
+                for s in support_to.get(delta.target, ()):
+                    left = g.compose(back, s)
+                    for sigma in sigmas_to.get(s.source, ()):
+                        table[g.compose(left, sigma)] += 1
+        return table
 
     def zero(self):
         return MatrixRingElement(self, None, {})

@@ -13,7 +13,7 @@ violated invariant's name.
 import json
 import os
 
-from .categories import MatrixFormCategory, RawCategory
+from .categories import MatrixFormCategory, RawCategory, check_hom_dimension
 from .division import GradedDivisionRing
 from .errors import FormatError
 from .fields import field_from_json
@@ -201,6 +201,7 @@ def load_category(data, base_dir="", seen=frozenset()):
             ):
                 raise FormatError(f"hom row must be [target, source, dim], got {row!r}")
         hom_dims = _keyed((((row[0], row[1]), row[2]) for row in homs), "hom pair")
+        check_hom_dimension(sum(hom_dims.values()))
         compose = []
         for row in _optional_list(raw, "compose", "raw category"):
             if not (isinstance(row, _LIST) and len(row) == 3 and _is_basis(row[0]) and _is_basis(row[1])):

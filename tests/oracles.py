@@ -122,6 +122,57 @@ def matrix_ring_product(x, y):
     return p.element(g.compose(x.degree, y.degree), entries)
 
 
+def component_dimension_by_slots(ring, gamma):
+    """Dimension of a matrix ring's component at gamma, by scanning every
+    index pair: (i, j) counts when both signature sets have a morphism out
+    of the right object and delta*gamma*sigma^-1 lies in the support."""
+    g, support = ring.ring.groupoid, ring.ring.support
+    count = 0
+    for sig_i in ring.signatures:
+        for sig_j in ring.signatures:
+            deltas = [s for s in sig_i if s.source == gamma.target]
+            sigmas = [s for s in sig_j if s.source == gamma.source]
+            if deltas and sigmas and g.compose(g.compose(deltas[0], gamma), g.inverse(sigmas[0])) in support:
+                count += 1
+    return count
+
+
+def _compose_vectors(field, compose, x, y, a, b, c):
+    """The composite of x over the (a, b) basis with y over the (b, c) basis,
+    term by term from the structure constants, zero coefficients dropped."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            for k, ck in compose.get(((a, b, i), (b, c, j)), {}).items():
+                out[k] = field.add(out.get(k, field.zero()), field.mul(field.mul(xi, yj), ck))
+    return {k: v for k, v in out.items() if not field.is_zero(v)}
+
+
+def associativity_failure(field, hom_dims, compose):
+    """The first basis triple (u, v, w), in the order hom pair, hom pair,
+    hom pair, then basis indices, whose two bracketings differ, or None.
+
+    Every composable triple of basis morphisms is compared, zero or not.
+    ``hom_dims`` lists the nonzero hom dimensions in their given order and
+    ``compose`` holds the structure constants, as in RawCategory.
+    """
+    one = field.one()
+    pairs = list(hom_dims)
+    for (a, b) in pairs:
+        for (b2, c) in pairs:
+            for (c2, d) in pairs:
+                if b2 != b or c2 != c:
+                    continue
+                for i, j, k in product(range(hom_dims[(a, b)]), range(hom_dims[(b, c)]), range(hom_dims[(c, d)])):
+                    uv = compose.get(((a, b, i), (b, c, j)), {})
+                    vw = compose.get(((b, c, j), (c, d, k)), {})
+                    left = _compose_vectors(field, compose, uv, {k: one}, a, c, d)
+                    right = _compose_vectors(field, compose, {i: one}, vw, a, b, d)
+                    if left != right:
+                        return (a, b, i), (b, c, j), (c, d, k)
+    return None
+
+
 def _inverse_shape(matrix):
     """The zero matrix of the shape a two-sided inverse would have."""
     return HomMatrix(matrix.ring, matrix.col_sig, matrix.row_sig)

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -12,9 +14,12 @@ from gradix.categories import (
 )
 from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
+from gradix.specfiles import load_category, load_field
 from gradix.structure import classify
+from oracles import associativity_failure, random_scalar
 
 Q = Rationals()
+FIXTURES = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
 
 
 class TestMatrixFormValidation:
@@ -250,3 +255,149 @@ class TestRawCategories:
                 {"A": {}, "B": {0: 1}},
             )
         assert err.value.invariant == "category.hom"
+
+
+def _rejection(objects, field, hom_dims, compose, identities):
+    """The constructor's verdict: None when the category is accepted, else
+    the ValidationError it raised."""
+    try:
+        RawCategory(objects, field, hom_dims, compose, identities)
+    except ValidationError as err:
+        return err
+    return None
+
+
+def _agrees_with_oracle(objects, field, hom_dims, compose, identities):
+    """Compare the constructor with the all-triples associativity oracle;
+    returns the constructor's verdict.  A category rejected before
+    associativity is looked at (bad homs, identity laws) is not compared."""
+    err = _rejection(objects, field, hom_dims, compose, identities)
+    if err is not None and err.invariant != "category.associativity":
+        return err
+    failure = associativity_failure(
+        field,
+        {pair: n for pair, n in hom_dims.items() if n},
+        {key: {k: field.coerce(c) for k, c in coeffs.items()} for key, coeffs in compose.items()},
+    )
+    if err is None:
+        assert failure is None
+    else:
+        u, v, w = failure
+        assert f"({u} o {v}) o {w} differs" in str(err)
+    return err
+
+
+def _parts(raw):
+    return raw.objects, raw.field, dict(raw.hom_dims), dict(raw.compose_table), dict(raw.identities)
+
+
+def _random_matrix_form(rng, field):
+    names = [f"X{k}" for k in range(rng.randint(1, 3))]
+    n_blocks = rng.randint(1, 2)
+    dims = {name: [rng.randint(0, 2) for _ in range(n_blocks)] for name in names}
+    dims[names[0]][0] = 2
+    return MatrixFormCategory(names, [field] * n_blocks, dims)
+
+
+def _rescaled(rng, field, parts):
+    """The same category in the basis lambda_x e_x, lambda random: a valid
+    category whose structure constants are no longer 0 or 1."""
+    objects, _, hom_dims, compose, identities = parts
+    lam = {
+        (a, b, i): random_scalar(rng, field, nonzero=True) for (a, b), n in hom_dims.items() for i in range(n)
+    }
+    new = {}
+    for (x, y), coeffs in compose.items():
+        z = (x[0], y[1])
+        new[(x, y)] = {k: field.div(field.mul(field.mul(c, lam[x]), lam[y]), lam[z + (k,)]) for k, c in coeffs.items()}
+    ids = {a: {k: field.div(c, lam[(a, a, k)]) for k, c in vec.items()} for a, vec in identities.items()}
+    return objects, field, hom_dims, new, ids
+
+
+def _perturbed(rng, field, parts):
+    """One composite of two basis morphisms outside the identity vectors'
+    supports replaced by a random vector, or dropped; the identity laws
+    still hold, associativity usually fails."""
+    objects, _, hom_dims, compose, identities = parts
+    ident = {(a, a, k) for a, vec in identities.items() for k in vec}
+    basis = [(a, b, i) for (a, b), n in hom_dims.items() for i in range(n) if (a, b, i) not in ident]
+    pairs = [(x, y) for x in basis for y in basis if x[1] == y[0] and (x[0], y[1]) in hom_dims]
+    if not pairs:
+        return None
+    x, y = rng.choice(pairs)
+    compose = dict(compose)
+    dim = hom_dims[(x[0], y[1])]
+    if rng.random() < 0.25:
+        compose.pop((x, y), None)
+    else:
+        compose[(x, y)] = {k: random_scalar(rng, field) for k in rng.sample(range(dim), rng.randint(1, dim))}
+    return objects, field, hom_dims, compose, identities
+
+
+class TestAssociativityOracle:
+    """The triples the constructor checks give the verdict, and the first
+    failure, of the all-triples oracle."""
+
+    @pytest.mark.parametrize(
+        "name, invariant",
+        [
+            ("broken/category_assoc.json", "category.associativity"),
+            ("broken/category_identity_law.json", "category.identity"),
+            ("broken/category_middle_mismatch.json", "category.hom"),
+            ("two_sizes.category.json", None),
+        ],
+    )
+    def test_category_fixtures(self, name, invariant):
+        with open(os.path.join(FIXTURES, name)) as fh:
+            data = json.load(fh)
+        if "raw_category" in data:
+            spec = data["raw_category"]
+            parts = (
+                spec["objects"],
+                load_field(spec["field"]),
+                {(a, b): n for a, b, n in spec["homs"]},
+                {(tuple(x), tuple(y)): dict(coeffs) for x, y, coeffs in spec.get("compose", [])},
+                {a: dict(vec) for a, vec in spec["identities"].items()},
+            )
+        else:
+            parts = _parts(raw_from_matrix_form(load_category(data)))
+        err = _agrees_with_oracle(*parts)
+        assert (err and err.invariant) == invariant
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["q", "f7"])
+    def test_seeded_mutations(self, field):
+        rng = random.Random(17)
+        verdicts = []
+        for _ in range(12):
+            parts = _parts(raw_from_matrix_form(_random_matrix_form(rng, field)))
+            assert _agrees_with_oracle(*parts) is None
+            rescaled = _rescaled(rng, field, parts)
+            assert _agrees_with_oracle(*rescaled) is None
+            for source in (parts, rescaled):
+                for _ in range(3):
+                    mutated = _perturbed(rng, field, source)
+                    if mutated is not None:
+                        verdicts.append(_agrees_with_oracle(*mutated) is None)
+        assert not all(verdicts) and any(verdicts)
+
+    def test_a_composite_seen_only_from_the_right_is_rejected(self):
+        # Arrows w: 4 -> 3, v: 3 -> 2, u: 2 -> 1, z: 4 -> 2 and y = u o z: 4 -> 1,
+        # with u o v = 0 and v o w = 0.  Setting v o w = z makes (u o v) o w = 0
+        # but u o (v o w) = y, and no other triple changes: only the triples
+        # whose right-hand inner composite is nonzero can see it.
+        arrows = {"w": ("3", "4"), "v": ("2", "3"), "u": ("1", "2"), "z": ("2", "4"), "y": ("1", "4")}
+        objects = ["1", "2", "3", "4"]
+        hom_dims = {**{(a, a): 1 for a in objects}, **{pair: 1 for pair in arrows.values()}}
+        compose = {}
+        for a, b in hom_dims:
+            compose[((a, a, 0), (a, b, 0))] = {0: 1}
+            compose[((a, b, 0), (b, b, 0))] = {0: 1}
+        compose[(arrows["u"] + (0,), arrows["z"] + (0,))] = {0: 1}
+        identities = {a: {0: 1} for a in objects}
+        assert _agrees_with_oracle(objects, Q, hom_dims, compose, identities) is None
+        u, v, w = (arrows[name] + (0,) for name in "uvw")
+        assert (u, v) not in compose and (v, w) not in compose
+        compose[(v, w)] = {0: 1}
+        assert associativity_failure(Q, hom_dims, compose) == (u, v, w)
+        err = _agrees_with_oracle(objects, Q, hom_dims, compose, identities)
+        assert err.invariant == "category.associativity"

@@ -188,6 +188,30 @@ class TestExitCodes:
         assert out == ""
         assert "signature.d_unique" in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"objects": ["A"], "division_rings": [{"kind": "Q"}], "dims": {"A": [10**9]}},
+            {
+                "raw_category": {
+                    "field": {"kind": "Q"},
+                    "objects": ["A"],
+                    "homs": [["A", "A", 10**9]],
+                    "identities": {"A": [[0, 1]]},
+                }
+            },
+        ],
+        ids=["matrix_form", "raw"],
+    )
+    def test_hom_dimension_past_the_ceiling_is_a_format_error(self, capsys, tmp_path, spec):
+        path = tmp_path / "huge.category.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        code, out, err = call(capsys, "category", "to-ring", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "exceeds the ceiling MAX_HOM_DIMENSION" in err
+
     def test_mixed_field_category_names_the_common_field(self, capsys, tmp_path):
         path = tmp_path / "mixed.category.json"
         path.write_text(json.dumps({

@@ -143,6 +143,24 @@ def test_submatrix_hstack_column():
     assert st.coeff(1, 2) == 3
 
 
+def test_submatrix_matches_a_slot_by_slot_copy():
+    # positions repeated and out of order, as well as dropped
+    rng = random.Random(32)
+    for ring in product_test_rings(rng):
+        a = random_matrix_on(rng, ring, random_signature(rng, ring, 5), random_signature(rng, ring, 4))
+        rows = [rng.randrange(5) for _ in range(rng.randrange(1, 7))]
+        cols = [rng.randrange(4) for _ in range(rng.randrange(1, 6))]
+        sub = a.submatrix(rows, cols)
+        assert sub.row_sig == tuple(a.row_sig[i] for i in rows)
+        assert sub.col_sig == tuple(a.col_sig[j] for j in cols)
+        assert sub.entries == {
+            (p, q): a.entries[(i, j)]
+            for p, i in enumerate(rows)
+            for q, j in enumerate(cols)
+            if (i, j) in a.entries
+        }
+
+
 def test_identity_requires_gamma0_targets():
     g = FiniteGroupoid.pair([0, 1])
     ident = g.identity(0)

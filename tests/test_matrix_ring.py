@@ -1,4 +1,7 @@
+import importlib.util
+import os
 import random
+import sys
 
 import pytest
 
@@ -7,7 +10,17 @@ from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrix_ring import MatrixRing, matrix_form
-from oracles import matrix_ring_product, product_test_rings, random_element, random_matrix_ring
+from gradix.specfiles import load_matrix_ring
+from gradix.structure import wedderburn_decompose
+from oracles import (
+    component_dimension_by_slots,
+    matrix_ring_product,
+    product_test_rings,
+    random_element,
+    random_matrix_ring,
+)
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 Q = Rationals()
 
@@ -69,12 +82,43 @@ class TestComponents:
     def test_component_dimensions_total_nine(self):
         d, r = m3_shape_ring()
         g = d.groupoid
-        dims = {gamma: r.component_dimension(gamma) for gamma in g.morphisms()}
+        dims = r.dimension_table()
+        assert dims == {gamma: component_dimension_by_slots(r, gamma) for gamma in dims}
         assert dims[g.identity(1)] == 4
         assert dims[g.identity(2)] == 1
         assert dims[Morphism(0, 1, 0, 2)] == 2
         assert dims[Morphism(0, 2, 0, 1)] == 2
         assert sum(dims.values()) == 9
+
+    @staticmethod
+    def _matches_slot_scan(r):
+        table = r.dimension_table()
+        assert all(n > 0 for n in table.values())
+        for gamma in r.ring.groupoid.morphisms():
+            assert table.get(gamma, 0) == component_dimension_by_slots(r, gamma)
+
+    def test_dimension_table_matches_a_slot_scan(self):
+        # product_test_rings holds each ring and a coboundary twist of it;
+        # random_matrix_ring draws signature sets of one or several morphisms
+        rng = random.Random(12)
+        for ring in product_test_rings(rng):
+            for size in (1, 3, 5):
+                self._matches_slot_scan(random_matrix_ring(rng, ring, size))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dimension_table_on_benchmark_rings(self, seed):
+        # the matrix rings of the benchmark's structure workload, and their blocks
+        if BENCH not in sys.path:
+            sys.path.insert(0, BENCH)
+        spec = importlib.util.spec_from_file_location("bench_structure", os.path.join(BENCH, "structure.py"))
+        bench_structure = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_structure)
+        for r in bench_structure.make(seed)["rings"]:
+            for key in ("spec", "iso_spec", "other_spec"):
+                ring = load_matrix_ring(r[key])
+                self._matches_slot_scan(ring)
+                for blk in wedderburn_decompose(ring).blocks:
+                    self._matches_slot_scan(blk)
 
     def test_dead_slot_rejected(self):
         d, r = m3_shape_ring()

@@ -720,15 +720,21 @@ class TestBlockwiseChecks:
 
     def test_corrupt_block_dimension_fails_the_audit(self, monkeypatch):
         _, ring = two_class_ring()
-        component_dimension = MatrixRing.component_dimension
+        dimension_table = MatrixRing.dimension_table
+        second = []
 
-        def corrupt(self, gamma):
-            # only the second block, whose ring sits at object 3
-            return component_dimension(self, gamma) + (self.ring.gamma0()[0] == 3)
+        def corrupt(self):
+            # only the second block, whose ring sits at object 3: one more at each of its degrees
+            table = dimension_table(self)
+            if self.ring.gamma0()[0] == 3:
+                table = {gamma: n + 1 for gamma, n in table.items()}
+                second.append(min(table))
+            return table
 
-        monkeypatch.setattr(MatrixRing, "component_dimension", corrupt)
-        with pytest.raises(GradixError, match="dimension audit failed"):
+        monkeypatch.setattr(MatrixRing, "dimension_table", corrupt)
+        with pytest.raises(GradixError, match="dimension audit failed") as err:
             wedderburn_decompose(ring)
+        assert f"at {second[0]}:" in str(err.value)
 
 
 class TestCorners:
