@@ -89,10 +89,6 @@ class MatrixFormCategory:
     def total_multiplicity(self, name):
         return sum(self.dims[name])
 
-    def hom_dimension(self, a, b):
-        """dim Hom(B, A), the component at the pair (A, B)."""
-        return sum(self.dims[a][j] * self.dims[b][j] for j in range(len(self.fields)))
-
 
 class CategoryFlags:
     def __init__(self, semisimple, simple_artinian, all_functors_free, division, witnesses):
@@ -419,9 +415,6 @@ class CategoryRing:
         if not out:
             return self.zero()
         return CategoryRingElement(self, (a, b), out)
-
-    def basis_element(self, a, b, k):
-        return self.element(a, b, {k: self.field.one()})
 
     def identity(self, a):
         coeffs = self.raw.identities[a]

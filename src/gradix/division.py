@@ -128,9 +128,6 @@ class GradedDivisionRing:
         """Objects whose identity lies in the support, sorted."""
         return self._gamma0
 
-    def component_dimension(self, degree):
-        return 1 if degree in self.support else 0
-
     def factor_rows(self):
         """The factor set as FactorRows, the size of the factor set, built
         on the first call and cached (construction and validation never

@@ -9,7 +9,7 @@ through the field object.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FormatError, GradixError
+from .errors import FormatError
 
 # Strong-probable-prime tests to the first 13 prime bases are exact below
 # 3317044064679887385961981, the least composite passing all of them
@@ -81,9 +81,6 @@ class Rationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
 
@@ -145,12 +142,6 @@ class Rationals:
         den = rng.choice([1, 1, 1, 2, 3, 5])
         return Fraction(num, den)
 
-    def sample_nonzero(self, rng):
-        while True:
-            a = self.sample(rng)
-            if a != 0:
-                return a
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -188,9 +179,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -281,9 +269,6 @@ class PrimeField:
     def sample(self, rng):
         return rng.randrange(self.p)
 
-    def sample_nonzero(self, rng):
-        return rng.randrange(1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -316,11 +301,3 @@ def field_from_json(data):
             raise FormatError("field of kind 'Fp' needs 'p'")
         return PrimeField(data["p"])
     raise FormatError(f"unknown field kind {kind!r}")
-
-
-def field_to_json(field):
-    if isinstance(field, Rationals):
-        return {"kind": "Q"}
-    if isinstance(field, PrimeField):
-        return {"kind": "Fp", "p": field.p}
-    raise GradixError(f"cannot serialize field {field!r}")

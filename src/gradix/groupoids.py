@@ -90,22 +90,6 @@ class FiniteGroup:
     def inv(self, a):
         return self.inv_table[a]
 
-    def element_order(self, a):
-        k = 1
-        x = a
-        while x != self.identity:
-            x = self.mult_table[x][a]
-            k += 1
-        return k
-
-    def coarse_invariant(self):
-        """(order, sorted element orders): a cheap isomorphism invariant.
-
-        It does not decide isomorphism in general, but it separates every
-        pair of groups this package ever needs to tell apart.
-        """
-        return (self.order, tuple(sorted(self.element_order(a) for a in range(self.order))))
-
     @classmethod
     def trivial(cls):
         return cls([[0]])
@@ -149,10 +133,6 @@ class ConnectedBlock:
             raise ValidationError("groupoid.object_ids", f"duplicate object ids in block: {sorted(ids)}")
         self.objects = tuple(sorted(ids))
         self.group = group
-
-    @property
-    def base_object(self):
-        return self.objects[0]
 
     def __repr__(self):
         return f"ConnectedBlock(objects={self.objects}, group_order={self.group.order})"
@@ -208,9 +188,6 @@ class FiniteGroupoid:
         except KeyError:
             raise GradixError(f"unknown object {x!r}") from None
 
-    def is_connected(self):
-        return len(self.blocks) == 1
-
     def identity(self, x):
         b = self.block_of(x)
         return Morphism(b, x, self.blocks[b].group.identity, x)
@@ -259,27 +236,6 @@ class FiniteGroupoid:
             return []
         grp = self.blocks[bs].group
         return [Morphism(bs, target, g, source) for g in range(grp.order)]
-
-    def isotropy(self, x):
-        return self.hom(x, x)
-
-    # -- canonical sections -------------------------------------------------
-
-    def section(self, x):
-        """The canonical morphism sigma_x : x -> e0 of x's block (e0 smallest id)."""
-        b = self.block_of(x)
-        blk = self.blocks[b]
-        return Morphism(b, blk.base_object, blk.group.identity, x)
-
-    def canonical_group_element(self, m):
-        """g such that m = section(target)^{-1} o g-loop o section(source)."""
-        loop = self.compose(self.compose(self.section(m.target), m), self.inverse(self.section(m.source)))
-        assert loop.source == loop.target == self.blocks[m.block].base_object
-        return loop.elem
-
-    def block_signature(self):
-        """Multiset of (object count, group coarse invariant) over blocks."""
-        return tuple(sorted((len(b.objects), b.group.coarse_invariant()) for b in self.blocks))
 
     # -- constructors -------------------------------------------------------
 

@@ -101,13 +101,6 @@ class HomMatrix:
         d = g.compose(a, g.inverse(b))
         return d if d in self.ring.support else None
 
-    def entry(self, i, j):
-        """The (i,j) entry as a homogeneous scalar."""
-        c = self.entries.get((i, j))
-        if c is None:
-            return self.ring.zero()
-        return self.ring.scalar(self.slot_degree(i, j), c)
-
     def coeff(self, i, j):
         return self.entries.get((i, j), self.ring.field.zero())
 
@@ -176,9 +169,6 @@ class HomMatrix:
         for (i, j), c in other.entries.items():
             out.entries[(i, j + n)] = c
         return out
-
-    def column(self, j):
-        return self.submatrix(range(len(self.row_sig)), [j])
 
     def transpose_opposite(self):
         """The transpose over the opposite ring; anti-multiplicative."""

@@ -253,15 +253,6 @@ class MatrixRing:
         one = self.ring.field.one()
         return self.element(self.ring.groupoid.identity(e), {(i, i): one for i in live})
 
-    def identity_family(self):
-        """All nonzero local identities, as (object, element) pairs."""
-        out = []
-        for e in self.ring.groupoid.objects():
-            el = self.identity_at(e)
-            if not el.is_zero:
-                out.append((e, el))
-        return out
-
 
 class MatrixFormBridge:
     """A degree-preserving isomorphism between a gr-prime division ring

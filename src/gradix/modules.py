@@ -2,36 +2,20 @@
 
 A module is a finite direct sum of degree shifts of the ring, written
 down by the list of shift morphisms.  A homogeneous vector of degree tau
-stores one field coefficient per summand whose slot shift*tau lands in
-the support; all other coordinates are forced to zero.  Families of
-vectors convert to hom-space matrices (one column per vector, column
-signature tau^-1), which puts ranks, independence and bases on top of
-the elimination machinery: row operations keep every right-linear
-relation among columns, so the pivot columns of one reduction are the
-first-scan independent subfamily.
+is a one-column hom matrix over [shifts][tau^-1]: its coordinate i sits
+at the slot degree shift_i * tau, and the coordinates whose slot is dead
+are forced to zero.  The vector's degree is the inverse of its column
+signature, and the right action of a ring element of degree g is the
+product with a 1 x 1 matrix over [tau^-1][(tau g)^-1].  A family of
+vectors is the hom matrix of its columns, which puts ranks, independence
+and bases on top of the elimination machinery: row operations keep every
+right-linear relation among columns, so the pivot columns of one
+reduction are the first-scan independent subfamily.
 """
 
 from .elimination import row_reduce
 from .errors import GradixError, ValidationError
-from .fields import accumulate
 from .matrices import HomMatrix
-
-
-class HomogeneousVector:
-    def __init__(self, module, degree, entries):
-        self.module = module
-        self.degree = degree
-        self.entries = entries
-
-    @property
-    def is_zero(self):
-        return not self.entries
-
-    def coeff(self, i):
-        return self.entries.get(i, self.module.ring.field.zero())
-
-    def __repr__(self):
-        return f"HomogeneousVector(degree={self.degree}, {len(self.entries)} nonzero)"
 
 
 class GradedModule:
@@ -56,82 +40,40 @@ class GradedModule:
     def pdim(self):
         return len(self.shifts)
 
-    def gamma0_dimension(self, e):
-        """Number of summands whose shift starts at the object e."""
-        return sum(1 for d in self.shifts if d.source == e)
-
-    def slot(self, i, tau):
-        """The ring degree of coordinate i at vector degree tau, or None."""
-        g = self.ring.groupoid
-        d = self.shifts[i]
-        if d.source != tau.target:
-            return None
-        out = g.compose(d, tau)
-        return out if out in self.ring.support else None
-
     def vector(self, tau, entries):
-        if not self.ring.groupoid.contains(tau):
+        """The vector of degree tau with the given coordinates, as the
+        one-column hom matrix over [shifts][tau^-1]."""
+        g = self.ring.groupoid
+        if not g.contains(tau):
             raise ValidationError("vector.degree", f"{tau} is not a morphism of the groupoid")
+        out = HomMatrix(self.ring, self.shifts, [g.inverse(tau)])
         field = self.ring.field
-        out = {}
         for i, raw in dict(entries).items():
             if not 0 <= i < len(self.shifts):
                 raise ValidationError("vector.entry_slot", f"coordinate {i} out of range")
             c = field.coerce(raw)
             if field.is_zero(c):
                 continue
-            if self.slot(i, tau) is None:
+            if out.slot_degree(i, 0) is None:
                 raise ValidationError(
                     "vector.entry_slot",
                     f"coordinate {i} is dead at vector degree {tau} and must be zero",
                 )
-            out[i] = c
-        return HomogeneousVector(self, tau, out)
-
-    def zero_vector(self, tau):
-        return self.vector(tau, {})
+            out.entries[(i, 0)] = c
+        return out
 
     def standard_generator(self, i):
         """The i-th summand's unit, a vector of degree shift_i^-1."""
         tau = self.ring.groupoid.inverse(self.shifts[i])
         return self.vector(tau, {i: self.ring.field.one()})
 
-    def add(self, v, w):
-        if v.degree != w.degree:
-            raise GradixError("can only add vectors of equal degree")
-        out = dict(v.entries)
-        for i, c in w.entries.items():
-            accumulate(self.ring.field, out, i, c)
-        return HomogeneousVector(self, v.degree, out)
-
-    def scale_right(self, v, a):
-        """Right action of a homogeneous ring element on a vector."""
-        if a.is_zero:
-            return self.zero_vector(v.degree)
-        g = self.ring.groupoid
-        if not g.is_composable(v.degree, a.degree):
-            raise GradixError("vector degree does not compose with the scalar degree")
-        new_tau = g.compose(v.degree, a.degree)
-        field, factor = self.ring.field, self.ring.factor
-        out = {}
-        for i, c in v.entries.items():
-            out[i] = field.mul(field.mul(c, a.coeff), factor[(self.slot(i, v.degree), a.degree)])
-        return HomogeneousVector(self, new_tau, out)
-
     def columns(self, vectors):
-        """The hom matrix with one column per vector."""
-        g = self.ring.groupoid
-        col_sig = [g.inverse(v.degree) for v in vectors]
-        m = HomMatrix(self.ring, list(self.shifts), col_sig)
+        """The hom matrix whose column l is vectors[l]."""
+        m = HomMatrix(self.ring, self.shifts, [v.col_sig[0] for v in vectors])
         for l, v in enumerate(vectors):
-            for i, c in v.entries.items():
+            for (i, _), c in v.entries.items():
                 m.entries[(i, l)] = c
         return m
-
-    def equal(self, v, w):
-        if v.is_zero and w.is_zero:
-            return True
-        return v.degree == w.degree and v.entries == w.entries
 
     # -- spans and bases ----------------------------------------------------
 
@@ -207,14 +149,6 @@ class GradedModule:
                 survivors.append(i)
                 new_shifts.append(g.compose(d, sigma))
         return GradedModule(self.ring, new_shifts), survivors
-
-    def shift_identity_check(self):
-        """Check that the identity shifts partition the summands."""
-        seen = []
-        for e in sorted({d.source for d in self.shifts}):
-            _, survivors = self.shift(self.ring.groupoid.identity(e))
-            seen.extend(survivors)
-        return sorted(seen) == list(range(len(self.shifts)))
 
 
 def hom_degree_dimension(source, target, gamma):

@@ -111,10 +111,6 @@ class SemisimpleRingSpec:
         """All objects carrying at least one index, sorted."""
         return sorted({sig[0].source for blk in self.blocks for sig in blk.signatures})
 
-    def summability(self):
-        """Per object, the blocks meeting it; the finiteness witness."""
-        return {e: self.blocks_at(e) for e in self.objects()}
-
     def global_index(self, j, k):
         """1-based position of block j, index k in the concatenated index list."""
         return sum(self.block_size(jp) for jp in range(j)) + k + 1

@@ -44,7 +44,7 @@ def field_solve(field, rows, rhs):
         for i in range(m):
             if i != r and not field.is_zero(aug[i][c]):
                 f = aug[i][c]
-                aug[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(aug[i], aug[r])]
+                aug[i] = [field.add(a, field.neg(field.mul(f, b))) for a, b in zip(aug[i], aug[r])]
         pivot_of.append(c)
         r += 1
     for i in range(r, m):
@@ -415,7 +415,7 @@ def ring_two_object_c2(field):
     differ, which the one-object and trivial-isotropy rings cannot.
     """
     g = FiniteGroupoid([ConnectedBlock([0, 1], FiniteGroup.cyclic(2))])
-    loops = g.isotropy(0)
+    loops = g.hom(0, 0)
     two = field.coerce(2)
     factor = {(s, t): two if s.elem == t.elem == 1 else field.one() for s in loops for t in loops}
     corner = GradedDivisionRing(field, g, loops, factor)
@@ -460,6 +460,16 @@ def random_scalar(rng, field, nonzero=False):
         return Fraction(num, rng.randint(1, 3))
     v = rng.randrange(1, field.p) if nonzero else rng.randrange(field.p)
     return v
+
+
+def sample_nonzero(field, rng):
+    """A random nonzero element: uniform over F_p^*, a small rational over Q."""
+    if field.kind == "Fp":
+        return rng.randrange(1, field.p)
+    while True:
+        a = field.sample(rng)
+        if a != 0:
+            return a
 
 
 def random_signature(rng, ring, n):
@@ -522,6 +532,14 @@ def random_module(rng, ring, max_pdim=6):
     return GradedModule(ring, shifts)
 
 
+def is_live_coordinate(module, i, tau):
+    """Whether coordinate i of a degree-tau vector may be nonzero: shift_i * tau
+    is defined and lies in the support."""
+    g = module.ring.groupoid
+    d = module.shifts[i]
+    return g.is_composable(d, tau) and g.compose(d, tau) in module.ring.support
+
+
 def random_vectors(rng, module, count):
     g = module.ring.groupoid
     degrees = list(g.morphisms())
@@ -530,7 +548,7 @@ def random_vectors(rng, module, count):
         tau = rng.choice(degrees)
         entries = {}
         for i in range(module.pdim()):
-            if module.slot(i, tau) is not None and rng.random() < 0.7:
+            if is_live_coordinate(module, i, tau) and rng.random() < 0.7:
                 entries[i] = random_scalar(rng, module.ring.field)
         out.append(module.vector(tau, entries))
     return out

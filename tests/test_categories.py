@@ -200,13 +200,13 @@ class TestRawCategories:
             ring = ring_of_category(raw_from_matrix_form(cat))
             for a in names:
                 for b in names:
-                    assert ring.component_dimension(a, b) == cat.hom_dimension(a, b)
+                    assert ring.component_dimension(a, b) == sum(x * y for x, y in zip(dims[a], dims[b]))
 
     def test_matrix_unit_relations(self):
         cat = MatrixFormCategory(["V1", "V2"], [Q], {"V1": [1], "V2": [2]})
         ring = ring_of_category(raw_from_matrix_form(cat))
-        up = ring.basis_element("V1", "V2", 0)
-        down = ring.basis_element("V2", "V1", 0)
+        up = ring.element("V1", "V2", {0: 1})
+        down = ring.element("V2", "V1", {0: 1})
         loop = up.mul(down)
         assert loop.degree == ("V1", "V1")
         assert loop.equal(ring.identity("V1"))

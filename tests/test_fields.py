@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradix.errors import FormatError
-from gradix.fields import MAX_PRIME, PrimeField, Rationals, field_from_json, field_to_json, is_prime
+from gradix.fields import MAX_PRIME, PrimeField, Rationals, field_from_json, is_prime
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -100,8 +100,8 @@ def test_f7_field_axioms(a, b, c):
 
 
 def test_json_round_trip():
-    for f in (Q, F5):
-        assert field_from_json(field_to_json(f)) == f
+    assert field_from_json({"kind": "Q"}) == Q
+    assert field_from_json({"kind": "Fp", "p": 5}) == F5
     with pytest.raises(FormatError):
         field_from_json({"kind": "R"})
     with pytest.raises(FormatError):
@@ -112,8 +112,7 @@ def test_sampling_stays_in_field():
     rng = random.Random(0)
     for _ in range(100):
         assert 0 <= F5.sample(rng) < 5
-        assert F5.sample_nonzero(rng) != 0
-        assert Q.sample_nonzero(rng) != 0
+        assert Q.sample(rng).denominator in (1, 2, 3, 5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 101, 257])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,14 @@ from gradix.groupoids import (
     from_composition_table,
     groupoid_from_json,
 )
+
+
+def element_order(group, a):
+    """The least k >= 1 with a^k the identity."""
+    k, x = 1, a
+    while x != group.identity:
+        x, k = group.mul(x, a), k + 1
+    return k
 
 
 def two_block_groupoid():
@@ -29,15 +39,8 @@ class TestFiniteGroup:
         assert c4.identity == 0
         assert c4.mul(3, 2) == 1
         assert c4.inv(1) == 3
-        assert c4.element_order(1) == 4
-        assert c4.element_order(2) == 2
-
-    def test_coarse_invariant_separates_c4_from_klein(self):
-        c4 = FiniteGroup.cyclic(4)
-        klein = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
-        assert c4.coarse_invariant() == (4, (1, 2, 4, 4))
-        assert klein.coarse_invariant() == (4, (1, 2, 2, 2))
-        assert c4.coarse_invariant() != klein.coarse_invariant()
+        assert element_order(c4, 1) == 4
+        assert element_order(c4, 2) == 2
 
     def test_bad_tables_rejected(self):
         with pytest.raises(ValidationError) as e:
@@ -61,7 +64,7 @@ class TestFiniteGroup:
     def test_cyclic_is_a_group(self, n):
         g = FiniteGroup.cyclic(n)
         assert g.order == n
-        assert sorted(g.element_order(a) for a in range(n)) == sorted(n // __import__("math").gcd(a, n) for a in range(n))
+        assert sorted(element_order(g, a) for a in range(n)) == sorted(n // math.gcd(a, n) for a in range(n))
 
 
 class TestCanonicalForm:
@@ -95,16 +98,6 @@ class TestCanonicalForm:
         assert len(ms) == g.morphism_count() == 2 * 2 * 2 + 2 * 2 * 1
         assert ms == sorted(ms)
 
-    def test_sections_reconstruct_morphisms(self):
-        g = two_block_groupoid()
-        for m in g.morphisms():
-            elem = g.canonical_group_element(m)
-            rebuilt = g.compose(
-                g.compose(g.inverse(g.section(m.target)), Morphism(m.block, g.blocks[m.block].base_object, elem, g.blocks[m.block].base_object)),
-                g.section(m.source),
-            )
-            assert rebuilt == m
-
     def test_object_collision_rejected(self):
         with pytest.raises(ValidationError) as e:
             FiniteGroupoid([ConnectedBlock([0, 1], FiniteGroup.trivial()), ConnectedBlock([1], FiniteGroup.trivial())])
@@ -117,9 +110,9 @@ class TestCanonicalForm:
 
     def test_pair_groupoid(self):
         g = FiniteGroupoid.pair([2, 3, 4])
-        assert g.is_connected()
+        assert len(g.blocks) == 1
         assert g.morphism_count() == 9
-        assert g.block_signature() == ((3, (1, (1,))),)
+        assert g.blocks[0].objects == (2, 3, 4) and g.blocks[0].group.order == 1
 
 
 class TestMorphismValue:
@@ -164,7 +157,7 @@ class TestRawConversion:
         g, relabel = from_composition_table(*self.raw_c2())
         assert len(g.blocks) == 1
         assert len(g.blocks[0].objects) == 1
-        assert g.blocks[0].group.coarse_invariant() == (2, (1, 2))
+        assert g.blocks[0].group.order == 2
         assert relabel[0] == g.identity(0)
 
     def test_pair_groupoid_from_raw(self):
@@ -186,7 +179,7 @@ class TestRawConversion:
                         if src[c] == src[b] and tgt[c] == tgt[a]:
                             table.append([a, b, c])
         g, relabel = from_composition_table(objects, morphisms, table)
-        assert g.block_signature() == FiniteGroupoid.pair([0, 1]).block_signature()
+        assert g.to_json() == FiniteGroupoid.pair([0, 1]).to_json()
         assert relabel[1] == Morphism(0, 1, 0, 0)
 
     def test_functoriality_of_relabeling(self):
@@ -222,7 +215,6 @@ class TestRawConversion:
     def test_round_trip_through_json(self):
         g = two_block_groupoid()
         h = groupoid_from_json(g.to_json())
-        assert h.block_signature() == g.block_signature()
         assert h.to_json() == g.to_json()
 
     def test_json_rejects_malformed(self):

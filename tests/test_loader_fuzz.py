@@ -1,11 +1,13 @@
 """Mutated fixtures never crash the command line.
 
 Each example takes one file of fixtures/, changes it in one place (drops
-a key, gives a value another JSON type, repeats a key, or repeats one
-element of a list) and runs a verb that reads it through gradix.cli.main.
-Every run must exit 0, 1 or 2 without a traceback, and an exit 1 must
-name the violated invariant.
-Numbers stay small: how large inputs are refused is a separate question.
+a key, gives a value another JSON type, repeats a key, repeats one
+element of a list, or puts a huge number such as 10^18 or 2^63 in place
+of a number) and runs a verb that reads it through gradix.cli.main.
+Every run must exit 0, 1 or 2 without a traceback within the deadline,
+and an exit 1 must name the violated invariant.  The huge numbers land on
+object ids, group elements, multiplicities, indices, moduli and scalars,
+so each must be refused or handled without work that grows with it.
 """
 
 import contextlib
@@ -101,6 +103,14 @@ def lookup(tree, path):
     return tree
 
 
+# Numbers far past every size ceiling, of both signs and past 64 bits.
+HUGE = [10**18, 2**63, 10**9, -(10**18)]
+
+
+def numbers(tree):
+    return [path for path, v in nodes(tree) if json_type(v) == "number"]
+
+
 def with_keys(tree):
     return [path for path, v in nodes(tree) if isinstance(v, Obj) and v]
 
@@ -120,8 +130,10 @@ def mutants(draw):
     """(fixture name, mutated JSON text, argv)."""
     name = draw(st.sampled_from(sorted(READERS)))
     tree = copy.deepcopy(TREES[name])
-    how = draw(st.sampled_from(["drop", "swap", "repeat", "duplicate"]))
-    if how == "duplicate":
+    how = draw(st.sampled_from(["drop", "swap", "repeat", "duplicate", "huge"]))
+    if how == "huge":
+        tree = replace(tree, draw(st.sampled_from(numbers(tree))), draw(st.sampled_from(HUGE)))
+    elif how == "duplicate":
         items = lookup(tree, draw(st.sampled_from(nonempty_lists(tree))))
         element = items[draw(st.integers(0, len(items) - 1))]
         items.insert(draw(st.integers(0, len(items))), copy.deepcopy(element))
@@ -162,7 +174,7 @@ def run_main(argv):
 NAMED_INVARIANT = re.compile(r"^error: [a-z0-9_]+\.[a-z0-9_]+: ")
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=timedelta(seconds=2))
+@settings(max_examples=250, derandomize=True, database=None, deadline=timedelta(seconds=2))
 @given(case=mutants())
 def test_mutated_fixture_exits_cleanly(workdir, case):
     name, text, argv = case

@@ -8,7 +8,15 @@ from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrices import HomMatrix
-from oracles import graded_product, product_test_rings, random_matrix_on, random_signature
+from oracles import (
+    graded_product,
+    product_test_rings,
+    random_matrix_on,
+    random_module,
+    random_signature,
+    random_vectors,
+    sample_nonzero,
+)
 
 Q = Rationals()
 
@@ -137,7 +145,7 @@ def test_submatrix_hstack_column():
     sub = a.submatrix([1], [0, 1])
     assert sub.shape == (1, 2)
     assert sub.coeff(0, 1) == 4
-    st = a.hstack(a.column(0))
+    st = a.hstack(a.submatrix([0, 1], [0]))
     assert st.shape == (2, 3)
     assert st.coeff(0, 2) == 1
     assert st.coeff(1, 2) == 3
@@ -172,10 +180,34 @@ def test_identity_requires_gamma0_targets():
 
 def test_mul_matches_the_definition():
     rng = random.Random(31)
-    for ring in product_test_rings(rng):
+    rings = product_test_rings(rng)
+    for ring in rings:
         for _ in range(15):
             m, k, n = (rng.randrange(1, 6) for _ in range(3))
             middle = random_signature(rng, ring, k)
             a = random_matrix_on(rng, ring, random_signature(rng, ring, m), middle)
             b = random_matrix_on(rng, ring, middle, random_signature(rng, ring, n))
             assert a.mul(b).entries == graded_product(a, b).entries
+    # A vector of degree tau times the 1x1 matrix [tau^-1][(tau s)^-1] is the
+    # right action of a ring element of degree s; it lands at degree tau s.
+    for ring in rings:
+        g = ring.groupoid
+        for _ in range(10):
+            (v,) = random_vectors(rng, random_module(rng, ring, max_pdim=4), 1)
+            tau = g.inverse(v.col_sig[0])
+            degrees = [d for d in sorted(ring.support) if d.target == tau.source]
+            if not degrees:
+                continue
+            s = rng.choice(degrees)
+            x = ring.scalar(s, sample_nonzero(ring.field, rng))
+            a = HomMatrix(ring, v.col_sig, [g.inverse(g.compose(tau, s))], {(0, 0): x.coeff})
+            assert a.slot_degree(0, 0) == s
+            va = v.mul(a)
+            assert va.entries == graded_product(v, a).entries
+            assert g.inverse(va.col_sig[0]) == g.compose(tau, s)
+            # acting by x and then by x^-1 gives v back; acting twice is acting by the product
+            back = HomMatrix(ring, va.col_sig, v.col_sig, {(0, 0): ring.inv(x).coeff})
+            assert va.mul(back).equal(v)
+            t = rng.choice([d for d in sorted(ring.support) if d.target == s.source])
+            b = HomMatrix(ring, va.col_sig, [g.inverse(g.compose(g.compose(tau, s), t))], {(0, 0): sample_nonzero(ring.field, rng)})
+            assert va.mul(b).equal(v.mul(a.mul(b)))

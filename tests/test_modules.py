@@ -8,14 +8,17 @@ from gradix.elimination import rank_all, row_reduce
 from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
+from gradix.matrices import HomMatrix
 from gradix.modules import GradedModule, hom_degree_dimension
 from oracles import (
     first_scan_basis,
+    is_live_coordinate,
     product_test_rings,
     random_matrix_on,
     random_module,
     random_vectors,
     ring_two_object_prime,
+    sample_nonzero,
 )
 
 Q = Rationals()
@@ -37,8 +40,8 @@ def random_vector(module, rng, density=0.7):
     tau = ring.groupoid.inverse(rng.choice(sorted(ring.support)))
     entries = {}
     for i in range(module.pdim()):
-        if module.slot(i, tau) is not None and rng.random() < density:
-            entries[i] = ring.field.sample_nonzero(rng)
+        if is_live_coordinate(module, i, tau) and rng.random() < density:
+            entries[i] = sample_nonzero(ring.field, rng)
     return module.vector(tau, entries)
 
 
@@ -60,13 +63,19 @@ class TestConstruction:
             m.vector(tau, {1: 1})  # shift 1_1 does not compose with tau at 0
         assert err.value.invariant == "vector.entry_slot"
 
-    def test_gamma0_dimension_counts_sources(self):
+    def test_a_vector_is_a_one_column_hom_matrix(self):
         d = pair_ring()
         g = d.groupoid
         cross = Morphism(0, 1, 0, 0)  # 0 -> 1
         m = GradedModule(d, [g.identity(0), g.identity(1), cross])
-        assert m.gamma0_dimension(0) == 2
-        assert m.gamma0_dimension(1) == 1
+        v = m.vector(g.identity(0), {0: 2, 2: 3})
+        assert isinstance(v, HomMatrix)
+        assert (v.row_sig, v.col_sig) == (m.shifts, (g.identity(0),))
+        assert v.entries == {(0, 0): 2, (2, 0): 3}
+        assert [v.slot_degree(i, 0) for i in range(3)] == [g.identity(0), None, cross]
+        with pytest.raises(ValidationError) as err:
+            m.vector(Morphism(0, 1, 0, 7), {})
+        assert err.value.invariant == "vector.degree"
 
 
 class TestVectors:
@@ -77,50 +86,6 @@ class TestVectors:
         gens = [m.standard_generator(i) for i in range(3)]
         assert m.is_pseudo_independent(gens)
         assert m.pdim_of_span(gens) == m.pdim() == 3
-
-    def test_right_action_shifts_degree(self):
-        d = f5_c2()
-        g = d.groupoid
-        e = g.identity(0)
-        flip = Morphism(0, 0, 1, 0)
-        m = GradedModule(d, [e, flip])
-        v = m.vector(e, {0: 2, 1: 3})
-        w = m.scale_right(v, d.unit(flip))
-        assert w.degree == flip
-        assert w.coeff(0) == 2
-        assert w.coeff(1) == 3
-        # acting is invertible: scaling back recovers v
-        back = m.scale_right(w, d.inv(d.unit(flip)))
-        assert m.equal(back, v)
-
-    def test_action_respects_ring_product(self):
-        d = f5_c2()
-        g = d.groupoid
-        e = g.identity(0)
-        flip = Morphism(0, 0, 1, 0)
-        m = GradedModule(d, [e, flip])
-        rng = random.Random(4)
-        for _ in range(20):
-            v = random_vector(m, rng)
-            a = d.scalar(rng.choice([e, flip]), rng.randrange(1, 5))
-            b = d.scalar(rng.choice([e, flip]), rng.randrange(1, 5))
-            lhs = m.scale_right(m.scale_right(v, a), b)
-            rhs = m.scale_right(v, d.mul(a, b))
-            assert m.equal(lhs, rhs)
-
-
-class TestCoefficientAction:
-    def test_scale_right_matches_ring_product(self):
-        rng = random.Random(43)
-        for ring in product_test_rings(rng):
-            support = sorted(ring.support)
-            m = GradedModule(ring, [d for d in support if d.target in ring.gamma0()][:4])
-            for _ in range(10):
-                v = random_vector(m, rng)
-                degree = rng.choice([d for d in support if d.target == v.degree.source])
-                a = ring.scalar(degree, ring.field.sample_nonzero(rng))
-                expected = {i: ring.mul(ring.scalar(m.slot(i, v.degree), c), a).coeff for i, c in v.entries.items()}
-                assert m.scale_right(v, a).entries == expected
 
 
 class TestSpans:
@@ -142,10 +107,10 @@ class TestSpans:
         v = m.vector(e0, {0: 1, 1: 2})
         w = m.vector(e0, {0: 2, 1: 4})
         u = m.vector(e0, {0: 0, 1: 1})
-        basis = m.basis_from_generators([v, w, u, m.zero_vector(e0)])
+        basis = m.basis_from_generators([v, w, u, m.vector(e0, {})])
         assert len(basis) == 2
-        assert m.equal(basis[0], v)
-        assert m.equal(basis[1], u)
+        assert basis[0].equal(v)
+        assert basis[1].equal(u)
 
     def test_extension_reaches_full_pdim(self):
         rng = random.Random(19)
@@ -334,9 +299,12 @@ class TestFirstScanOracle:
                 m = random_module(rng, ring, max_pdim=4)
                 vectors = random_vectors(rng, m, 4)
                 # a repeat, a zero and a right multiple of another degree
-                degrees = [d for d in sorted(ring.support) if d.target == vectors[2].degree.source]
-                multiple = m.scale_right(vectors[2], ring.scalar(rng.choice(degrees), ring.field.sample_nonzero(rng)))
-                family = vectors + [vectors[0], m.zero_vector(vectors[1].degree), multiple]
+                g = ring.groupoid
+                tau = g.inverse(vectors[2].col_sig[0])
+                s = rng.choice([d for d in sorted(ring.support) if d.target == tau.source])
+                scalar = HomMatrix(ring, [g.inverse(tau)], [g.inverse(g.compose(tau, s))], {(0, 0): sample_nonzero(ring.field, rng)})
+                multiple = vectors[2].mul(scalar)
+                family = vectors + [vectors[0], m.vector(g.inverse(vectors[1].col_sig[0]), {}), multiple]
                 rng.shuffle(family)
                 basis = m.basis_from_generators(family)
                 expected = first_scan_basis(m, family)
@@ -344,7 +312,7 @@ class TestFirstScanOracle:
                 full = m.extend_to_pseudo_basis(basis)
                 scanned = first_scan_basis(m, basis + [m.standard_generator(i) for i in range(m.pdim())])
                 assert len(full) == len(scanned) == m.pdim()
-                assert all(v.degree == w.degree and m.equal(v, w) for v, w in zip(full, scanned))
+                assert all(v.equal(w) for v, w in zip(full, scanned))
 
 
 class TestShifts:
@@ -363,7 +331,10 @@ class TestShifts:
         d = pair_ring()
         g = d.groupoid
         m = GradedModule(d, [g.identity(0), g.identity(1), Morphism(0, 1, 0, 0)])
-        assert m.shift_identity_check()
+        seen = []
+        for e in sorted({s.source for s in m.shifts}):
+            seen += m.shift(g.identity(e))[1]
+        assert sorted(seen) == list(range(m.pdim()))
 
     def test_shift_by_cross_morphism(self):
         d = pair_ring()

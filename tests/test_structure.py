@@ -113,7 +113,7 @@ class TestSpecValidation:
         assert spec.indices_at(0, 2) == (2,)
         assert spec.index_count(1) == 2
         assert spec.blocks_at(2) == (0,)
-        assert spec.summability() == {1: (0,), 2: (0,)}
+        assert {e: spec.blocks_at(e) for e in spec.objects()} == {1: (0,), 2: (0,)}
         assert spec.global_index(0, 0) == 1
 
 
