@@ -45,6 +45,15 @@ def random_vector(module, rng, density=0.7):
     return module.vector(tau, entries)
 
 
+def act_right(v, x):
+    """v x: the vector v of degree tau times the 1x1 hom matrix holding the
+    ring element x of degree s, a vector of degree tau s."""
+    g = v.ring.groupoid
+    tau = g.inverse(v.col_sig[0])
+    a = HomMatrix(v.ring, v.col_sig, [g.inverse(g.compose(tau, x.degree))], {(0, 0): x.coeff})
+    return v.mul(a)
+
+
 class TestConstruction:
     def test_shift_targets_must_hit_gamma0(self):
         g = FiniteGroupoid.pair([0, 1])
@@ -86,6 +95,54 @@ class TestVectors:
         gens = [m.standard_generator(i) for i in range(3)]
         assert m.is_pseudo_independent(gens)
         assert m.pdim_of_span(gens) == m.pdim() == 3
+
+    def test_right_action_shifts_degree(self):
+        d = f5_c2()
+        g = d.groupoid
+        e = g.identity(0)
+        flip = Morphism(0, 0, 1, 0)
+        m = GradedModule(d, [e, flip])
+        v = m.vector(e, {0: 2, 1: 3})
+        w = act_right(v, d.unit(flip))
+        assert g.inverse(w.col_sig[0]) == flip
+        assert w.coeff(0, 0) == 2
+        assert w.coeff(1, 0) == 3
+        # acting is invertible: acting back recovers v
+        back = act_right(w, d.inv(d.unit(flip)))
+        assert back.equal(v)
+
+    def test_action_respects_ring_product(self):
+        d = f5_c2()
+        g = d.groupoid
+        e = g.identity(0)
+        flip = Morphism(0, 0, 1, 0)
+        m = GradedModule(d, [e, flip])
+        rng = random.Random(4)
+        for _ in range(20):
+            v = random_vector(m, rng)
+            a = d.scalar(rng.choice([e, flip]), rng.randrange(1, 5))
+            b = d.scalar(rng.choice([e, flip]), rng.randrange(1, 5))
+            lhs = act_right(act_right(v, a), b)
+            rhs = act_right(v, d.mul(a, b))
+            assert lhs.equal(rhs)
+
+
+class TestCoefficientAction:
+    def test_scale_right_matches_ring_product(self):
+        rng = random.Random(43)
+        for ring in product_test_rings(rng):
+            support = sorted(ring.support)
+            m = GradedModule(ring, [d for d in support if d.target in ring.gamma0()][:4])
+            for _ in range(10):
+                v = random_vector(m, rng)
+                tau = ring.groupoid.inverse(v.col_sig[0])
+                degree = rng.choice([d for d in support if d.target == tau.source])
+                a = ring.scalar(degree, sample_nonzero(ring.field, rng))
+                expected = {
+                    (i, 0): ring.mul(ring.scalar(v.slot_degree(i, 0), c), a).coeff
+                    for (i, _), c in v.entries.items()
+                }
+                assert act_right(v, a).entries == expected
 
 
 class TestSpans:
