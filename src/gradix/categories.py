@@ -4,9 +4,11 @@ Two entry points.  A category in matrix form carries, per block, a scalar
 field and a multiplicity for every object; hom groups are block-diagonal
 spaces of rectangular matrices and everything about the category is
 numeric.  A raw category carries hom-space dimensions, composition
-structure constants and identity vectors; it is validated exhaustively
-and turned into a structure-constant graded ring for inspection, but the
-classification predicates refuse it.
+structure constants and identity vectors; one read from a file is
+validated exhaustively and turned into a structure-constant graded ring
+for inspection, but the classification predicates refuse it.  The raw
+category that spells out a matrix-form category in matrix units is valid
+by construction and is built without that check.
 
 The grading is by the pair groupoid on the object list: the component at
 the pair (A, B) is the hom group of morphisms B -> A, and the ring
@@ -190,8 +192,9 @@ class RawCategory:
     zero.  ``compose`` maps a basis pair ((A, B, i), (B, C, j)) to the
     coefficient dict {k: scalar} of the composite in the (A, C) basis;
     missing entries are zero composites.  ``identities`` maps each object
-    to its coefficient dict over the (A, A) basis.  All axioms are
-    checked exhaustively at construction.
+    to its coefficient dict over the (A, A) basis.  The constructor
+    checks all axioms exhaustively; ``_trusted`` builds a category from
+    structure constants that satisfy them by construction.
     """
 
     def __init__(self, objects, field, hom_dims, compose, identities):
@@ -247,6 +250,19 @@ class RawCategory:
                     clean[k] = v
             self.identities[name] = clean
         self._validate()
+
+    @classmethod
+    def _trusted(cls, objects, field, hom_dims, compose_table, identities):
+        """A category built without ``__init__`` or ``_validate``, from data
+        already in normal form (no zero dimension or coefficient) whose
+        axioms hold by construction; only ``raw_from_matrix_form`` calls it."""
+        cat = cls.__new__(cls)
+        cat.objects = tuple(objects)
+        cat.field = field
+        cat.hom_dims = hom_dims
+        cat.compose_table = compose_table
+        cat.identities = identities
+        return cat
 
     def dim(self, a, b):
         return self.hom_dims.get((a, b), 0)
@@ -424,7 +440,8 @@ class CategoryRing:
 
 
 def ring_of_category(raw):
-    """The graded ring of a raw category; validation happened at construction."""
+    """The graded ring of a raw category, valid once built: validated by
+    the constructor, or spelled out in matrix units."""
     if not isinstance(raw, RawCategory):
         raise GradixError("ring construction needs a RawCategory")
     return CategoryRing(raw)
@@ -436,6 +453,11 @@ def raw_from_matrix_form(cat):
     Hom bases are matrix units (j, p, q); composition contracts the inner
     index within a block.  Used to cross-check the ring's per-degree
     dimensions against the product formula.
+
+    The result is built without revalidation: matrix units compose
+    associatively, E_pq E_qs = E_ps, and the identity of each object is
+    the sum of its diagonal units E_pp, so both identity laws hold.  The
+    hom dimension ceiling and the single-field check still run first.
     """
     active = cat.active_blocks()
     fields = {cat.fields[j] for j in active} or {cat.fields[0]}
@@ -481,4 +503,4 @@ def raw_from_matrix_form(cat):
             for p in range(cat.multiplicity(j, a)):
                 coeffs[position[((a, a), (j, p, p))]] = field.one()
         identities[a] = coeffs
-    return RawCategory(cat.objects, field, hom_dims, compose, identities)
+    return RawCategory._trusted(cat.objects, field, hom_dims, compose, identities)

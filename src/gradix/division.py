@@ -8,8 +8,13 @@ of the basis units, u_s * u_t = factor(s,t) u_{st}.
 For the ring to be an associative, object-unital graded division ring the
 support must be a subgroupoid (closed under inverses and defined
 compositions, containing the identities of every object it touches) and
-the factor must be a normalized 2-cocycle.  All of that is validated
-exhaustively at construction; sizes are bounded by the groupoid ceilings.
+the factor must be a normalized 2-cocycle.  The constructor validates all
+of that exhaustively, and every ring read from user data goes through it;
+sizes are bounded by the groupoid ceilings.  Two rings derived from an
+already validated ring are valid by construction and are built by the
+private ``_trusted`` classmethod without that check: a restriction to the
+support morphisms between a set of objects (a corner, a prime block) and
+the opposite ring.
 
 A homogeneous element is a degree plus a field coefficient; the zero
 element carries no degree.  Products of non-composable degrees are zero.
@@ -35,6 +40,14 @@ class FactorRows(NamedTuple):
     values: dict
     numerators: dict
     denominator: int
+
+
+def _by_target(degrees):
+    """The degrees grouped by target object, each group in the given order."""
+    out = {}
+    for t in degrees:
+        out.setdefault(t.target, []).append(t)
+    return out
 
 
 class HomogeneousScalar:
@@ -71,6 +84,24 @@ class GradedDivisionRing:
         self._opposite = None
         self._factor_rows = None
 
+    @classmethod
+    def _trusted(cls, parent, support, factor):
+        """A ring over the field and groupoid of the validated ``parent``,
+        built without ``__init__`` or ``_validate``.
+
+        Only methods of ``parent`` call it, with a support and factor set
+        that are valid by construction; ``factor`` is taken as it is.
+        """
+        ring = cls.__new__(cls)
+        ring.field = parent.field
+        ring.groupoid = parent.groupoid
+        ring.support = frozenset(support)
+        ring.factor = factor
+        ring._gamma0 = tuple(sorted({m.source for m in ring.support}))
+        ring._opposite = None
+        ring._factor_rows = None
+        return ring
+
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
@@ -87,9 +118,7 @@ class GradedDivisionRing:
         for e in sorted(touched):
             if g.identity(e) not in self.support:
                 raise ValidationError("support.identities", f"support touches object {e} but lacks its identity")
-        by_target = {}
-        for t in self.support:
-            by_target.setdefault(t.target, []).append(t)
+        by_target = _by_target(self.support)
         pairs = [(s, t) for s in self.support for t in by_target.get(s.source, ())]
         for s, t in pairs:
             if g.compose(s, t) not in self.support:
@@ -134,9 +163,7 @@ class GradedDivisionRing:
         build it; support and factor never change, so it cannot go stale)."""
         if self._factor_rows is None:
             support = sorted(self.support)
-            by_target = {}
-            for t in support:
-                by_target.setdefault(t.target, []).append(t)
+            by_target = _by_target(support)
             pos = {t: k for ts in by_target.values() for k, t in enumerate(ts)}
             flat = [self.factor[(s, t)] for s in support for t in by_target[s.source]]
             nums, d = self.field.integers(flat)
@@ -237,13 +264,22 @@ class GradedDivisionRing:
         raise GradixError(f"no supported morphism connects {f} to {e}")
 
     def restrict_to_objects(self, objs):
-        """The graded division ring on the support morphisms inside a set of objects."""
+        """The graded division ring on the support morphisms inside a set of objects.
+
+        Valid by construction, so built without revalidation: the support
+        morphisms between the objects form a full subgroupoid of the
+        support (inverses, composites and the identities at the objects
+        stay inside), and the factor set restricted to its composable
+        pairs is still a normalized 2-cocycle.  Only an object set that
+        misses gamma0, and so leaves the support empty, is refused.
+        """
         objs = set(objs)
-        support = {m for m in self.support if m.source in objs and m.target in objs}
-        factor = {
-            (s, t): v for (s, t), v in self.factor.items() if s in support and t in support
-        }
-        return GradedDivisionRing(self.field, self.groupoid, support, factor)
+        support = [m for m in self.support if m.source in objs and m.target in objs]
+        if not support:
+            raise ValidationError("support.nonempty", "a graded division ring is nonzero; support is empty")
+        by_target = _by_target(support)
+        factor = {(s, t): self.factor[(s, t)] for s in support for t in by_target[s.source]}
+        return GradedDivisionRing._trusted(self, support, factor)
 
     def decompose_prime(self):
         """Split into gr-simple blocks along the primality classes."""
@@ -260,14 +296,19 @@ class GradedDivisionRing:
     def opposite(self):
         """The opposite ring: same support set, factor(s,t) -> factor(t^-1, s^-1).
 
-        Built and validated on the first call, then cached; support and
-        factor never change after construction, so the cache cannot go
-        stale.  The opposite of the opposite is this ring itself.
+        Built on the first call without revalidation, then cached; support
+        and factor never change after construction, so the cache cannot go
+        stale.  It is valid by construction: u'_s = u_{s^-1} is a graded
+        basis of the opposite of this ring, u'_s u'_t = u_{t^-1} u_{s^-1},
+        and the support is closed under inverses, so the support stays and
+        the factor set is a normalized 2-cocycle because the opposite ring
+        is associative with the same local units.  The opposite of the
+        opposite is this ring itself.
         """
         if self._opposite is None:
             g = self.groupoid
             factor = {(s, t): self.factor[(g.inverse(t), g.inverse(s))] for (s, t) in self.factor}
-            op = GradedDivisionRing(self.field, g, self.support, factor)
+            op = GradedDivisionRing._trusted(self, self.support, factor)
             op._opposite = self
             self._opposite = op
         return self._opposite

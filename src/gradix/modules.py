@@ -68,7 +68,11 @@ class GradedModule:
         return self.vector(tau, {i: self.ring.field.one()})
 
     def columns(self, vectors):
-        """The hom matrix whose column l is vectors[l]."""
+        """The hom matrix whose column l is vectors[l]; each must be a
+        vector of this module: one column over this ring, its rows the shifts."""
+        for l, v in enumerate(vectors):
+            if v.ring is not self.ring or v.row_sig != self.shifts or len(v.col_sig) != 1:
+                raise ValidationError("vector.module", f"vector {l} is not a vector of this module")
         m = HomMatrix(self.ring, self.shifts, [v.col_sig[0] for v in vectors])
         for l, v in enumerate(vectors):
             for (i, _), c in v.entries.items():

@@ -8,7 +8,10 @@ solve it with a plain dense Gauss-Jordan written out here, so a bug in
 the library's echelon code cannot vouch for itself.
 """
 
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -556,3 +559,19 @@ def random_vectors(rng, module, count):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def benchmark_structure_inputs(seed):
+    """The seeded spec data of the benchmark's structure workload
+    (``make`` of bench/structure.py): matrix rings over rings whose
+    supports split into primality classes, with C_4 isotropy and a
+    coboundary factor set, and matrix-form categories."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    spec = importlib.util.spec_from_file_location("bench_structure", os.path.join(BENCH, "structure.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make(seed)

@@ -1,7 +1,4 @@
-import importlib.util
-import os
 import random
-import sys
 
 import pytest
 
@@ -13,6 +10,7 @@ from gradix.matrix_ring import MatrixRing, matrix_form
 from gradix.specfiles import load_matrix_ring
 from gradix.structure import wedderburn_decompose
 from oracles import (
+    benchmark_structure_inputs,
     component_dimension_by_slots,
     matrix_ring_product,
     product_test_rings,
@@ -20,8 +18,6 @@ from oracles import (
     random_matrix_ring,
     sample_nonzero,
 )
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 Q = Rationals()
 
@@ -109,12 +105,7 @@ class TestComponents:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_dimension_table_on_benchmark_rings(self, seed):
         # the matrix rings of the benchmark's structure workload, and their blocks
-        if BENCH not in sys.path:
-            sys.path.insert(0, BENCH)
-        spec = importlib.util.spec_from_file_location("bench_structure", os.path.join(BENCH, "structure.py"))
-        bench_structure = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_structure)
-        for r in bench_structure.make(seed)["rings"]:
+        for r in benchmark_structure_inputs(seed)["rings"]:
             for key in ("spec", "iso_spec", "other_spec"):
                 ring = load_matrix_ring(r[key])
                 self._matches_slot_scan(ring)

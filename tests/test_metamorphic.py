@@ -11,6 +11,15 @@ must name the same invariant.  Every file is shuffled at once, so the
 rings and modules a file refers to, and the other operand of ``solve``
 and ``iso``, are shuffled too.  The shuffles are seeded, so every run of
 the suite checks the same orders.
+
+Answers do not change under a coboundary twist either: multiplying the
+factor set by c(s)c(t)/c(st) gives an isomorphic graded ring.  For the
+fixture rings and matrix rings, random matrix rings over the reference
+rings and the two-object rings with C_2 isotropy, and the benchmark's
+seeded structure rings (whose corners carry the twist), a seeded twist keeps
+the block sizes, signatures and base objects of the decomposition and
+the classification flags, and ``spec_iso`` of the two decompositions
+answers with verified certificates.
 """
 
 import contextlib
@@ -23,7 +32,19 @@ import re
 import pytest
 
 from gradix.cli import run
+from gradix.fields import PrimeField, Rationals
+from gradix.matrix_ring import MatrixRing
+from gradix.specfiles import load_matrix_ring
+from gradix.structure import classify, spec_iso, wedderburn_decompose
+from oracles import (
+    benchmark_structure_inputs,
+    coboundary_twist,
+    random_matrix_ring,
+    reference_rings,
+    ring_two_object_c2,
+)
 from test_loader_fuzz import FIXTURES, MUTANT, READERS
+from test_trusted import RING_FIXTURES, lifted
 
 UNORDERED = ("support", "factor", "entries", "compose", "homs")
 SHUFFLES = 4
@@ -94,3 +115,40 @@ def test_shuffled_lists_give_the_same_answer(tmp_path, name, argv):
         write_shuffled(tmp_path, rng)
         for emit, original in originals.items():
             assert outcome(argv_in(tmp_path, emit)) == original
+
+
+# -- coboundary twists ---------------------------------------------------------
+
+
+def twist_cases():
+    """(label, matrix ring): fixture rings lifted over their identity
+    signature and fixture matrix rings, random matrix rings over the
+    reference rings and the two-object rings with C_2 isotropy, and the
+    benchmark's seeded structure rings."""
+    cases = [(name, lifted(name)) for name in RING_FIXTURES]
+    rng = random.Random(41)
+    for k, d in enumerate(reference_rings() + [ring_two_object_c2(PrimeField(7)), ring_two_object_c2(Rationals())]):
+        cases += [(f"reference {k} size {size}", random_matrix_ring(rng, d, size)) for size in (1, 3)]
+    for seed in (1, 2, 3):
+        for r in benchmark_structure_inputs(seed)["rings"]:
+            cases.append((f"{r['label']} seed {seed}", load_matrix_ring(r["spec"])))
+    return cases
+
+
+TWIST_CASES = twist_cases()
+
+
+def block_shape(spec):
+    return [(blk.size, blk.signatures, spec.base_object(j)) for j, blk in enumerate(spec.blocks)]
+
+
+@pytest.mark.parametrize("label, ring", TWIST_CASES, ids=[label for label, _ in TWIST_CASES])
+def test_coboundary_twist_gives_the_same_answer(label, ring):
+    rng = random.Random(label)
+    for _ in range(2):
+        twisted = MatrixRing(coboundary_twist(ring.ring, rng), ring.signatures)
+        spec, spec_t = wedderburn_decompose(ring), wedderburn_decompose(twisted)
+        assert block_shape(spec_t) == block_shape(spec)
+        assert classify(spec_t).as_dict() == classify(spec).as_dict()
+        match = spec_iso(spec, spec_t)
+        assert match is not None and all(cert.verified for _, _, cert in match)

@@ -86,6 +86,24 @@ class TestConstruction:
             m.vector(Morphism(0, 1, 0, 7), {})
         assert err.value.invariant == "vector.degree"
 
+    def test_vector_of_a_larger_module_rejected(self):
+        # was an IndexError in row_reduce: the third coordinate has no row here
+        d = pair_ring()
+        e = d.groupoid.identity(0)
+        v = GradedModule(d, [e, e, e]).vector(e, {2: 1})
+        with pytest.raises(ValidationError) as err:
+            GradedModule(d, [e, e]).pdim_of_span([v])
+        assert err.value.invariant == "vector.module"
+
+    def test_vector_over_another_ring_rejected(self):
+        d, other = pair_ring(), pair_ring()
+        e = d.groupoid.identity(0)
+        v = GradedModule(other, [e]).vector(e, {0: 1})
+        for ask in (GradedModule(d, [e]).pdim_of_span, GradedModule(d, [e]).quotient_pdim):
+            with pytest.raises(ValidationError) as err:
+                ask([v])
+            assert err.value.invariant == "vector.module"
+
 
 class TestVectors:
     def test_standard_generators_are_a_basis(self):
@@ -204,15 +222,23 @@ class TestSpans:
 
 
 def _count_builds(monkeypatch):
-    """A list that collects every GradedDivisionRing built from now on."""
+    """A list that collects every GradedDivisionRing built from now on, by
+    the validating constructor or by the trusted one."""
     built = []
     init = GradedDivisionRing.__init__
+    trusted = GradedDivisionRing._trusted.__func__
 
     def counting_init(self, *args):
         built.append(self)
         init(self, *args)
 
+    def counting_trusted(cls, *args):
+        ring = trusted(cls, *args)
+        built.append(ring)
+        return ring
+
     monkeypatch.setattr(GradedDivisionRing, "__init__", counting_init)
+    monkeypatch.setattr(GradedDivisionRing, "_trusted", classmethod(counting_trusted))
     return built
 
 
