@@ -177,9 +177,7 @@ def category_to_semisimple_spec(cat):
             for _ in range(cat.multiplicity(j, name)):
                 sigs.append([Morphism(0, index[base], 0, index[name])])
         blocks.append(MatrixRing(ring, sigs))
-    spec = SemisimpleRingSpec(blocks)
-    spec.object_names = cat.objects
-    return spec
+    return SemisimpleRingSpec(blocks)
 
 
 # -- raw categories and their rings ------------------------------------------

@@ -157,6 +157,25 @@ class GradedDivisionRing:
         """Objects whose identity lies in the support, sorted."""
         return self._gamma0
 
+    def slot(self, a, b):
+        """The degree a o b^-1 when it is defined and in the support, else None.
+
+        This is the one slot rule: entry (i, j) of a hom-space matrix over
+        [alpha][beta] lives at slot(alpha_i, beta_j), and entry (i, j) of a
+        matrix-ring element of degree gamma at slot(delta_i gamma, sigma_j).
+        """
+        d = self.groupoid.compose_inverse(a, b)
+        return d if d in self.support else None
+
+    def same_ring(self, other):
+        """Equal field, grading groupoid, support and factor set."""
+        return self is other or (
+            self.field == other.field
+            and self.groupoid.to_json() == other.groupoid.to_json()
+            and self.support == other.support
+            and self.factor == other.factor
+        )
+
     def factor_rows(self):
         """The factor set as FactorRows, the size of the factor set, built
         on the first call and cached (construction and validation never

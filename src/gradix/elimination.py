@@ -60,31 +60,26 @@ def row_reduce(matrix):
     pos, values, _, _ = ring.factor_rows()
     mul, one = field.mul, field.one()
     m, n = matrix.shape
-    row_sig = list(matrix.row_sig)
-    col_inv = [g.inverse(b) for b in matrix.col_sig]
-    cols_at = {}
-    for k, b in enumerate(matrix.col_sig):
-        cols_at.setdefault(b.source, []).append(k)
+    row_sig, col_sig = list(matrix.row_sig), matrix.col_sig
     rows = [{} for _ in row_sig]
     for (i, j), c in matrix.entries.items():
         rows[i][j] = c
     slots = {}
 
     def slot_positions(alpha):
-        """Per column k, the slot position of alpha * col_inv[k] (None when
-        dead), built on the first row of signature alpha."""
+        """Per column k, the position of the slot degree alpha * beta_k^-1
+        (None when dead: pos holds only support degrees), built on the
+        first row of signature alpha."""
         at = slots.get(alpha)
         if at is None:
-            at = slots[alpha] = [None] * n
-            for k in cols_at.get(alpha.source, ()):
-                at[k] = pos.get(g.compose(alpha, col_inv[k]))
+            at = slots[alpha] = [pos.get(g.compose_inverse(alpha, b)) for b in col_sig]
         return at
 
     def left(i, deg, coeff):
         """a*row_i for a = coeff at degree deg as a term dict.
 
-        Entry k of the row sits at alpha_i * col_inv[k], so the term is
-        x*coeff*factor(deg, alpha_i*col_inv[k]), the factor read from
+        Entry k of the row sits at slot(alpha_i, beta_k), so the term is
+        x*coeff*factor(deg, slot(alpha_i, beta_k)), the factor read from
         deg's factor row at that slot's position; coeff*factor is formed
         once per position.  No term is zero.
         """
@@ -107,18 +102,19 @@ def row_reduce(matrix):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         row_sig[r], row_sig[pivot_row] = row_sig[pivot_row], row_sig[r]
-        pivot_deg = g.compose(row_sig[r], col_inv[col])
+        pivot_deg = ring.slot(row_sig[r], col_sig[col])
         x = rows[r][col]
         if not (g.is_identity(pivot_deg) and field.equal(x, one)):
-            # scale the pivot row by the inverse of its pivot entry
+            # scale the pivot row by the inverse of its pivot entry; its
+            # signature becomes pivot_deg^-1 alpha_r = beta_col
             inv_deg = g.inverse(pivot_deg)
             rows[r] = left(r, inv_deg, field.inv(mul(x, factor[(pivot_deg, inv_deg)])))
-            row_sig[r] = g.compose(inv_deg, row_sig[r])
+            row_sig[r] = col_sig[col]
         for row in range(m):
             if row == r or col not in rows[row]:
                 continue
             # add a*row_r to this row, a of degree alpha_row * alpha_r^{-1}
-            c_deg = g.compose(row_sig[row], col_inv[col])
+            c_deg = ring.slot(row_sig[row], col_sig[col])
             assert g.compose(c_deg, row_sig[r]) == row_sig[row]
             for k, t in left(r, c_deg, field.neg(rows[row][col])).items():
                 accumulate(field, rows[row], k, t)
@@ -126,7 +122,7 @@ def row_reduce(matrix):
         r += 1
         if r == m:
             break
-    echelon = HomMatrix(ring, row_sig, matrix.col_sig)
+    echelon = HomMatrix(ring, row_sig, col_sig)
     echelon.entries = {(i, k): c for i, row in enumerate(rows) for k, c in row.items()}
     return Reduction(echelon, pivots)
 

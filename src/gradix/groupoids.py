@@ -5,7 +5,8 @@ is isomorphic to X x G x X: pairs of objects decorated with an element of
 the isotropy group G of a chosen base object.  We store exactly that.  A
 morphism (y, g, x) runs from x to y; composition (z, h, w) o (y, g, x) is
 defined when w == y and equals (z, h*g, x); inversion flips the endpoints
-and inverts the group element.  A morphism is the named tuple
+and inverts the group element; a o b^-1, the degree of a hom slot, is
+the one fused step compose_inverse.  A morphism is the named tuple
 Morphism(block, target, elem, source): a plain value whose tuple
 equality, hash and order are what every factor table and sorted choice
 relies on, so morphisms sort by block, target, element, source.
@@ -209,6 +210,13 @@ class FiniteGroupoid:
             raise GradixError(f"not composable: {g} o {h}")
         grp = self.blocks[g.block].group
         return Morphism(g.block, g.target, grp.mul(g.elem, h.elem), h.source)
+
+    def compose_inverse(self, a, b):
+        """a o b^-1 in one step, or None when a and b leave different objects."""
+        if a.block != b.block or a.source != b.source:
+            return None
+        grp = self.blocks[a.block].group
+        return Morphism(a.block, a.target, grp.mult_table[a.elem][grp.inv_table[b.elem]], b.target)
 
     def contains(self, m):
         if not isinstance(m, Morphism):

@@ -3,7 +3,10 @@
 A matrix in M_{m x n}(D)[alpha][beta] has its (i,j) slot pinned to the
 degree alpha_i * beta_j^-1.  A slot is alive when that composition is
 defined and lies in the support of D; entries elsewhere are forced to
-zero.  Since components are one-dimensional, an entry is stored as a bare
+zero.  That rule is coded once, as GradedDivisionRing.slot (on the fused
+groupoid step FiniteGroupoid.compose_inverse), and live_entries is the one
+entry check of hom matrices, module vectors and matrix-ring elements.
+Since components are one-dimensional, an entry is stored as a bare
 field coefficient, and the degree bookkeeping lives entirely in the two
 signatures.
 
@@ -57,6 +60,28 @@ def sparse_product(ring, left, right, left_slot, right_slot):
     return out
 
 
+def live_entries(invariant, field, entries, shape, slot_degree):
+    """The entries {(i, j): value} coerced into the field, zeros dropped.
+
+    The one entry check of matrices, module vectors and matrix-ring
+    elements: a position outside ``shape``, or a nonzero value at a slot
+    that ``slot_degree(i, j)`` finds dead, raises ValidationError under
+    the caller's invariant name.
+    """
+    m, n = shape
+    out = {}
+    for (i, j), raw in dict(entries).items():
+        if not (0 <= i < m and 0 <= j < n):
+            raise ValidationError(invariant, f"entry position ({i},{j}) outside a {m}x{n} index range")
+        c = field.coerce(raw)
+        if field.is_zero(c):
+            continue
+        if slot_degree(i, j) is None:
+            raise ValidationError(invariant, f"slot ({i},{j}) has no degree in the support; its entry must be zero")
+        out[(i, j)] = c
+    return out
+
+
 class HomMatrix:
     """An element of M_{m x n}(D)[row_sig][col_sig]."""
 
@@ -68,25 +93,7 @@ class HomMatrix:
         for a in self.row_sig + self.col_sig:
             if not g.contains(a):
                 raise ValidationError("matrix.signature", f"{a} is not a morphism of the grading groupoid")
-        self.entries = {}
-        if entries:
-            for (i, j), c in entries.items():
-                self._set(i, j, c)
-
-    def _set(self, i, j, coeff):
-        if not (0 <= i < len(self.row_sig) and 0 <= j < len(self.col_sig)):
-            raise ValidationError("matrix.entry_slot", f"entry position ({i},{j}) outside a {self.shape} matrix")
-        coeff = self.ring.field.coerce(coeff)
-        if self.ring.field.is_zero(coeff):
-            self.entries.pop((i, j), None)
-            return
-        if self.slot_degree(i, j) is None:
-            raise ValidationError(
-                "matrix.entry_slot",
-                f"slot ({i},{j}) has no degree in the support (row {self.row_sig[i].key()}, "
-                f"column {self.col_sig[j].key()}); its entry must be zero",
-            )
-        self.entries[(i, j)] = coeff
+        self.entries = live_entries("matrix.entry_slot", ring.field, entries or {}, self.shape, self.slot_degree)
 
     @property
     def shape(self):
@@ -94,12 +101,7 @@ class HomMatrix:
 
     def slot_degree(self, i, j):
         """The degree alpha_i beta_j^-1 of slot (i,j), or None when dead."""
-        g = self.ring.groupoid
-        a, b = self.row_sig[i], self.col_sig[j]
-        if a.block != b.block or a.source != b.source:
-            return None
-        d = g.compose(a, g.inverse(b))
-        return d if d in self.ring.support else None
+        return self.ring.slot(self.row_sig[i], self.col_sig[j])
 
     def coeff(self, i, j):
         return self.entries.get((i, j), self.ring.field.zero())
@@ -111,14 +113,15 @@ class HomMatrix:
         """Same ring, signatures and entries.  Entries are canonical field
         elements and a zero is never stored, so comparing the entry dicts
         is exact."""
-        same_ring = self.ring is other.ring or (
-            self.ring.support == other.ring.support and self.ring.factor == other.ring.factor
-        )
-        return same_ring and self.row_sig == other.row_sig and self.col_sig == other.col_sig and (
-            self.entries == other.entries
+        return self.ring.same_ring(other.ring) and self.row_sig == other.row_sig and (
+            self.col_sig == other.col_sig and self.entries == other.entries
         )
 
     # -- algebra ------------------------------------------------------------
+
+    def _common_ring(self, other):
+        if not self.ring.same_ring(other.ring):
+            raise ValidationError("matrix.common_ring", "the two matrices are over different graded division rings")
 
     def add(self, other):
         if self.row_sig != other.row_sig or self.col_sig != other.col_sig:
@@ -136,6 +139,7 @@ class HomMatrix:
         x*y*factor(deg(i,k), deg(k,j)) to slot (i,j); both degrees come
         from the signatures, and their composite is the degree of (i,j).
         """
+        self._common_ring(other)
         if self.col_sig != other.row_sig:
             raise GradixError("signature mismatch: column signature must equal the other row signature")
         out = HomMatrix(self.ring, self.row_sig, other.col_sig)
@@ -161,6 +165,7 @@ class HomMatrix:
         return out
 
     def hstack(self, other):
+        self._common_ring(other)
         if self.row_sig != other.row_sig:
             raise GradixError("row signature mismatch in hstack")
         out = HomMatrix(self.ring, self.row_sig, self.col_sig + other.col_sig)

@@ -9,7 +9,9 @@ component at delta*gamma*sigma^-1, where delta is the unique signature
 of index i with source r(gamma) and sigma the unique signature of index
 j with source d(gamma); when either selection fails, or the resulting
 degree falls outside the support, the slot is dead and the entry must
-be zero.
+be zero.  That is the hom-space slot rule with row morphism delta*gamma:
+slot_degree is GradedDivisionRing.slot(delta*gamma, sigma), and element
+checks its entries with the same matrices.live_entries as a hom matrix.
 
 Since every component of D is one-dimensional, an element stores a bare
 field coefficient per live slot.  A product adds, at (i, j), the
@@ -21,7 +23,7 @@ from collections import Counter
 
 from .errors import GradixError, ValidationError
 from .fields import accumulate
-from .matrices import sparse_product
+from .matrices import live_entries, sparse_product
 
 
 class MatrixRingElement:
@@ -148,12 +150,7 @@ class MatrixRing:
         return len(self.signatures)
 
     def same_shape(self, other):
-        return (
-            self.ring.field == other.ring.field
-            and self.ring.support == other.ring.support
-            and self.ring.factor == other.ring.factor
-            and self.signatures == other.signatures
-        )
+        return self.ring.same_ring(other.ring) and self.signatures == other.signatures
 
     def selection(self, i, source_obj):
         """The unique signature of index i with the given source, or None."""
@@ -165,13 +162,11 @@ class MatrixRing:
 
     def slot_degree(self, i, j, gamma):
         """The division-ring degree of entry (i, j) at element degree gamma."""
-        g = self.ring.groupoid
         delta = self.selection(i, gamma.target)
         sigma = self.selection(j, gamma.source)
         if delta is None or sigma is None:
             return None
-        out = g.compose(g.compose(delta, gamma), g.inverse(sigma))
-        return out if out in self.ring.support else None
+        return self.ring.slot(self.ring.groupoid.compose(delta, gamma), sigma)
 
     def dimension_table(self):
         """Dimension over the base field of every nonzero component, as a
@@ -211,20 +206,10 @@ class MatrixRing:
         g = self.ring.groupoid
         if not g.contains(gamma):
             raise ValidationError("element.degree", f"{gamma} is not a morphism of the groupoid")
-        field = self.ring.field
-        out = {}
-        for (i, j), raw in dict(entries).items():
-            if not (0 <= i < self.size and 0 <= j < self.size):
-                raise ValidationError("element.entry_slot", f"index pair ({i}, {j}) out of range")
-            c = field.coerce(raw)
-            if field.is_zero(c):
-                continue
-            if self.slot_degree(i, j, gamma) is None:
-                raise ValidationError(
-                    "element.entry_slot",
-                    f"entry ({i}, {j}) is dead at degree {gamma} and must be zero",
-                )
-            out[(i, j)] = c
+        out = live_entries(
+            "element.entry_slot", self.ring.field, entries, (self.size, self.size),
+            lambda i, j: self.slot_degree(i, j, gamma),
+        )
         if not out:
             return self.zero()
         return MatrixRingElement(self, gamma, out)

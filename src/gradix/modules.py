@@ -15,7 +15,7 @@ reduction are the first-scan independent subfamily.
 
 from .elimination import row_reduce
 from .errors import GradixError, ValidationError
-from .matrices import HomMatrix
+from .matrices import HomMatrix, live_entries
 
 
 class GradedModule:
@@ -47,19 +47,8 @@ class GradedModule:
         if not g.contains(tau):
             raise ValidationError("vector.degree", f"{tau} is not a morphism of the groupoid")
         out = HomMatrix(self.ring, self.shifts, [g.inverse(tau)])
-        field = self.ring.field
-        for i, raw in dict(entries).items():
-            if not 0 <= i < len(self.shifts):
-                raise ValidationError("vector.entry_slot", f"coordinate {i} out of range")
-            c = field.coerce(raw)
-            if field.is_zero(c):
-                continue
-            if out.slot_degree(i, 0) is None:
-                raise ValidationError(
-                    "vector.entry_slot",
-                    f"coordinate {i} is dead at vector degree {tau} and must be zero",
-                )
-            out.entries[(i, 0)] = c
+        column = {(i, 0): c for i, c in dict(entries).items()}
+        out.entries = live_entries("vector.entry_slot", self.ring.field, column, out.shape, out.slot_degree)
         return out
 
     def standard_generator(self, i):
@@ -159,17 +148,14 @@ def hom_degree_dimension(source, target, gamma):
     """Dimension of the degree-gamma homomorphism space between modules.
 
     One dimension per summand pair whose connecting degree lands in the
-    support: target_shift * gamma * source_shift^-1.
+    support: the slot degree of target_shift * gamma over source_shift.
     """
     if source.ring is not target.ring:
         raise GradixError("hom spaces need modules over the same ring")
-    g = source.ring.groupoid
-    count = 0
-    for d in source.shifts:
-        for dp in target.shifts:
-            if gamma.source != d.source or dp.source != gamma.target:
-                continue
-            deg = g.compose(dp, g.compose(gamma, g.inverse(d)))
-            if deg in source.ring.support:
-                count += 1
-    return count
+    ring = source.ring
+    return sum(
+        1
+        for d in source.shifts
+        for dp in target.shifts
+        if dp.source == gamma.target and ring.slot(ring.groupoid.compose(dp, gamma), d) is not None
+    )

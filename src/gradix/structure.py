@@ -553,10 +553,8 @@ def _find_certificate(block1, block2):
             row = []
             for ip in range(block2.size):
                 sp = block2.signatures[ip][0]
-                if sp.source != si.source:
-                    continue
-                h = g.compose(tau_inv, g.compose(sp, g.inverse(si)))
-                if h in d1.support:
+                h = d1.slot(g.compose(tau_inv, sp), si)
+                if h is not None:
                     row.append(ip)
                     connectors[(i, ip)] = h
             candidates.append(row)
@@ -608,10 +606,10 @@ def _verify_certificate(cert):
     shift, inv_units = [], []
     for i in range(n):
         u, s, sp = cert.units[i], b1.signatures[i][0], b2.signatures[pi[i]][0]
-        if u.is_zero or sp.source != s.source:
+        r = g.compose_inverse(sp, s)
+        if u.is_zero or r is None:
             raise GradixError(f"internal error: certificate pairs index {i} with a mismatched index")
-        r = g.compose(sp, g.inverse(s))
-        shift.append((r, g.inverse(r)))
+        shift.append(r)
         inv_units.append(d1.inv(u))
 
     # Support degrees by position: products, both factor sets, and for every
@@ -627,7 +625,7 @@ def _verify_certificate(cert):
             cell = []
             for h in supp:
                 w = d1.mul(d1.mul(cert.units[i], d1.unit(h)), inv_units[j])
-                if conj[pos[w.degree]] != g.compose(shift[i][0], g.compose(h, shift[j][1])):
+                if conj[pos[w.degree]] != g.compose_inverse(g.compose(shift[i], h), shift[j]):
                     raise GradixError("internal error: certificate map does not preserve degrees")
                 cell.append((field.mul(c[w.degree], w.coeff), pos[w.degree]))
             row.append(cell)
@@ -712,12 +710,11 @@ def corner_structure(block, e):
     """
     SemisimpleRingSpec([block])
     d = block.ring
-    g = d.groupoid
     here = [k for k in range(block.size) if block.signatures[k][0].source == e]
     if not here:
         raise GradixError(f"object {e} carries no index of this block")
     sig = [s[0] for s in block.signatures]
-    links = ((a, b) for a in here for b in here if g.compose(sig[a], g.inverse(sig[b])) in d.support)
+    links = ((a, b) for a in here for b in here if d.slot(sig[a], sig[b]) is not None)
     return sorted(len(cls) for cls in union_classes(here, links))
 
 

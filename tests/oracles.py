@@ -494,12 +494,13 @@ def random_matrix(rng, ring, m, n, density=0.6):
 
 
 def random_matrix_on(rng, ring, rows, cols, density=0.6):
-    out = HomMatrix(ring, rows, cols)
-    for i in range(len(rows)):
-        for j in range(len(cols)):
-            if out.slot_degree(i, j) is not None and rng.random() < density:
-                out._set(i, j, random_scalar(rng, ring.field))
-    return out
+    """Random entries in the live slots; a drawn zero is dropped by the constructor."""
+    entries = {}
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            if ring.slot(a, b) is not None and rng.random() < density:
+                entries[(i, j)] = random_scalar(rng, ring.field)
+    return HomMatrix(ring, rows, cols, entries)
 
 
 def random_matrix_ring(rng, ring, size):

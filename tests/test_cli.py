@@ -231,6 +231,47 @@ class TestExitCodes:
         assert err.startswith("error: block.common_grading: ")
 
     @pytest.mark.parametrize(
+        "matrix, rhs",
+        [
+            (
+                # over the diagonal ring on {1, 2}, the right-hand side over the pair ring
+                {
+                    "ring": {
+                        "field": {"kind": "Q"},
+                        "groupoid": {"blocks": [{"objects": [1, 2], "group": {"mult": [[0]]}}]},
+                        "support": [[0, 1, 0, 1], [0, 2, 0, 2]],
+                        "factor": [[[0, 1, 0, 1], [0, 1, 0, 1], 1], [[0, 2, 0, 2], [0, 2, 0, 2], 1]],
+                    },
+                    "row_signature": [[0, 1, 0, 1]],
+                    "col_signature": [[0, 1, 0, 1]],
+                    "entries": [[0, 0, 1]],
+                },
+                {
+                    "ring": {"ref": "pair_ring.json"},
+                    "row_signature": [[0, 1, 0, 1]],
+                    "col_signature": [[0, 2, 0, 1]],
+                    "entries": [[0, 0, 1]],
+                },
+            ),
+            (
+                dict(POINT_MATRIX, entries=[[0, 0, 1]]),
+                dict(POINT_MATRIX, ring=dict(POINT_MATRIX["ring"], field={"kind": "Fp", "p": 5}), entries=[[0, 0, 2]]),
+            ),
+        ],
+        ids=["other_support", "other_field"],
+    )
+    def test_solve_across_rings_names_the_common_ring(self, capsys, tmp_path, matrix, rhs):
+        paths = []
+        for name, spec in (("a.matrix.json", matrix), ("b.matrix.json", rhs)):
+            path = tmp_path / name
+            path.write_text(json.dumps(spec).replace('"pair_ring.json"', json.dumps(fx("pair_ring.json"))))
+            paths.append(str(path))
+        code, out, err = call(capsys, "solve", *paths)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: matrix.common_ring: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "spec",
         [
             {"blocks": 5},

@@ -10,6 +10,11 @@ surfaces whose name nothing else mentions at all.
 
 The paper's constructions below are kept even though only tests call
 them: they are the library's account of the paper, not dead code.
+
+A second check keeps the slot rule in one place: outside groupoids.py no
+module of src/gradix may call compose(x, inverse(y)); a degree a o b^-1
+comes from FiniteGroupoid.compose_inverse, or from
+GradedDivisionRing.slot when it must also lie in the support.
 """
 
 import ast
@@ -108,3 +113,35 @@ def test_the_keep_list_names_live_definitions():
         with open(path, encoding="utf-8") as fh:
             defined |= {name for name, _, _ in public_definitions(ast.parse(fh.read(), path))}
     assert KEEP <= defined
+
+
+def _called(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def compose_inverse_calls(source):
+    """Lines of every compose(x, inverse(y)) call in a module's source."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _called(node) == "compose"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Call)
+        and _called(node.args[1]) == "inverse"
+    ]
+
+
+def test_the_guard_sees_an_inline_compose_inverse():
+    assert compose_inverse_calls("d = g.compose(a, g.inverse(b))\ne = compose(g.inverse(a), b)\n") == [1]
+
+
+def test_no_module_forks_the_slot_rule():
+    forks = []
+    for path in python_files("src/gradix"):
+        if os.path.basename(path) == "groupoids.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            forks += [f"{os.path.relpath(path, ROOT)}:{line}" for line in compose_inverse_calls(fh.read())]
+    assert forks == []
