@@ -349,56 +349,13 @@ class RawCategory:
             )
 
 
-class CategoryRingElement:
-    """Homogeneous element: a pair degree and hom-basis coefficients."""
-
-    def __init__(self, ring, degree, coeffs):
-        self.ring = ring
-        self.degree = degree
-        self.coeffs = dict(coeffs)
-
-    @property
-    def is_zero(self):
-        return self.degree is None
-
-    def add(self, other):
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.degree != other.degree:
-            raise GradixError("can only add elements of equal degree")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            accumulate(self.ring.field, out, k, v)
-        if not out:
-            return self.ring.zero()
-        return CategoryRingElement(self.ring, self.degree, out)
-
-    def mul(self, other):
-        ring = self.ring
-        if self.is_zero or other.is_zero:
-            return ring.zero()
-        a, b = self.degree
-        b2, c = other.degree
-        if b != b2:
-            return ring.zero()
-        out = ring.raw._compose_vectors(a, b, c, self.coeffs, other.coeffs)
-        if not out:
-            return ring.zero()
-        return CategoryRingElement(ring, (a, c), out)
-
-    def equal(self, other):
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-
 class CategoryRing:
     """The structure-constant graded ring of a validated raw category.
 
     Degrees are object pairs (A, B); the groupoid view grades by the pair
-    groupoid on object positions.
+    groupoid on object positions.  The product is the category's
+    composition table, which RawCategory._compose_vectors computes and
+    its validation checks; this view exposes the grading only.
     """
 
     def __init__(self, raw):
@@ -413,28 +370,6 @@ class CategoryRing:
     def support(self):
         """Object pairs with nonzero components, sorted."""
         return sorted(self.raw.hom_dims)
-
-    def zero(self):
-        return CategoryRingElement(self, None, {})
-
-    def element(self, a, b, coeffs):
-        field = self.field
-        out = {}
-        for k, raw in dict(coeffs).items():
-            if not (0 <= k < self.raw.dim(a, b)):
-                raise GradixError(f"no basis index {k} in the ({a!r}, {b!r}) component")
-            v = field.coerce(raw)
-            if not field.is_zero(v):
-                out[k] = v
-        if not out:
-            return self.zero()
-        return CategoryRingElement(self, (a, b), out)
-
-    def identity(self, a):
-        coeffs = self.raw.identities[a]
-        if not coeffs:
-            return self.zero()
-        return CategoryRingElement(self, (a, a), dict(coeffs))
 
 
 def ring_of_category(raw):

@@ -16,8 +16,9 @@ private ``_trusted`` classmethod without that check: a restriction to the
 support morphisms between a set of objects (a corner, a prime block) and
 the opposite ring.
 
-A homogeneous element is a degree plus a field coefficient; the zero
-element carries no degree.  Products of non-composable degrees are zero.
+A homogeneous element is a bare (degree, coeff) pair: a support degree
+and a nonzero field coefficient.  Zero is None, and carries no degree.
+Products of non-composable degrees are zero.
 """
 
 from typing import NamedTuple
@@ -48,29 +49,6 @@ def _by_target(degrees):
     for t in degrees:
         out.setdefault(t.target, []).append(t)
     return out
-
-
-class HomogeneousScalar:
-    """A homogeneous element: a degree morphism and a nonzero coefficient.
-
-    The zero element is represented with degree None.  Instances are
-    created through ring methods, which keep the normalization.
-    """
-
-    __slots__ = ("degree", "coeff")
-
-    def __init__(self, degree, coeff):
-        self.degree = degree
-        self.coeff = coeff
-
-    @property
-    def is_zero(self):
-        return self.degree is None
-
-    def __repr__(self):
-        if self.is_zero:
-            return "HomogeneousScalar(0)"
-        return f"HomogeneousScalar({self.coeff!r} at {self.degree.key()})"
 
 
 class GradedDivisionRing:
@@ -201,67 +179,26 @@ class GradedDivisionRing:
 
     # -- elements -----------------------------------------------------------
 
-    def zero(self):
-        return HomogeneousScalar(None, self.field.zero())
-
-    def scalar(self, degree, coeff):
-        coeff = self.field.coerce(coeff)
-        if self.field.is_zero(coeff):
-            return self.zero()
-        if degree not in self.support:
-            raise GradixError(f"degree {degree} is outside the support")
-        return HomogeneousScalar(degree, coeff)
-
-    def unit(self, degree):
-        return self.scalar(degree, self.field.one())
-
-    def one(self, obj):
-        """The local unit 1_e at an object of gamma0."""
-        ident = self.groupoid.identity(obj)
-        if ident not in self.support:
-            raise GradixError(f"object {obj} is not in gamma0")
-        return HomogeneousScalar(ident, self.field.one())
-
-    def equal(self, x, y):
-        if x.is_zero or y.is_zero:
-            return x.is_zero and y.is_zero
-        return x.degree == y.degree and self.field.equal(x.coeff, y.coeff)
-
-    def add(self, x, y):
-        """Sum of two homogeneous elements of a common degree."""
-        if x.is_zero:
-            return y
-        if y.is_zero:
-            return x
-        if x.degree != y.degree:
-            raise GradixError(f"cannot add degrees {x.degree} and {y.degree}")
-        c = self.field.add(x.coeff, y.coeff)
-        if self.field.is_zero(c):
-            return self.zero()
-        return HomogeneousScalar(x.degree, c)
-
-    def neg(self, x):
-        if x.is_zero:
-            return x
-        return HomogeneousScalar(x.degree, self.field.neg(x.coeff))
-
     def mul(self, x, y):
-        """Product; zero when the degrees do not compose."""
-        if x.is_zero or y.is_zero:
-            return self.zero()
-        if not self.groupoid.is_composable(x.degree, y.degree):
-            return self.zero()
-        degree = self.groupoid.compose(x.degree, y.degree)
-        coeff = self.field.mul(self.field.mul(x.coeff, y.coeff), self.factor[(x.degree, y.degree)])
-        return HomogeneousScalar(degree, coeff)
+        """The product of two elements, each a (degree, coeff) pair or None
+        for zero: (s, a)(t, b) = (st, a b factor(s, t)), and None when s and
+        t do not compose."""
+        if x is None or y is None:
+            return None
+        (s, a), (t, b) = x, y
+        if not self.groupoid.is_composable(s, t):
+            return None
+        field = self.field
+        return self.groupoid.compose(s, t), field.mul(field.mul(a, b), self.factor[(s, t)])
 
     def inv(self, x):
-        """The two-sided inverse of a nonzero homogeneous element."""
-        if x.is_zero:
+        """The two-sided inverse of a nonzero (degree, coeff) pair (s, a):
+        (s^-1, (a factor(s, s^-1))^-1)."""
+        if x is None:
             raise ZeroDivisionError("inverse of the zero element")
-        inv_degree = self.groupoid.inverse(x.degree)
-        coeff = self.field.inv(self.field.mul(x.coeff, self.factor[(x.degree, inv_degree)]))
-        return HomogeneousScalar(inv_degree, coeff)
+        s, a = x
+        s_inv = self.groupoid.inverse(s)
+        return s_inv, self.field.inv(self.field.mul(a, self.factor[(s, s_inv)]))
 
     # -- primality ----------------------------------------------------------
 
@@ -333,13 +270,6 @@ class GradedDivisionRing:
         return self._opposite
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def trivial(cls, field, object_id=0):
-        """The field itself, graded at a single object."""
-        g = FiniteGroupoid.pair([object_id])
-        ident = g.identity(object_id)
-        return cls(field, g, [ident], {(ident, ident): field.one()})
 
     @classmethod
     def group_ring(cls, field, group, object_id=0):

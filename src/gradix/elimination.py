@@ -16,9 +16,8 @@ of the form of [A | I], and a solution the last column of [A | b].
 
 Rows hold bare field coefficients.  A slot's degree is fixed by the
 signatures, so the product of coefficients x and y at composable
-degrees d and e is the field element x*y*factor(d, e); no entry is
-wrapped as a homogeneous scalar.  A row operation takes its scalar as a
-(degree, coefficient) pair: a scaling replaces the row with its left
+degrees d and e is the field element x*y*factor(d, e).  A row operation
+takes its scalar as a (degree, coefficient) pair: a scaling replaces the row with its left
 product, a transvection adds that product into another row.  The factor
 comes from the scalar degree's factor row of the ring, read at the slot
 position of each entry; the positions of a row signature over the

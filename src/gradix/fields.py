@@ -136,12 +136,6 @@ class Rationals:
     def describe(self):
         return "Q"
 
-    def sample(self, rng):
-        """A random element, biased toward small values."""
-        num = rng.randint(-9, 9)
-        den = rng.choice([1, 1, 1, 2, 3, 5])
-        return Fraction(num, den)
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -265,9 +259,6 @@ class PrimeField:
 
     def describe(self):
         return f"F_{self.p}"
-
-    def sample(self, rng):
-        return rng.randrange(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -177,9 +177,6 @@ class FiniteGroupoid:
 
     # -- basic structure ----------------------------------------------------
 
-    def objects(self):
-        return sorted(self._block_of)
-
     def has_object(self, x):
         return x in self._block_of
 

@@ -25,7 +25,6 @@ compare entry dicts.
 from collections import defaultdict
 
 from .errors import GradixError, ValidationError
-from .fields import accumulate
 
 
 def sparse_product(ring, left, right, left_slot, right_slot):
@@ -106,9 +105,6 @@ class HomMatrix:
     def coeff(self, i, j):
         return self.entries.get((i, j), self.ring.field.zero())
 
-    def is_zero(self):
-        return not self.entries
-
     def equal(self, other):
         """Same ring, signatures and entries.  Entries are canonical field
         elements and a zero is never stored, so comparing the entry dicts
@@ -122,15 +118,6 @@ class HomMatrix:
     def _common_ring(self, other):
         if not self.ring.same_ring(other.ring):
             raise ValidationError("matrix.common_ring", "the two matrices are over different graded division rings")
-
-    def add(self, other):
-        if self.row_sig != other.row_sig or self.col_sig != other.col_sig:
-            raise GradixError("signature mismatch in matrix addition")
-        out = HomMatrix(self.ring, self.row_sig, self.col_sig)
-        out.entries = dict(self.entries)
-        for key, c in other.entries.items():
-            accumulate(self.ring.field, out.entries, key, c)
-        return out
 
     def mul(self, other):
         """Matrix product [alpha][beta] x [beta][tau] -> [alpha][tau].

@@ -47,9 +47,6 @@ class MatrixRingElement:
             return "MatrixRingElement(0)"
         return f"MatrixRingElement(degree={self.degree}, {len(self.entries)} nonzero)"
 
-    def coeff(self, i, j):
-        return self.entries.get((i, j), self.parent.ring.field.zero())
-
     def equal(self, other):
         if self.parent is not other.parent and not self.parent.same_shape(other.parent):
             raise GradixError("cannot compare elements of different matrix rings")
@@ -71,14 +68,6 @@ class MatrixRingElement:
         if not out:
             return p.zero()
         return MatrixRingElement(p, self.degree, out)
-
-    def neg(self):
-        if self.is_zero:
-            return self
-        field = self.parent.ring.field
-        return MatrixRingElement(
-            self.parent, self.degree, {k: field.neg(c) for k, c in self.entries.items()}
-        )
 
     def mul(self, other):
         """The sparse product on the slot degrees at gamma1 and gamma2: index k
@@ -241,7 +230,12 @@ class MatrixRing:
 
 class MatrixFormBridge:
     """A degree-preserving isomorphism between a gr-prime division ring
-    and a matrix ring over its corner at the smallest base object."""
+    and a matrix ring over its corner at the smallest base object.
+
+    A division-ring element is a (degree, coeff) pair, or None for zero;
+    conjugating it by the section units u_f = (s_f, 1) puts it in the
+    single slot of its degree in the matrix ring, and back.
+    """
 
     def __init__(self, source, base_object, corner, sections, matrix_ring, index_of):
         self.source = source
@@ -250,34 +244,35 @@ class MatrixFormBridge:
         self.sections = sections
         self.matrix_ring = matrix_ring
         self.index_of = index_of
-        self._units = {f: source.unit(s) for f, s in sections.items()}
+        one = source.field.one()
+        self._units = {f: (s, one) for f, s in sections.items()}
 
     def to_matrix(self, a):
-        """Carry a homogeneous element of the division ring into the matrix ring."""
-        if a.is_zero:
+        """Carry a (degree, coeff) pair of the division ring into the matrix ring."""
+        if a is None:
             return self.matrix_ring.zero()
         d = self.source
-        gamma = a.degree
+        gamma = a[0]
         u_r = self._units[gamma.target]
         u_d = self._units[gamma.source]
-        conj = d.mul(d.mul(u_r, a), d.inv(u_d))
+        _, conj = d.mul(d.mul(u_r, a), d.inv(u_d))
         i = self.index_of[gamma.target]
         j = self.index_of[gamma.source]
-        return self.matrix_ring.element(gamma, {(i, j): conj.coeff})
+        return self.matrix_ring.element(gamma, {(i, j): conj})
 
     def from_matrix(self, x):
-        """Carry a homogeneous matrix-ring element back into the division ring."""
+        """Carry a homogeneous matrix-ring element back to a (degree, coeff)
+        pair of the division ring, or None for zero."""
         if x.is_zero:
-            return self.source.zero()
+            return None
         d = self.source
         gamma = x.degree
         i = self.index_of[gamma.target]
         j = self.index_of[gamma.source]
-        c = x.coeff(i, j)
         loop = self.matrix_ring.slot_degree(i, j, gamma)
         u_r = self._units[gamma.target]
         u_d = self._units[gamma.source]
-        return d.mul(d.mul(d.inv(u_r), d.scalar(loop, c)), u_d)
+        return d.mul(d.mul(d.inv(u_r), (loop, x.entries[(i, j)])), u_d)
 
 
 def matrix_form(ring):

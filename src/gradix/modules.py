@@ -60,7 +60,7 @@ class GradedModule:
         """The hom matrix whose column l is vectors[l]; each must be a
         vector of this module: one column over this ring, its rows the shifts."""
         for l, v in enumerate(vectors):
-            if v.ring is not self.ring or v.row_sig != self.shifts or len(v.col_sig) != 1:
+            if not v.ring.same_ring(self.ring) or v.row_sig != self.shifts or len(v.col_sig) != 1:
                 raise ValidationError("vector.module", f"vector {l} is not a vector of this module")
         m = HomMatrix(self.ring, self.shifts, [v.col_sig[0] for v in vectors])
         for l, v in enumerate(vectors):
@@ -150,7 +150,7 @@ def hom_degree_dimension(source, target, gamma):
     One dimension per summand pair whose connecting degree lands in the
     support: the slot degree of target_shift * gamma over source_shift.
     """
-    if source.ring is not target.ring:
+    if not source.ring.same_ring(target.ring):
         raise GradixError("hom spaces need modules over the same ring")
     ring = source.ring
     return sum(

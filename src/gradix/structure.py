@@ -447,11 +447,8 @@ def solve_coboundary(d1, d2, tau):
     for (row, ratio) in zip(rows, ratios):
         lhs = field.one()
         for k, coef in enumerate(row):
-            if coef == 0:
-                continue
-            term = c[supp[k]]
-            for _ in range(abs(coef)):
-                lhs = field.mul(lhs, term) if coef > 0 else field.div(lhs, term)
+            if coef:
+                lhs = field.mul(lhs, field.power(c[supp[k]], coef))
         if not field.equal(lhs, ratio):
             raise GradixError("internal error: coboundary solution failed verification")
     return c
@@ -463,6 +460,8 @@ def solve_coboundary(d1, d2, tau):
 class IsoCertificate:
     """A graded isomorphism between two blocks, as found by the search.
 
+    ``units`` maps each index i to the unit u_i = (h, 1), a (degree, coeff)
+    pair of the source block's division ring at the connecting degree h.
     ``verified`` is set once ``_verify_certificate`` has checked it.
     """
 
@@ -478,9 +477,10 @@ class IsoCertificate:
     def apply(self, x):
         """Carry a homogeneous element of the source block to the target.
 
-        Entry (i, j) is conjugated by the units, w = u_i a u_j^-1, and goes
-        to (pi i, pi j) with coefficient c(deg w) coeff(w); its degree there
-        is deg w conjugated by tau.
+        Entry (i, j) is the pair a = (slot degree, coeff); it is conjugated
+        by the units, w = u_i a u_j^-1, and goes to (pi i, pi j) with
+        coefficient c(deg w) coeff(w); its degree there is deg w conjugated
+        by tau.
         """
         if x.is_zero:
             return self.target.zero()
@@ -489,8 +489,8 @@ class IsoCertificate:
         out_entries = {}
         for (i, j), coeff in x.entries.items():
             slot = self.source.slot_degree(i, j, x.degree)
-            w = d.mul(d.mul(self.units[i], d.scalar(slot, coeff)), d.inv(self.units[j]))
-            out_entries[(self.pi[i], self.pi[j])] = field.mul(self.coboundary[w.degree], w.coeff)
+            w_degree, w_coeff = d.mul(d.mul(self.units[i], (slot, coeff)), d.inv(self.units[j]))
+            out_entries[(self.pi[i], self.pi[j])] = field.mul(self.coboundary[w_degree], w_coeff)
         return self.target.element(x.degree, out_entries)
 
 
@@ -561,7 +561,7 @@ def _find_certificate(block1, block2):
         pi = _perfect_matching(candidates, block1.size)
         if pi is None:
             continue
-        units = {i: d1.unit(connectors[(i, pi[i])]) for i in range(block1.size)}
+        units = {i: (connectors[(i, pi[i])], d1.field.one()) for i in range(block1.size)}
         return IsoCertificate(block1, block2, tau, pi, c, units)
     return None
 
@@ -607,7 +607,7 @@ def _verify_certificate(cert):
     for i in range(n):
         u, s, sp = cert.units[i], b1.signatures[i][0], b2.signatures[pi[i]][0]
         r = g.compose_inverse(sp, s)
-        if u.is_zero or r is None:
+        if u is None or r is None:
             raise GradixError(f"internal error: certificate pairs index {i} with a mismatched index")
         shift.append(r)
         inv_units.append(d1.inv(u))
@@ -618,16 +618,17 @@ def _verify_certificate(cert):
     prod = [[pos[g.compose(h, k)] for k in supp] for h in supp]
     f1 = [[d1.factor[(h, k)] for k in supp] for h in supp]
     f2 = [[d2.factor[(h, k)] for k in conj] for h in conj]
+    one = field.one()
     image = []
     for i in range(n):
         row = []
         for j in range(n):
             cell = []
             for h in supp:
-                w = d1.mul(d1.mul(cert.units[i], d1.unit(h)), inv_units[j])
-                if conj[pos[w.degree]] != g.compose_inverse(g.compose(shift[i], h), shift[j]):
+                w_degree, w_coeff = d1.mul(d1.mul(cert.units[i], (h, one)), inv_units[j])
+                if conj[pos[w_degree]] != g.compose_inverse(g.compose(shift[i], h), shift[j]):
                     raise GradixError("internal error: certificate map does not preserve degrees")
-                cell.append((field.mul(c[w.degree], w.coeff), pos[w.degree]))
+                cell.append((field.mul(c[w_degree], w_coeff), pos[w_degree]))
             row.append(cell)
         image.append(row)
 

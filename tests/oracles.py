@@ -59,69 +59,89 @@ def field_solve(field, rows, rhs):
     return x
 
 
-def _slot_scalar(matrix, i, j):
-    """Entry (i, j) as a homogeneous scalar, its degree alpha_i beta_j^-1 read off the signatures."""
-    ring = matrix.ring
-    g = ring.groupoid
-    c = matrix.entries.get((i, j))
-    if c is None:
-        return ring.zero()
-    return ring.scalar(g.compose(matrix.row_sig[i], g.inverse(matrix.col_sig[j])), c)
+def times(ring, x, y):
+    """The product of two (degree, coeff) pairs from the definition
+    u_s u_t = factor(s, t) u_st, read off ring.factor; None when the
+    degrees do not compose.  No arithmetic of the ring itself is used."""
+    (s, a), (t, b) = x, y
+    g, field = ring.groupoid, ring.field
+    if not g.is_composable(s, t):
+        return None
+    return g.compose(s, t), field.mul(field.mul(a, b), ring.factor[(s, t)])
+
+
+def inverse(ring, x):
+    """The inverse of a (degree, coeff) pair (s, a): (s^-1, 1 / (a factor(s, s^-1)))."""
+    s, a = x
+    s_inv = ring.groupoid.inverse(s)
+    return s_inv, ring.field.inv(ring.field.mul(a, ring.factor[(s, s_inv)]))
 
 
 def graded_product(a, b):
     """The product a*b from the definition (ab)_ij = sum_k a_ik b_kj.
 
-    Every term is one ring.mul of homogeneous scalars, so this shares no
-    code with the coefficient kernel of HomMatrix.mul.  Each nonzero sum
-    must sit at the degree its slot is pinned to.
+    Every term is a coefficient product times the factor of the two slot
+    degrees alpha_i beta_k^-1 and beta_k tau_j^-1, read off the signatures
+    and ring.factor, so this shares no code with the coefficient kernel of
+    HomMatrix.mul or with the ring's arithmetic.  Every term must sit at the
+    degree its slot (i, j) is pinned to.
     """
     ring = a.ring
-    g = ring.groupoid
+    g, field = ring.groupoid, ring.field
     assert a.col_sig == b.row_sig
     entries = {}
     for i in range(len(a.row_sig)):
         for j in range(len(b.col_sig)):
-            total = ring.zero()
+            total = field.zero()
             for k in range(len(a.col_sig)):
-                total = ring.add(total, ring.mul(_slot_scalar(a, i, k), _slot_scalar(b, k, j)))
-            if not total.is_zero:
-                assert total.degree == g.compose(a.row_sig[i], g.inverse(b.col_sig[j]))
-                entries[(i, j)] = total.coeff
+                x, y = a.entries.get((i, k)), b.entries.get((k, j))
+                if x is None or y is None:
+                    continue
+                s = g.compose(a.row_sig[i], g.inverse(a.col_sig[k]))
+                t = g.compose(b.row_sig[k], g.inverse(b.col_sig[j]))
+                degree, term = times(ring, (s, x), (t, y))
+                assert degree == g.compose(a.row_sig[i], g.inverse(b.col_sig[j]))
+                total = field.add(total, term)
+            if not field.is_zero(total):
+                entries[(i, j)] = total
     return HomMatrix(ring, a.row_sig, b.col_sig, entries)
 
 
-def _element_scalar(x, i, j):
-    """Entry (i, j) of a matrix-ring element as a homogeneous scalar at
-    delta_i gamma sigma_j^-1, the signatures of i and j at r(gamma) and d(gamma)."""
-    ring = x.parent.ring
-    g = ring.groupoid
+def _element_pair(x, i, j):
+    """Entry (i, j) of a matrix-ring element as a (degree, coeff) pair at
+    delta_i gamma sigma_j^-1, the signatures of i and j at r(gamma) and
+    d(gamma), or None when the entry is zero."""
+    g = x.parent.ring.groupoid
     c = x.entries.get((i, j))
     if c is None:
-        return ring.zero()
+        return None
     delta = next(s for s in x.parent.signatures[i] if s.source == x.degree.target)
     sigma = next(s for s in x.parent.signatures[j] if s.source == x.degree.source)
-    return ring.scalar(g.compose(g.compose(delta, x.degree), g.inverse(sigma)), c)
+    return g.compose(g.compose(delta, x.degree), g.inverse(sigma)), c
 
 
 def matrix_ring_product(x, y):
     """The product x*y of matrix-ring elements from (xy)_ij = sum_k x_ik y_kj.
 
-    Every term is one ring.mul of homogeneous scalars, as in graded_product,
-    so this shares no code with MatrixRingElement.mul.
+    Every term is one product of (degree, coeff) pairs by ``times``, as in
+    graded_product, so this shares no code with MatrixRingElement.mul.
     """
     p = x.parent
     ring, g = p.ring, p.ring.groupoid
+    field = ring.field
     if x.is_zero or y.is_zero or not g.is_composable(x.degree, y.degree):
         return p.zero()
     entries = {}
     for i in range(p.size):
         for j in range(p.size):
-            total = ring.zero()
+            total = field.zero()
             for k in range(p.size):
-                total = ring.add(total, ring.mul(_element_scalar(x, i, k), _element_scalar(y, k, j)))
-            if not total.is_zero:
-                entries[(i, j)] = total.coeff
+                left, right = _element_pair(x, i, k), _element_pair(y, k, j)
+                product = None if left is None or right is None else times(ring, left, right)
+                if product is not None:
+                    total = field.add(total, product[1])
+            if not field.is_zero(total):
+                entries[(i, j)] = total
     return p.element(g.compose(x.degree, y.degree), entries)
 
 
@@ -294,8 +314,8 @@ def certificate_is_isomorphism(cert):
 
     Exhaustive, and written without the library's certificate code: each
     single-entry generator E_ij of degree gamma goes to (pi i, pi j) with
-    coefficient c(deg w) coeff(w) for w = u_i a u_j^-1, at degree
-    tau (deg w) tau^-1.  That degree must be the target's slot degree for
+    coefficient c(deg w) coeff(w) for w = u_i a u_j^-1, a product of
+    (degree, coeff) pairs by ``times``, at degree tau (deg w) tau^-1.  That degree must be the target's slot degree for
     gamma, the images must be distinct and cover every generator of the
     target, and phi(xy) = phi(x)phi(y) must hold on all pairs of
     generators, products by MatrixRingElement.mul.
@@ -310,13 +330,14 @@ def certificate_is_isomorphism(cert):
             return dst.zero()
         entries = {}
         for (i, j), coeff in x.entries.items():
-            w = d.mul(d.mul(cert.units[i], d.scalar(src.slot_degree(i, j, x.degree), coeff)), d.inv(cert.units[j]))
-            if w.is_zero or w.degree not in cert.coboundary:
+            left = times(d, cert.units[i], (src.slot_degree(i, j, x.degree), coeff))
+            w = None if left is None else times(d, left, inverse(d, cert.units[j]))
+            if w is None or w[0] not in cert.coboundary:
                 return None
             key = (cert.pi[i], cert.pi[j])
-            if g.compose(cert.tau, g.compose(w.degree, tau_inv)) != dst.slot_degree(key[0], key[1], x.degree):
+            if g.compose(cert.tau, g.compose(w[0], tau_inv)) != dst.slot_degree(key[0], key[1], x.degree):
                 return None
-            image = field.mul(cert.coboundary[w.degree], w.coeff)
+            image = field.mul(cert.coboundary[w[0]], w[1])
             if field.is_zero(image):
                 return None
             entries[key] = field.add(entries.get(key, field.zero()), image)
@@ -342,12 +363,16 @@ def gr_prime_by_products(ring):
     """Primality by definition: a D b != 0 for all nonzero homogeneous a, b.
 
     Tests a * u_x * b over every support degree x on the basis units, with
-    no use of the ring's primality classes.
+    no use of the ring's primality classes or arithmetic: products are
+    ``times`` on (degree, 1) pairs.
     """
-    units = [ring.unit(m) for m in sorted(ring.support)]
-    return all(
-        any(not ring.mul(ring.mul(a, x), b).is_zero for x in units) for a in units for b in units
-    )
+    units = [(m, ring.field.one()) for m in sorted(ring.support)]
+
+    def nonzero(a, x, b):
+        ax = times(ring, a, x)
+        return ax is not None and times(ring, ax, b) is not None
+
+    return all(any(nonzero(a, x, b) for x in units) for a in units for b in units)
 
 
 def _coboundary_equations(d1, d2, tau):
@@ -389,7 +414,7 @@ def coboundary_exists(d1, d2, tau):
 
 
 def ring_q_trivial():
-    return GradedDivisionRing.trivial(Rationals(), object_id=0)
+    return GradedDivisionRing.group_ring(Rationals(), FiniteGroup.trivial())
 
 
 def ring_f5_c2():
@@ -470,7 +495,7 @@ def sample_nonzero(field, rng):
     if field.kind == "Fp":
         return rng.randrange(1, field.p)
     while True:
-        a = field.sample(rng)
+        a = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 1, 2, 3, 5]))
         if a != 0:
             return a
 

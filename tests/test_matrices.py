@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -22,7 +21,7 @@ Q = Rationals()
 
 
 def rational_point():
-    return GradedDivisionRing.trivial(Q, 0)
+    return GradedDivisionRing.group_ring(Q, FiniteGroup.trivial(), 0)
 
 
 def f5_c2():
@@ -50,7 +49,7 @@ def test_slot_degrees_and_dead_slots():
 
 
 def test_entry_slot_outside_support():
-    d = GradedDivisionRing.trivial(Q, 0)
+    d = GradedDivisionRing.group_ring(Q, FiniteGroup.trivial(), 0)
     # A ring with a second object not touched by the support.
     g = FiniteGroupoid.pair([0, 1])
     ident = g.identity(0)
@@ -81,7 +80,7 @@ def test_mul_signature_mismatch():
         a.mul(a)
     assert a.mul(HomMatrix(d, [e, e], [e])).shape == (1, 1)
     with pytest.raises(GradixError):
-        a.add(b)
+        b.hstack(HomMatrix(d, [e, e], [e]))
 
 
 def test_product_degree_coherence_group_ring():
@@ -96,14 +95,6 @@ def test_product_degree_coherence_group_ring():
     # slot degree e*g^{ -1} = g; contributions 1*3 at degree g and 2*4 at g*e... both land at g.
     assert ab.slot_degree(0, 0) == g
     assert ab.coeff(0, 0) == (1 * 3 + 2 * 4) % 5
-
-
-def test_add_cancellation():
-    d = rational_point()
-    e = d.groupoid.identity(0)
-    a = HomMatrix(d, [e], [e], {(0, 0): Fraction(1, 2)})
-    b = HomMatrix(d, [e], [e], {(0, 0): Fraction(-1, 2)})
-    assert a.add(b).is_zero()
 
 
 def test_transpose_opposite_antimultiplicative():
@@ -199,14 +190,14 @@ def test_mul_matches_the_definition():
             if not degrees:
                 continue
             s = rng.choice(degrees)
-            x = ring.scalar(s, sample_nonzero(ring.field, rng))
-            a = HomMatrix(ring, v.col_sig, [g.inverse(g.compose(tau, s))], {(0, 0): x.coeff})
+            x = (s, sample_nonzero(ring.field, rng))
+            a = HomMatrix(ring, v.col_sig, [g.inverse(g.compose(tau, s))], {(0, 0): x[1]})
             assert a.slot_degree(0, 0) == s
             va = v.mul(a)
             assert va.entries == graded_product(v, a).entries
             assert g.inverse(va.col_sig[0]) == g.compose(tau, s)
             # acting by x and then by x^-1 gives v back; acting twice is acting by the product
-            back = HomMatrix(ring, va.col_sig, v.col_sig, {(0, 0): ring.inv(x).coeff})
+            back = HomMatrix(ring, va.col_sig, v.col_sig, {(0, 0): ring.inv(x)[1]})
             assert va.mul(back).equal(v)
             t = rng.choice([d for d in sorted(ring.support) if d.target == s.source])
             b = HomMatrix(ring, va.col_sig, [g.inverse(g.compose(g.compose(tau, s), t))], {(0, 0): sample_nonzero(ring.field, rng)})

@@ -131,7 +131,7 @@ class TestComponents:
         for ring in product_test_rings(rng):
             for size in (1, 3, 5):
                 r = random_matrix_ring(rng, ring, size)
-                for e in ring.groupoid.objects():
+                for e in sorted(e for blk in ring.groupoid.blocks for e in blk.objects):
                     scan = tuple(i for i in range(r.size) if any(s.source == e for s in r.signatures[i]))
                     assert r.live_indices(e) == scan
 
@@ -150,7 +150,8 @@ class TestUnitRelations:
         d, r = m3_shape_ring()
         assert r.e_unit(0, 0).add(r.e_unit(1, 1)).equal(r.identity_at(1))
         assert r.identity_at(2).equal(r.e_unit(2, 2))
-        assert [e for e in d.groupoid.objects() if not r.identity_at(e).is_zero] == [1, 2]
+        objects = sorted(e for blk in d.groupoid.blocks for e in blk.objects)
+        assert [e for e in objects if not r.identity_at(e).is_zero] == [1, 2]
 
     def test_identity_absorbs(self):
         d, r = m3_shape_ring()
@@ -224,7 +225,7 @@ class TestArithmetic:
         d, r = m3_shape_ring()
         one_1 = d.groupoid.identity(1)
         x = r.element(one_1, {(0, 1): 4})
-        assert x.add(x.neg()).is_zero
+        assert x.add(r.element(one_1, {(0, 1): -4})).is_zero
 
 
 class TestAgainstDefinitionProduct:
@@ -275,9 +276,9 @@ class TestMatrixForm:
         mf = matrix_form(d)
         for a in sorted(d.support):
             for b in sorted(d.support):
-                x, y = d.unit(a), d.scalar(b, 3)
+                x, y = (a, Q.one()), (b, Q.coerce(3))
                 assert mf.to_matrix(d.mul(x, y)).equal(mf.to_matrix(x).mul(mf.to_matrix(y)))
-            assert d.equal(mf.from_matrix(mf.to_matrix(d.unit(a))), d.unit(a))
+            assert mf.from_matrix(mf.to_matrix((a, Q.one()))) == (a, Q.one())
 
     def test_corner_embeds_verbatim_when_the_identity_is_not_element_0(self):
         # Klein four as bit pairs with the identity listed last, and the
@@ -290,7 +291,7 @@ class TestMatrixForm:
         mf = matrix_form(d)
         assert mf.sections[mf.base_object] == d.groupoid.identity(mf.base_object)
         for a in sorted(d.support):
-            assert mf.to_matrix(d.unit(a)).equal(mf.matrix_ring.element(a, {(0, 0): Q.one()}))
+            assert mf.to_matrix((a, Q.one())).equal(mf.matrix_ring.element(a, {(0, 0): Q.one()}))
 
     def test_twisted_two_object_form(self):
         f3 = PrimeField(3)
@@ -309,9 +310,9 @@ class TestMatrixForm:
         assert twist == 2
         for a in sorted(d.support):
             for b in sorted(d.support):
-                x, y = d.unit(a), d.unit(b)
+                x, y = (a, f3.one()), (b, f3.one())
                 assert mf.to_matrix(d.mul(x, y)).equal(mf.to_matrix(x).mul(mf.to_matrix(y)))
-                assert d.equal(mf.from_matrix(mf.to_matrix(x)), x)
+                assert mf.from_matrix(mf.to_matrix(x)) == x
 
 
 def _corner_on(g2, f3):

@@ -19,16 +19,18 @@ from oracles import (
     random_vectors,
     ring_two_object_prime,
     sample_nonzero,
+    times,
 )
+from test_trusted import fixture_ring
 
 Q = Rationals()
 
 
-def pair_ring():
+def pair_ring(field=Q):
     g = FiniteGroupoid.pair([0, 1])
     support = list(g.morphisms())
-    factor = {(s, t): Q.one() for s in support for t in support if g.is_composable(s, t)}
-    return GradedDivisionRing(Q, g, support, factor)
+    factor = {(s, t): field.one() for s in support for t in support if g.is_composable(s, t)}
+    return GradedDivisionRing(field, g, support, factor)
 
 
 def f5_c2():
@@ -47,10 +49,11 @@ def random_vector(module, rng, density=0.7):
 
 def act_right(v, x):
     """v x: the vector v of degree tau times the 1x1 hom matrix holding the
-    ring element x of degree s, a vector of degree tau s."""
+    ring element x = (s, c), a vector of degree tau s."""
     g = v.ring.groupoid
     tau = g.inverse(v.col_sig[0])
-    a = HomMatrix(v.ring, v.col_sig, [g.inverse(g.compose(tau, x.degree))], {(0, 0): x.coeff})
+    s, c = x
+    a = HomMatrix(v.ring, v.col_sig, [g.inverse(g.compose(tau, s))], {(0, 0): c})
     return v.mul(a)
 
 
@@ -96,7 +99,7 @@ class TestConstruction:
         assert err.value.invariant == "vector.module"
 
     def test_vector_over_another_ring_rejected(self):
-        d, other = pair_ring(), pair_ring()
+        d, other = pair_ring(), pair_ring(PrimeField(5))
         e = d.groupoid.identity(0)
         v = GradedModule(other, [e]).vector(e, {0: 1})
         for ask in (GradedModule(d, [e]).pdim_of_span, GradedModule(d, [e]).quotient_pdim):
@@ -121,12 +124,12 @@ class TestVectors:
         flip = Morphism(0, 0, 1, 0)
         m = GradedModule(d, [e, flip])
         v = m.vector(e, {0: 2, 1: 3})
-        w = act_right(v, d.unit(flip))
+        w = act_right(v, (flip, 1))
         assert g.inverse(w.col_sig[0]) == flip
         assert w.coeff(0, 0) == 2
         assert w.coeff(1, 0) == 3
         # acting is invertible: acting back recovers v
-        back = act_right(w, d.inv(d.unit(flip)))
+        back = act_right(w, d.inv((flip, 1)))
         assert back.equal(v)
 
     def test_action_respects_ring_product(self):
@@ -138,8 +141,8 @@ class TestVectors:
         rng = random.Random(4)
         for _ in range(20):
             v = random_vector(m, rng)
-            a = d.scalar(rng.choice([e, flip]), rng.randrange(1, 5))
-            b = d.scalar(rng.choice([e, flip]), rng.randrange(1, 5))
+            a = (rng.choice([e, flip]), rng.randrange(1, 5))
+            b = (rng.choice([e, flip]), rng.randrange(1, 5))
             lhs = act_right(act_right(v, a), b)
             rhs = act_right(v, d.mul(a, b))
             assert lhs.equal(rhs)
@@ -155,11 +158,8 @@ class TestCoefficientAction:
                 v = random_vector(m, rng)
                 tau = ring.groupoid.inverse(v.col_sig[0])
                 degree = rng.choice([d for d in support if d.target == tau.source])
-                a = ring.scalar(degree, sample_nonzero(ring.field, rng))
-                expected = {
-                    (i, 0): ring.mul(ring.scalar(v.slot_degree(i, 0), c), a).coeff
-                    for (i, _), c in v.entries.items()
-                }
+                a = (degree, sample_nonzero(ring.field, rng))
+                expected = {(i, 0): times(ring, (v.slot_degree(i, 0), c), a)[1] for (i, _), c in v.entries.items()}
                 assert act_right(v, a).entries == expected
 
 
@@ -464,8 +464,20 @@ class TestHomSpaces:
         assert hom_degree_dimension(m, n, g.identity(1)) == 0
 
     def test_hom_needs_same_ring(self):
-        d1, d2 = pair_ring(), pair_ring()
+        d1, d2 = pair_ring(), pair_ring(PrimeField(5))
         m = GradedModule(d1, [d1.groupoid.identity(0)])
         n = GradedModule(d2, [d2.groupoid.identity(0)])
         with pytest.raises(GradixError):
             hom_degree_dimension(m, n, d1.groupoid.identity(0))
+
+    def test_rings_loaded_twice_are_one_ring(self):
+        # Two loads of one ring file give equal rings, not one object: the
+        # modules over them still have hom spaces and accept each other's vectors.
+        d1, d2 = fixture_ring("pair_ring.json"), fixture_ring("pair_ring.json")
+        assert d1 is not d2
+        one, cross = d1.groupoid.identity(1), Morphism(0, 2, 0, 1)
+        m, n = GradedModule(d1, [one, cross]), GradedModule(d2, [one, cross])
+        assert hom_degree_dimension(m, n, one) == 4
+        v = n.vector(one, {0: 1, 1: 2})
+        assert m.pdim_of_span([v]) == 1
+        assert m.quotient_pdim([v]) == 1

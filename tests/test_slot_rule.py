@@ -97,7 +97,7 @@ def test_same_ring_compares_field_groupoid_support_and_factor():
     f5, c2 = PrimeField(5), FiniteGroup.cyclic(2)
     assert ring.same_ring(GradedDivisionRing(Q, FiniteGroupoid.pair([1, 2]), [one], {(one, one): Q.one()}))
     assert not ring.same_ring(GradedDivisionRing(f5, g, [one], {(one, one): 1}))
-    assert not ring.same_ring(GradedDivisionRing.trivial(Q, 1))
+    assert not ring.same_ring(GradedDivisionRing.group_ring(Q, FiniteGroup.trivial(), 1))
     assert not ring.same_ring(
         GradedDivisionRing(Q, g, full, {(s, t): Q.one() for s in full for t in full if g.is_composable(s, t)})
     )
@@ -109,7 +109,7 @@ def test_operands_over_different_rings():
     """Equal support and factor set, but another field or another groupoid."""
     ring, one, _ = point_pair()
     a = HomMatrix(ring, [one], [one], {(0, 0): 1})
-    for other in (GradedDivisionRing(PrimeField(5), ring.groupoid, [one], {(one, one): 1}), GradedDivisionRing.trivial(Q, 1)):
+    for other in (GradedDivisionRing(PrimeField(5), ring.groupoid, [one], {(one, one): 1}), GradedDivisionRing.group_ring(Q, FiniteGroup.trivial(), 1)):
         b = HomMatrix(other, [one], [one], {(0, 0): 1})
         assert not a.equal(b)
         for op in (a.mul, a.hstack):

@@ -64,7 +64,7 @@ def pfm_m3():
 
 
 def m2_one_object():
-    d = GradedDivisionRing.trivial(Q)
+    d = GradedDivisionRing.group_ring(Q, FiniteGroup.trivial())
     e = d.groupoid.identity(0)
     return MatrixRing(d, [[e], [e]])
 
@@ -201,7 +201,7 @@ class TestWedderburn:
         assert spec.blocks[0].signatures == ring.signatures
 
     def test_bad_signatures_rejected_up_front(self):
-        d = GradedDivisionRing.trivial(Q)
+        d = GradedDivisionRing.group_ring(Q, FiniteGroup.trivial())
         g = d.groupoid
         with pytest.raises(ValidationError):
             wedderburn_decompose(d, [[g.identity(0)], []])
@@ -471,7 +471,7 @@ class TestCertificateVerification:
         cert = self._found()
         d = cert.source.ring
         units = dict(cert.units)
-        units[0] = d.mul(units[0], d.unit(self.LOOP))
+        units[0] = d.mul(units[0], (self.LOOP, d.field.one()))
         bad = corrupted(cert, units=units)
         with pytest.raises(GradixError, match="internal error"):
             structure._verify_certificate(bad)
@@ -482,7 +482,7 @@ class TestCertificateVerification:
         cert = self._found()
         d = cert.source.ring
         units = dict(cert.units)
-        units[0] = d.mul(units[0], d.scalar(d.groupoid.identity(0), 5))
+        units[0] = d.mul(units[0], (d.groupoid.identity(0), d.field.coerce(5)))
         ok = corrupted(cert, units=units)
         assert pruned_accepts(ok)
         assert certificate_is_isomorphism(ok)
@@ -516,7 +516,7 @@ class TestCertificateVerification:
                 pi[i], pi[k] = pi[k], pi[i]
                 variants.append(corrupted(cert, pi=pi))
             i = rng.randrange(n)
-            for factor in (d.scalar(g.identity(0), 2), d.unit(self.LOOP) if self.LOOP in d.support else None):
+            for factor in ((g.identity(0), field.coerce(2)), (self.LOOP, field.one()) if self.LOOP in d.support else None):
                 if factor is not None:
                     units = dict(cert.units)
                     units[i] = d.mul(units[i], factor)
@@ -636,6 +636,36 @@ class TestCoboundaryExistence:
         for d in rings:
             self.agree(d, plain)
             self.agree(d, other)
+
+
+class TestCoboundarySelfCheck:
+    """The self-check raises each c(s) to its coefficient with field.power.
+    Over C_2 the row of the pair (g, g), g the loop of order two, is
+    c(g)^2 / c(1) = f1(g, g) / f2(g, g): coefficient 2 at s = t = g."""
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+    def test_a_squared_loop_passes(self, field):
+        d1, d2 = cyclic_twist(field, 2, 4), cyclic_twist(field, 2, 1)
+        tau = d1.groupoid.identity(0)
+        c = solve_coboundary(d1, d2, tau)
+        assert c is not None and is_coboundary(d1, d2, tau, c)
+        assert field.equal(field.power(c[Morphism(0, 0, 1, 0)], 2), field.coerce(4))
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+    def test_a_wrong_squared_loop_is_caught(self, field, monkeypatch):
+        # Doubling c(g) breaks only the (g, g) row, since 2^2 != 1; the rows
+        # (1, g) and (g, 1) hold c(g) once on each side.
+        solve = structure._multiplicative_solve
+
+        def doubled(fld, rows, ratios):
+            sol = solve(fld, rows, ratios)
+            sol[1] = fld.mul(sol[1], fld.coerce(2))
+            return sol
+
+        monkeypatch.setattr(structure, "_multiplicative_solve", doubled)
+        d1, d2 = cyclic_twist(field, 2, 4), cyclic_twist(field, 2, 1)
+        with pytest.raises(GradixError, match="internal error: coboundary solution failed verification"):
+            solve_coboundary(d1, d2, d1.groupoid.identity(0))
 
 
 class TestLargeInputs:
