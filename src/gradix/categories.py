@@ -352,17 +352,15 @@ class RawCategory:
 class CategoryRing:
     """The structure-constant graded ring of a validated raw category.
 
-    Degrees are object pairs (A, B); the groupoid view grades by the pair
-    groupoid on object positions.  The product is the category's
+    Degrees are object pairs (A, B), the morphisms of the pair groupoid
+    on the objects.  The product is the category's
     composition table, which RawCategory._compose_vectors computes and
     its validation checks; this view exposes the grading only.
     """
 
     def __init__(self, raw):
         self.raw = raw
-        self.field = raw.field
         self.object_names = raw.objects
-        self.groupoid = FiniteGroupoid.pair(list(range(len(raw.objects))))
 
     def component_dimension(self, a, b):
         return self.raw.dim(a, b)

@@ -23,6 +23,7 @@ from collections import Counter
 
 from .errors import GradixError, ValidationError
 from .fields import accumulate
+from .groupoids import Morphism
 from .matrices import live_entries, sparse_product
 
 
@@ -167,9 +168,11 @@ class MatrixRing:
         support degree s from r(sigma) to r(delta) gives one live slot
         (i, j) at gamma = delta^-1*s*sigma, and no slot twice, since a
         selection is unique (signature.d_unique).  The cost is the total
-        dimension of the ring.
+        dimension of the ring: gamma runs from d(sigma) to d(delta) in
+        their block, its element read off the block's group table, and
+        each distinct degree becomes a Morphism once.
         """
-        g = self.ring.groupoid
+        blocks = self.ring.groupoid.blocks
         support_to = {}
         for s in self.ring.support:
             support_to.setdefault(s.target, []).append(s)
@@ -177,15 +180,16 @@ class MatrixRing:
         for sig in self.signatures:
             for sigma in sig:
                 sigmas_to.setdefault(sigma.target, []).append(sigma)
-        table = Counter()
+        degrees = []
         for sig in self.signatures:
             for delta in sig:
-                back = g.inverse(delta)
+                grp = blocks[delta.block].group
+                mult, back = grp.mult_table, grp.mult_table[grp.inv_table[delta.elem]]
                 for s in support_to.get(delta.target, ()):
-                    left = g.compose(back, s)
-                    for sigma in sigmas_to.get(s.source, ()):
-                        table[g.compose(left, sigma)] += 1
-        return table
+                    row = mult[back[s.elem]]
+                    sigmas = sigmas_to.get(s.source, ())
+                    degrees += [(delta.block, delta.source, row[sigma.elem], sigma.source) for sigma in sigmas]
+        return Counter({Morphism(*gamma): k for gamma, k in Counter(degrees).items()})
 
     def zero(self):
         return MatrixRingElement(self, None, {})

@@ -13,10 +13,10 @@ shifted free modules.
 Isomorphism of blocks reduces to a conjugating morphism between the base
 objects, a matching of signatures, and an equivalence of the two twists
 up to a multiplicative coboundary.  The coboundary system is solved
-exactly and the same way over every field: an integer Smith form of the
-exponent matrix turns it into independent equations z^d = y, which need
-only exact d-th roots: integer roots over Q, Adleman-Manders-Miller roots
-over F_p.
+exactly and the same way over every field: its equal exponent rows are
+merged, and an integer Smith form of the rest turns it into independent
+equations z^d = y, which need only exact d-th roots: integer roots over
+Q, Adleman-Manders-Miller roots over F_p.
 
 The search yields an unverified certificate.  A certificate is verified
 once it is returned: by ``iso_test`` directly, and by ``spec_iso`` only
@@ -24,6 +24,11 @@ for the n block pairs of the final matching.  The check tests
 multiplicativity on the generator products E_ij(h) E_jl(h') alone.  That
 is complete: the image of E_ij sits at (pi i, pi j) and pi is injective,
 so every other product of generators is zero on both sides.
+
+Both checks run on support positions and the group table, and compare
+integers: each side goes over one common denominator (``field.integers``,
+``factor_rows``), so a/D = b/D' is a D' - b D = 0 in the field, exactly
+over Q and modulo p over F_p.
 """
 
 from collections import Counter
@@ -32,10 +37,11 @@ from .errors import GradixError, ValidationError
 from .groupoids import union_classes
 from .matrix_ring import MatrixRing
 
-# The largest support whose coboundary system iso solves.  A single solve on
-# a twisted cyclic group ring over F_10007 or Q takes about 0.012 s at
-# support 12, 0.04 s at 16 and 0.18 s at 24 (one core of a 2-vCPU Xeon),
-# and a rejecting pair may solve once per conjugating morphism.
+# The largest support whose coboundary system iso solves.  One solve on a
+# coboundary-twisted cyclic group ring takes about 0.005/0.014/0.06 s at
+# support 12/16/24 over F_10007 and 0.008/0.018/0.07 s over Q (best of
+# three, one core of a 2-vCPU host); a rejecting pair may solve once per
+# conjugating morphism.
 MAX_COBOUNDARY_SUPPORT = 12
 
 
@@ -399,59 +405,73 @@ def _multiplicative_solve(field, rows, ratios):
     return [combine(z, row) for row in v]
 
 
+def _position_tables(d1, d2, tau):
+    """For blocks concentrated at the ends of tau: the sorted support of d1,
+    its tau-conjugates (the support of d2), prod[a][b] the position of
+    supp[a] supp[b] by the group table of tau's block (compose checks
+    that every degree is a loop at tau's source), and each factor set as
+    (values, numerators, denominator) rows, f2 at the conjugates."""
+    g = d1.groupoid
+    supp = sorted(d1.support)
+    tau_inv = g.inverse(tau)
+    conj = [g.compose(tau, g.compose(s, tau_inv)) for s in supp]
+    if set(conj) != d2.support:
+        raise GradixError("internal error: conjugation by tau does not carry the support across")
+    mult = g.blocks[tau.block].group.mult_table
+    at = {s.elem: a for a, s in enumerate(supp)}
+    prod = [[at[mult[s.elem][t.elem]] for t in supp] for s in supp]
+    fr1, fr2 = d1.factor_rows(), d2.factor_rows()
+    k2 = [fr2.pos[t] for t in conj]
+    f1 = ([fr1.values[s] for s in supp], [fr1.numerators[s] for s in supp], fr1.denominator)
+    f2 = tuple([[row[t][k] for k in k2] for t in conj] for row in (fr2.values, fr2.numerators))
+    return supp, conj, prod, f1, f2 + (fr2.denominator,)
+
+
 def solve_coboundary(d1, d2, tau):
     """A map c: supp(d1) -> units with c(s)c(t)f2(s',t') = f1(s,t)c(st),
     primes denoting tau-conjugates, or None when the twists differ.
 
     That is exactly the condition making a |-> c(deg a) a ring map from
-    the first twist to the tau-conjugated second.
+    the first twist to the tau-conjugated second.  Each pair (s, t) gives
+    the exponent row e_s + e_t - e_st with ratio f1/f2.  Equal rows with
+    equal ratios are one equation, so only distinct rows go to the
+    solver; equal rows with ratios N1/N2 != N1'/N2', compared as N1 N2' -
+    N1' N2 over the factor sets' denominators, have no solution.  Every
+    pair then checks the solution as c(s)c(t)N2 D1 = N1 c(st) D2, with c
+    over its own denominator.
 
     Both rings must be concentrated blocks and tau must conjugate the
     first support onto the second, of at most MAX_COBOUNDARY_SUPPORT
     degrees.
     """
-    g = d1.groupoid
     field = d1.field
-    supp = sorted(d1.support)
-    if len(supp) > MAX_COBOUNDARY_SUPPORT:
+    if len(d1.support) > MAX_COBOUNDARY_SUPPORT:
         raise ValidationError(
-            "coboundary.size", f"support size {len(supp)} exceeds ceiling {MAX_COBOUNDARY_SUPPORT}"
+            "coboundary.size", f"support size {len(d1.support)} exceeds ceiling {MAX_COBOUNDARY_SUPPORT}"
         )
-    index = {s: k for k, s in enumerate(supp)}
-    tau_inv = g.inverse(tau)
-
-    def conj(s):
-        return g.compose(tau, g.compose(s, tau_inv))
-
-    rows = []
-    ratios = []
-    for s in supp:
-        for t in supp:
-            if not g.is_composable(s, t):
+    supp, _, prod, (f1, n1, den1), (f2, n2, den2) = _position_tables(d1, d2, tau)
+    m = len(supp)
+    first, ratios = {}, []
+    for a in range(m):
+        for b in range(m):
+            ab = prod[a][b]
+            row = tuple([(k == a) + (k == b) - (k == ab) for k in range(m)])
+            if row not in first:
+                first[row] = (a, b)
+                ratios.append(field.div(f1[a][b], f2[a][b]))
                 continue
-            st = g.compose(s, t)
-            row = [0] * len(supp)
-            row[index[s]] += 1
-            row[index[t]] += 1
-            row[index[st]] -= 1
-            rows.append(row)
-            ratios.append(
-                field.div(d1.factor_value(s, t), d2.factor_value(conj(s), conj(t)))
-            )
-
-    sol = _multiplicative_solve(field, rows, ratios)
+            a0, b0 = first[row]
+            if not field.is_zero(n1[a][b] * n2[a0][b0] - n1[a0][b0] * n2[a][b]):
+                return None
+    sol = _multiplicative_solve(field, list(first), ratios)
     if sol is None:
         return None
-    c = {s: sol[index[s]] for s in supp}
-
-    for (row, ratio) in zip(rows, ratios):
-        lhs = field.one()
-        for k, coef in enumerate(row):
-            if coef:
-                lhs = field.mul(lhs, field.power(c[supp[k]], coef))
-        if not field.equal(lhs, ratio):
-            raise GradixError("internal error: coboundary solution failed verification")
-    return c
+    nc, dc = field.integers(sol)
+    for a in range(m):
+        for b in range(m):
+            if not field.is_zero(nc[a] * nc[b] * n2[a][b] * den1 - n1[a][b] * nc[prod[a][b]] * dc * den2):
+                raise GradixError("internal error: coboundary solution failed verification")
+    return dict(zip(supp, sol))
 
 
 # -- isomorphism testing -----------------------------------------------------
@@ -526,33 +546,25 @@ def _find_certificate(block1, block2):
     """
     d1, d2 = block1.ring, block2.ring
     g = d1.groupoid
-    if block1.size != block2.size:
-        return None
     sources1 = sorted(s[0].source for s in block1.signatures)
     sources2 = sorted(s[0].source for s in block2.signatures)
-    if sources1 != sources2:
-        return None
-    if len(d1.support) != len(d2.support):
+    if sources1 != sources2 or len(d1.support) != len(d2.support):
         return None
 
     e1 = d1.gamma0()[0]
     e2 = d2.gamma0()[0]
-    supp2 = set(d2.support)
     for tau in g.hom(e1, e2):
         tau_inv = g.inverse(tau)
         conj_supp = {g.compose(tau, g.compose(h, tau_inv)) for h in d1.support}
-        if conj_supp != supp2:
+        if conj_supp != d2.support:
             continue
         c = solve_coboundary(d1, d2, tau)
         if c is None:
             continue
-        candidates = []
-        connectors = {}
-        for i in range(block1.size):
-            si = block1.signatures[i][0]
+        candidates, connectors = [], {}
+        for i, (si,) in enumerate(block1.signatures):
             row = []
-            for ip in range(block2.size):
-                sp = block2.signatures[ip][0]
+            for ip, (sp,) in enumerate(block2.signatures):
                 h = d1.slot(g.compose(tau_inv, sp), si)
                 if h is not None:
                     row.append(ip)
@@ -588,66 +600,69 @@ def _verify_certificate(cert):
     and so is its image, because the image sits at (pi i, pi j) times
     (pi k, pi l) and pi is injective.  With j = k the degrees always
     compose.  So the check stays complete while testing n^3 |supp|^2
-    pairs instead of all n^4 |supp|^2.
+    pairs instead of all n^4 |supp|^2.  Each pair compares integers: the
+    image coefficients over one denominator Di and the factor sets over
+    D1 and D2, so f1(h, h') o = x y f2 becomes N1 No Di D2 = Nx Ny N2 D1.
     """
     b1, b2 = cert.source, cert.target
-    d1, d2 = b1.ring, b2.ring
+    d1 = b1.ring
     g, field = d1.groupoid, d1.field
     n, pi, c = b1.size, cert.pi, cert.coboundary
     if b2.size != n or sorted(pi) != list(range(n)):
         raise GradixError("internal error: certificate index map is not a bijection")
-    supp = sorted(d1.support)
-    tau_inv = g.inverse(cert.tau)
-    conj = [g.compose(cert.tau, g.compose(h, tau_inv)) for h in supp]
-    if set(conj) != d2.support:
-        raise GradixError("internal error: certificate conjugation does not carry the support across")
+    supp, conj, prod, (f1, n1, den1), (_, n2, den2) = _position_tables(d1, b2.ring, cert.tau)
     if any(h not in c or field.is_zero(c[h]) for h in supp):
         raise GradixError("internal error: certificate coboundary is not a unit on the support")
-    shift, inv_units = [], []
+    # units[i]: the positions and coefficients of u_i and u_i^-1, and the
+    # group element of the shift r_i
+    m, pos = len(supp), {h: a for a, h in enumerate(supp)}
+    units = []
     for i in range(n):
         u, s, sp = cert.units[i], b1.signatures[i][0], b2.signatures[pi[i]][0]
         r = g.compose_inverse(sp, s)
-        if u is None or r is None:
+        if u is None or u[0] not in pos or r is None:
             raise GradixError(f"internal error: certificate pairs index {i} with a mismatched index")
-        shift.append(r)
-        inv_units.append(d1.inv(u))
+        v = d1.inv(u)
+        units.append((pos[u[0]], u[1], pos[v[0]], v[1], r.elem))
 
-    # Support degrees by position: products, both factor sets, and for every
-    # generator E_ij(h) its image coefficient and the position of deg w.
-    pos = {h: a for a, h in enumerate(supp)}
-    prod = [[pos[g.compose(h, k)] for k in supp] for h in supp]
-    f1 = [[d1.factor[(h, k)] for k in supp] for h in supp]
-    f2 = [[d2.factor[(h, k)] for k in conj] for h in conj]
-    one = field.one()
-    image = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = []
-            for h in supp:
-                w_degree, w_coeff = d1.mul(d1.mul(cert.units[i], (h, one)), inv_units[j])
-                if conj[pos[w_degree]] != g.compose_inverse(g.compose(shift[i], h), shift[j]):
-                    raise GradixError("internal error: certificate map does not preserve degrees")
-                cell.append((field.mul(c[w_degree], w_coeff), pos[w_degree]))
-            row.append(cell)
-        image.append(row)
+    # Each image: u_i h has position prod[p][a] and coefficient left[i][a];
+    # right[j][k] multiplies position k by u_j^-1 and by c at the product.
+    # conj[w] and r_i h r_j^-1 are loops at the target's base object, so
+    # they compare by group element.
+    grp = g.blocks[cert.tau.block].group
+    mult, inv = grp.mult_table, grp.inv_table
+    left = [[field.mul(x, f1[p][a]) for a in range(m)] for p, x, _, _, _ in units]
+    right = [[field.mul(field.mul(y, f1[k][q]), c[supp[prod[k][q]]]) for k in range(m)] for _, _, q, y, _ in units]
+    kpos = [[[prod[prod[p][a]][q] for a in range(m)] for _, _, q, _, _ in units] for p, _, _, _, _ in units]
+    flat = []
+    for i, (p, _, _, _, ri) in enumerate(units):
+        for j, (_, _, _, _, rj) in enumerate(units):
+            if any(conj[w].elem != mult[mult[ri][h.elem]][inv[rj]] for h, w in zip(supp, kpos[i][j])):
+                raise GradixError("internal error: certificate map does not preserve degrees")
+            flat += [field.mul(x, right[j][pa]) for x, pa in zip(left[i], prod[p])]
 
-    m = len(supp)
+    # Multiplicativity on integers: with x = Nx/Di over one denominator for
+    # every image, f1(h, h') o = x y f2 iff N1 No Di D2 = Nx Ny N2 D1.  For
+    # each l, others[j][ka][b] is the right side without Nx; for each i,
+    # sides[a][b] the left side.
+    nums, di = field.integers(flat)
+    image = [[nums[k:k + m] for k in range(i * n * m, (i + 1) * n * m, m)] for i in range(n)]
+    n1s = [[x * di * den2 for x in row] for row in n1]
+    n2s = [[x * den1 for x in row] for row in n2]
+    is_zero = field.is_zero
     checked = 0
-    for i in range(n):
-        for j in range(n):
-            left = image[i][j]
-            for l in range(n):
-                right, outer = image[j][l], image[i][l]
+    for l in range(n):
+        others = [[[y * row[kb] for y, kb in zip(image[j][l], kpos[j][l])] for row in n2s] for j in range(n)]
+        for i in range(n):
+            outer = image[i][l]
+            sides = [[x * outer[ab] for x, ab in zip(n1s[a], prod[a])] for a in range(m)]
+            for j in range(n):
+                x_ij, k_ij, right_j = image[i][j], kpos[i][j], others[j]
                 for a in range(m):
-                    x, ka = left[a]
-                    f1a, prod_a, f2a = f1[a], prod[a], f2[ka]
-                    for b in range(m):
-                        y, kb = right[b]
-                        lhs = field.mul(f1a[b], outer[prod_a[b]][0])
-                        if not field.equal(lhs, field.mul(field.mul(x, y), f2a[kb])):
-                            raise GradixError("internal error: certificate map is not multiplicative")
-                checked += m * m
+                    x = x_ij[a]
+                    if not all(map(is_zero, [p - x * q for p, q in zip(sides[a], right_j[k_ij[a]])])):
+                        raise GradixError("internal error: certificate map is not multiplicative")
+            checked += n * m * m
     cert.verified = True
     return checked
 

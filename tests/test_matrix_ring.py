@@ -87,6 +87,10 @@ class TestComponents:
         assert dims[Morphism(0, 2, 0, 1)] == 2
         assert sum(dims.values()) == 9
 
+    def test_dimension_table_keys_are_morphisms(self):
+        _, r = m3_shape_ring()
+        assert all(type(gamma) is Morphism for gamma in r.dimension_table())
+
     @staticmethod
     def _matches_slot_scan(r):
         table = r.dimension_table()
@@ -101,6 +105,18 @@ class TestComponents:
         for ring in product_test_rings(rng):
             for size in (1, 3, 5):
                 self._matches_slot_scan(random_matrix_ring(rng, ring, size))
+
+    def test_dimension_table_with_order_four_isotropy(self):
+        # Signatures in C_4 need not be their own inverses, and the support
+        # holds only element 0, so a degree delta^-1 s sigma differs from
+        # delta s sigma
+        rng = random.Random(4)
+        g = FiniteGroupoid([ConnectedBlock([0, 1, 2], FiniteGroup.cyclic(4))])
+        support = [m for m in g.morphisms() if m.elem == 0]
+        factor = {(s, t): Q.one() for s in support for t in support if g.is_composable(s, t)}
+        ring = GradedDivisionRing(Q, g, support, factor)
+        for size in (1, 3, 5):
+            self._matches_slot_scan(random_matrix_ring(rng, ring, size))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_dimension_table_on_benchmark_rings(self, seed):

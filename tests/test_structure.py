@@ -3,7 +3,7 @@ import os
 import random
 import time
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -487,6 +487,34 @@ class TestCertificateVerification:
         assert pruned_accepts(ok)
         assert certificate_is_isomorphism(ok)
 
+    def test_shifts_of_order_four_keep_degrees(self):
+        # signatures moved by a loop of order four: the shifts r_i are not
+        # their own inverses, and each image lands at r_i h r_j^-1
+        g = FiniteGroupoid([ConnectedBlock([0, 1], FiniteGroup.cyclic(4))])
+        loops = [m for m in g.morphisms() if m.source == m.target == 0]
+        d = GradedDivisionRing(Q, g, loops, {(s, t): Q.one() for s in loops for t in loops})
+        sigs = [Morphism(0, 0, 0, 0), Morphism(0, 0, 3, 1)]
+        block1 = MatrixRing(d, [[s] for s in sigs])
+        block2 = MatrixRing(coboundary_twist(d, random.Random(5)), [[g.compose(loops[1], s)] for s in sigs])
+        cert = iso_test(block1, block2)
+        assert cert is not None and cert.verified and certificate_is_isomorphism(cert)
+
+    def test_a_coefficient_wrong_only_in_its_denominator_is_rejected(self):
+        # u_g^2 = 4/9 against the plain C_2 ring: c(g) = +-2/3, and 2/5 has
+        # the same numerator but squares to 4/25
+        twisted, plain = cyclic_twist(Q, 2, Q.coerce("4/9")), cyclic_twist(Q, 2, 1)
+        e = plain.groupoid.identity(0)
+        cert = iso_test(MatrixRing(twisted, [[e], [e]]), MatrixRing(plain, [[e], [e]]))
+        good = cert.coboundary[self.LOOP]
+        assert cert.verified and abs(good) == Q.coerce("2/3")
+        c = dict(cert.coboundary)
+        c[self.LOOP] = Q.coerce(good.numerator) / 5
+        bad = corrupted(cert, coboundary=c)
+        with pytest.raises(GradixError, match="not multiplicative"):
+            structure._verify_certificate(bad)
+        assert not certificate_is_isomorphism(bad)
+        assert pruned_accepts(corrupted(cert))
+
     def test_pruned_check_agrees_with_the_exhaustive_oracle(self):
         rng = random.Random(20261018)
         g = c2_groupoid()
@@ -577,6 +605,19 @@ class TestVerificationWork:
         assert iso_test(spec.blocks[0], spec.blocks[0]).verified
         assert [checked for _, checked in verified] == [27, 27]
 
+    def test_pfm_m3_self_iso_compose_count(self, monkeypatch):
+        # groupoid compositions of decomposing pfm_m3 twice and matching it
+        # with itself: 6 moved signatures, 9 connector candidates, 2 tau-
+        # conjugates for the search and 2 each for the coboundary and the
+        # check, which multiply support positions by the group table
+        with open(os.path.join(FIXTURES, "pfm_m3.ring.json")) as fh:
+            ring = load_matrix_ring(json.load(fh))
+        calls = []
+        compose = FiniteGroupoid.compose
+        monkeypatch.setattr(FiniteGroupoid, "compose", lambda g, a, b: calls.append(1) or compose(g, a, b))
+        assert spec_iso(wedderburn_decompose(ring), wedderburn_decompose(ring)) is not None
+        assert len(calls) == 21
+
 
 def cyclic_twist(field, n, lam):
     """F[x]/(x^n - lam) as a twisted group ring of C_n: factor lam when the
@@ -637,11 +678,58 @@ class TestCoboundaryExistence:
             self.agree(d, plain)
             self.agree(d, other)
 
+    def test_klein_twists_over_q(self, monkeypatch):
+        # Over Q a twist of C2 x C2 is fixed by mu and by lam1, lam2 up to
+        # rational squares.  With mu = -1 against mu = 1 the pairs (x, y) and
+        # (y, x) share their exponent row but not their ratio, so the merged
+        # rows reject the pair before the solver runs.
+        solves = []
+        solve = structure._multiplicative_solve
+        monkeypatch.setattr(structure, "_multiplicative_solve", lambda *args: solves.append(1) or solve(*args))
+
+        def is_square(q):
+            return q > 0 and all(isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
+
+        # a coboundary twist keeps the class and gives f2 other denominators
+        target = coboundary_twist(klein_twist(Q, Q.coerce(3), Q.coerce(10), Q.one()), random.Random(17))
+        lams = [Q.coerce(x) for x in ("1/3", "5/2", "12", "-3/4")]
+        found = []
+        for lam1, lam2, mu in product(lams, lams, (Q.one(), -Q.one())):
+            d = klein_twist(Q, lam1, lam2, mu)
+            before = len(solves)
+            tau = d.groupoid.identity(0)
+            c = solve_coboundary(d, target, tau)
+            expected = mu == 1 and is_square(lam1 / 3) and is_square(lam2 / 10)
+            assert (c is not None) == expected
+            assert c is None or is_coboundary(d, target, tau, c)
+            if mu == -1:
+                assert len(solves) == before
+            found.append(c is not None)
+        assert found.count(True) == 2
+
+    def test_order_three_commutators(self):
+        # C3 x C3 over F_7 with u_x u_y = mu u_y u_x, mu of order 3.  The pairs
+        # (x, y) and (y, x) share a row, and their ratios agree exactly when
+        # the two commutators do; their products f1 f2 then differ by
+        # mu mu' = mu^2 != 1.
+        f7 = PrimeField(7)
+        group = FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3))
+
+        def twisted(mu):
+            return GradedDivisionRing.twisted_group_ring(f7, group, lambda a, b: pow(mu, (a // 3) * (b % 3), 7))
+
+        d = twisted(2)
+        tau = d.groupoid.identity(0)
+        for other, same in ((coboundary_twist(d, random.Random(3)), True), (twisted(4), False), (twisted(1), False)):
+            c = solve_coboundary(d, other, tau)
+            assert (c is not None) == same
+            assert c is None or is_coboundary(d, other, tau, c)
+
 
 class TestCoboundarySelfCheck:
-    """The self-check raises each c(s) to its coefficient with field.power.
-    Over C_2 the row of the pair (g, g), g the loop of order two, is
-    c(g)^2 / c(1) = f1(g, g) / f2(g, g): coefficient 2 at s = t = g."""
+    """The self-check tests c(s)c(t)f2(s', t') = f1(s, t)c(st) on every pair,
+    cross-multiplied as integers.  Over C_2 the pair (g, g), g the loop of
+    order two, is c(g)^2 f2(g, g) = f1(g, g) c(1): c(g) twice on one side."""
 
     @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
     def test_a_squared_loop_passes(self, field):

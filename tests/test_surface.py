@@ -50,6 +50,9 @@ KEEP = {
     "corner_structure",
     # the split of a division ring into gr-simple blocks
     "GradedDivisionRing.decompose_prime",
+    # the ring product; MatrixFormBridge and IsoCertificate.apply call it as
+    # d.mul, a name that several classes define
+    "GradedDivisionRing.mul",
     # the matrix-form isomorphism, both ways
     "MatrixFormBridge.from_matrix",
     "MatrixFormBridge.to_matrix",
