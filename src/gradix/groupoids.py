@@ -12,8 +12,11 @@ equality, hash and order are what every factor table and sorted choice
 relies on, so morphisms sort by block, target, element, source.
 
 Raw groupoids (explicit morphism lists with a partial composition table)
-are accepted at the boundary and converted to block form after exhaustive
-validation of the axioms.
+are accepted at the boundary and checked by carrying them onto their
+block form: endpoints, identities and inverses are checked per object,
+each component's loop group by FiniteGroup, and then one pass over the
+table checks that the relabelling is one to one and keeps every product,
+which makes the table a groupoid's (see from_composition_table).
 
 Size ceilings (at most 64 objects overall, group order at most 64 per
 block) are enforced at construction so every later check can afford to be
@@ -231,9 +234,6 @@ class FiniteGroupoid:
                     for x in b.objects:
                         yield Morphism(bi, y, g, x)
 
-    def morphism_count(self):
-        return sum(len(b.objects) ** 2 * b.group.order for b in self.blocks)
-
     def hom(self, source, target):
         """All morphisms source -> target (empty across blocks)."""
         bs, bt = self.block_of(source), self.block_of(target)
@@ -349,8 +349,22 @@ def from_composition_table(objects, morphisms, table):
 
     ``objects`` is a list of nonnegative ids.  ``morphisms`` is a list of
     {"source": x, "target": y} records (morphism ids are list positions).
-    ``table`` lists triples [g, h, gh] and must cover exactly the
-    composable pairs, i.e. those with source(g) == target(h).
+    ``table`` lists triples [g, h, gh], each pair once, and must cover
+    exactly the composable pairs, i.e. those with source(g) == target(h).
+
+    The table is checked by carrying it onto its block form.  Products
+    must join the right endpoints and cover the composable pairs; each
+    object's identity and each morphism's inverse are searched among the
+    morphisms with the right endpoints.  Each component's loops at its
+    least object e0 form its group; FiniteGroup checks it, and only
+    associativity can fail there by then.  With sect[x] the first listed
+    morphism x -> e0, m: x -> y goes to (y, l, x) for the loop
+    l = (sect[y] o m) o sect[x]^-1.  That map must be one to one and keep
+    every product of the table, or associativity fails.  This is
+    complete: such a map carries the table onto a part of the block form
+    closed under products, so the table associates and, with identities
+    and inverses, is a groupoid; on a groupoid's table the map is the
+    standard isomorphism, a bijection onto the block form.
 
     Returns (groupoid, relabel) where relabel maps each raw morphism id to
     its canonical Morphism.
@@ -358,17 +372,20 @@ def from_composition_table(objects, morphisms, table):
     obj_list = list(objects)
     if len(set(obj_list)) != len(obj_list):
         raise ValidationError("groupoid.object_ids", "duplicate object ids")
-    obj_set = set(obj_list)
+    out_of = {x: [] for x in obj_list}
+    into = {x: [] for x in obj_list}
 
     src = []
     tgt = []
     for i, md in enumerate(morphisms):
         if not (isinstance(md, dict) and is_index(md.get("source")) and is_index(md.get("target"))):
             raise FormatError(f"morphism record {i} needs integer 'source' and 'target', got {md!r}")
-        if md["source"] not in obj_set or md["target"] not in obj_set:
+        if md["source"] not in out_of or md["target"] not in out_of:
             raise ValidationError("groupoid.object_ids", f"morphism {i} touches an unknown object")
         src.append(md["source"])
         tgt.append(md["target"])
+        out_of[md["source"]].append(i)
+        into[md["target"]].append(i)
     n = len(src)
 
     comp = {}
@@ -379,95 +396,69 @@ def from_composition_table(objects, morphisms, table):
         for v in (g, h, gh):
             if not is_index(v) or not 0 <= v < n:
                 raise FormatError(f"composition entry {entry!r} refers to an unknown morphism")
-        if (g, h) in comp and comp[(g, h)] != gh:
-            raise ValidationError("groupoid.composability", f"two products given for pair ({g},{h})")
+        if (g, h) in comp:
+            raise FormatError(f"compose pair {(g, h)!r} is given twice")
         comp[(g, h)] = gh
 
-    # Composition must be defined exactly on matching source/target pairs,
-    # and must connect endpoints correctly.
-    for g in range(n):
-        for h in range(n):
-            defined = (g, h) in comp
-            matches = src[g] == tgt[h]
-            if defined and not matches:
-                raise ValidationError(
-                    "groupoid.composability",
-                    f"product ({g},{h}) defined although source({g})={src[g]} != target({h})={tgt[h]}",
-                )
-            if matches and not defined:
-                raise ValidationError("groupoid.composability", f"no product given for composable pair ({g},{h})")
-            if defined:
-                gh = comp[(g, h)]
-                if src[gh] != src[h] or tgt[gh] != tgt[g]:
-                    raise ValidationError(
-                        "groupoid.composability",
-                        f"product of ({g},{h}) has endpoints {src[gh]}->{tgt[gh]}, expected {src[h]}->{tgt[g]}",
-                    )
+    # Every product joins the right endpoints; distinct composable entries
+    # cover all composable pairs exactly when there are as many of them.
+    for (g, h), gh in comp.items():
+        if src[g] != tgt[h]:
+            raise ValidationError(
+                "groupoid.composability",
+                f"product ({g},{h}) defined although source({g})={src[g]} != target({h})={tgt[h]}",
+            )
+        if src[gh] != src[h] or tgt[gh] != tgt[g]:
+            raise ValidationError(
+                "groupoid.composability",
+                f"product of ({g},{h}) has endpoints {src[gh]}->{tgt[gh]}, expected {src[h]}->{tgt[g]}",
+            )
+    if len(comp) != sum(len(out_of[x]) * len(into[x]) for x in obj_list):
+        g, h = next((g, h) for g in range(n) for h in into[src[g]] if (g, h) not in comp)
+        raise ValidationError("groupoid.composability", f"no product given for composable pair ({g},{h})")
 
-    # Identities: per object, a morphism acting as a two-sided unit.
     ident = {}
-    for x in obj_set:
-        for m in range(n):
-            if src[m] == tgt[m] == x:
-                if all(comp[(m, h)] == h for h in range(n) if tgt[h] == x) and all(
-                    comp[(g, m)] == g for g in range(n) if src[g] == x
-                ):
-                    ident[x] = m
-                    break
-        if x not in ident:
+    for x in obj_list:
+        for m in out_of[x]:
+            if tgt[m] == x and all(comp[(m, h)] == h for h in into[x]) and all(comp[(g, m)] == g for g in out_of[x]):
+                ident[x] = m
+                break
+        else:
             raise ValidationError("groupoid.identity", f"object {x} has no identity morphism")
-
-    inv = [None] * n
+    inv = []
     for m in range(n):
-        for w in range(n):
-            if src[w] == tgt[m] and tgt[w] == src[m]:
-                if comp[(w, m)] == ident[src[m]] and comp[(m, w)] == ident[tgt[m]]:
-                    inv[m] = w
-                    break
-        if inv[m] is None:
+        x, y = src[m], tgt[m]
+        for w in out_of[y]:
+            if tgt[w] == x and comp[(w, m)] == ident[x] and comp[(m, w)] == ident[y]:
+                inv.append(w)
+                break
+        else:
             raise ValidationError("groupoid.inverse", f"morphism {m} has no two-sided inverse")
 
-    for a in range(n):
-        for b in range(n):
-            if (a, b) not in comp:
-                continue
-            ab = comp[(a, b)]
-            for c in range(n):
-                if (b, c) not in comp:
-                    continue
-                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
-                    raise ValidationError(
-                        "groupoid.associativity", f"(a o b) o c != a o (b o c) for (a,b,c)=({a},{b},{c})"
-                    )
-
-    blocks = []
+    classes = union_classes(obj_list, zip(src, tgt))
+    groups = []
     relabel = {}
-    for xs in union_classes(obj_list, zip(src, tgt)):
+    for bi, xs in enumerate(classes):
         e0 = xs[0]
-        loops = sorted(m for m in range(n) if src[m] == tgt[m] == e0)
+        loops = [m for m in out_of[e0] if tgt[m] == e0]
         index = {m: i for i, m in enumerate(loops)}
-        group = FiniteGroup([[index[comp[(a, b)]] for b in loops] for a in loops])
-        # Section: for each object, the first listed morphism x -> e0.
-        sect = {}
+        try:
+            groups.append(FiniteGroup([[index[comp[(a, b)]] for b in loops] for a in loops]))
+        except ValidationError as exc:
+            if exc.invariant != "group.associativity":
+                raise
+            raise ValidationError("groupoid.associativity", f"the loops at object {e0} do not associate") from exc
+        # Sections exist: with inverses and products every component is
+        # strongly connected by single morphisms.
+        sect = {x: next(m for m in out_of[x] if tgt[m] == e0) for x in xs}
         for x in xs:
-            for m in range(n):
-                if src[m] == x and tgt[m] == e0:
-                    sect[x] = m
-                    break
-            if x not in sect:
-                raise ValidationError("groupoid.composability", f"objects {e0} and {x} are linked but share no morphism")
-        bi = len(blocks)
-        blocks.append(ConnectedBlock(xs, group))
-        for m in range(n):
-            if src[m] not in sect:
-                continue
-            loop = comp[(comp[(sect[tgt[m]], m)], inv[sect[src[m]]])]
-            relabel[m] = Morphism(bi, tgt[m], index[loop], src[m])
+            for m in out_of[x]:
+                relabel[m] = Morphism(bi, tgt[m], index[comp[(comp[(sect[tgt[m]], m)], inv[sect[x]])]], x)
 
-    groupoid = FiniteGroupoid(blocks)
-    # Every raw morphism must be accounted for, and hom-set sizes must agree.
-    if len(relabel) != n or groupoid.morphism_count() != n:
-        raise ValidationError("groupoid.composability", "morphism count does not match the block decomposition")
     if len(set(relabel.values())) != n:
-        raise ValidationError("groupoid.composability", "two raw morphisms share source, target and section loop")
-    return groupoid, relabel
+        raise ValidationError("groupoid.associativity", "two morphisms land on one morphism of the block form")
+    for (g, h), gh in comp.items():
+        a, b = relabel[g], relabel[h]
+        if groups[a.block].mult_table[a.elem][b.elem] != relabel[gh].elem:
+            raise ValidationError("groupoid.associativity", f"product ({g},{h}) = {gh} does not match the block form")
+    return FiniteGroupoid(ConnectedBlock(xs, group) for xs, group in zip(classes, groups)), relabel

@@ -321,10 +321,13 @@ def wedderburn_decompose(ring, signatures=None):
 # -- integer linear algebra for coboundaries ---------------------------------
 
 
-def _smith(a, nrows, ncols):
-    """Diagonalize an integer matrix in place: returns (a, u, v) with
-    u*original*v = a diagonal.  No divisibility normalization."""
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+def _smith(a, y, field):
+    """Diagonalize an integer matrix in place, no divisibility
+    normalization, and return v with u*original*v = a diagonal.  The row
+    transform u is not kept: each row operation goes straight to the
+    multiplicative right-hand side y, so y ends as y_i = prod_j y_j^u_ij
+    (a swap swaps two entries, row_i -= q row_t sets y_i to y_i y_t^-q)."""
+    nrows, ncols = len(a), len(a[0])
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     t = 0
     while t < min(nrows, ncols):
@@ -338,7 +341,7 @@ def _smith(a, nrows, ncols):
         bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
-            u[t], u[bi] = u[bi], u[t]
+            y[t], y[bi] = y[bi], y[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
@@ -352,8 +355,7 @@ def _smith(a, nrows, ncols):
                 if q:
                     for j in range(ncols):
                         a[i][j] -= q * a[t][j]
-                    for j in range(nrows):
-                        u[i][j] -= q * u[t][j]
+                    y[i] = field.mul(y[i], field.power(y[t], -q))
                 if a[i][t] != 0:
                     dirty = True
         for j in range(ncols):
@@ -369,40 +371,40 @@ def _smith(a, nrows, ncols):
         if dirty:
             continue
         t += 1
-    return a, u, v
+    return v
 
 
 def _multiplicative_solve(field, rows, ratios):
     """One unit vector c with prod_j c_j^rows[i][j] = ratios[i] for every i,
     or None.
 
-    With U*A*V = D from _smith, put y_i = prod_j r_j^U_ij; then z solves
-    z_k^d_k = y_k, every other y_k must be 1, and c_i = prod_k z_k^V_ik.
-    Only exact d-th roots are needed, in any field.
+    With U*A*V = D from _smith, which turns the ratios into y_i = prod_j
+    r_j^U_ij on the way, z solves z_k^d_k = y_k, every other y_k must be
+    1, and c_i = prod_k z_k^V_ik.  Only exact d-th roots are needed, in
+    any field.
     """
     nrows, ncols = len(rows), len(rows[0])
-    d, u, v = _smith([list(r) for r in rows], nrows, ncols)
+    d, y = [list(r) for r in rows], list(ratios)
+    v = _smith(d, y, field)
     one = field.one()
-
-    def combine(bases, exps):
-        out = one
-        for base, k in zip(bases, exps):
-            if k:
-                out = field.mul(out, field.power(base, k))
-        return out
-
     z = [one] * ncols
     for k in range(nrows):
-        y = combine(ratios, u[k])
         dk = d[k][k] if k < ncols else 0
         if dk == 0:
-            if not field.equal(y, one):
+            if not field.equal(y[k], one):
                 return None
         else:
-            z[k] = field.root(y, dk)
+            z[k] = field.root(y[k], dk)
             if z[k] is None:
                 return None
-    return [combine(z, row) for row in v]
+    out = []
+    for row in v:
+        c = one
+        for base, k in zip(z, row):
+            if k:
+                c = field.mul(c, field.power(base, k))
+        out.append(c)
+    return out
 
 
 def _position_tables(d1, d2, tau):

@@ -410,6 +410,96 @@ def coboundary_exists(d1, d2, tau):
     return any(_solves(d1.field, equations, dict(zip(supp, c))) for c in product(units, repeat=len(supp)))
 
 
+# -- raw groupoids --------------------------------------------------------------
+
+
+def raw_groupoid_failure(objects, morphisms, table):
+    """The first groupoid axiom a raw composition table breaks, or None.
+
+    The axioms straight from their definitions, over all pairs and all
+    triples of morphisms, in this order: the products are given exactly
+    on the composable pairs and join the right endpoints
+    (``groupoid.composability``); every object has a two-sided unit
+    (``groupoid.identity``); every morphism has a two-sided inverse
+    (``groupoid.inverse``); (a o b) o c = a o (b o c)
+    (``groupoid.associativity``).  Each pair (g, h) is given once.
+    """
+    src = [md["source"] for md in morphisms]
+    tgt = [md["target"] for md in morphisms]
+    n = len(src)
+    comp = {(g, h): gh for g, h, gh in table}
+    for g in range(n):
+        for h in range(n):
+            if ((g, h) in comp) != (src[g] == tgt[h]):
+                return "groupoid.composability"
+            gh = comp.get((g, h))
+            if gh is not None and (src[gh] != src[h] or tgt[gh] != tgt[g]):
+                return "groupoid.composability"
+    ident = {}
+    for x in objects:
+        for m in range(n):
+            if src[m] == tgt[m] == x:
+                if all(comp[(m, h)] == h for h in range(n) if tgt[h] == x) and all(
+                    comp[(g, m)] == g for g in range(n) if src[g] == x
+                ):
+                    ident[x] = m
+                    break
+        if x not in ident:
+            return "groupoid.identity"
+    for m in range(n):
+        if not any(
+            src[w] == tgt[m] and tgt[w] == src[m] and comp[(w, m)] == ident[src[m]] and comp[(m, w)] == ident[tgt[m]]
+            for w in range(n)
+        ):
+            return "groupoid.inverse"
+    for (a, b), ab in comp.items():
+        for c in range(n):
+            if (b, c) in comp and comp[(ab, c)] != comp[(a, comp[(b, c)])]:
+                return "groupoid.associativity"
+    return None
+
+
+def relabel_is_isomorphism(groupoid, relabel, table):
+    """True when relabel is a bijection onto the groupoid's morphisms that
+    keeps every product of the table."""
+    if sorted(relabel.values()) != list(groupoid.morphisms()):
+        return False
+    return all(groupoid.compose(relabel[g], relabel[h]) == relabel[gh] for g, h, gh in table)
+
+
+RAW_GROUPS = [
+    [[0]],
+    [[(i + j) % 2 for j in range(2)] for i in range(2)],
+    [[(i + j) % 3 for j in range(3)] for i in range(3)],
+    [[(i + j) % 4 for j in range(4)] for i in range(4)],
+    [[i ^ j for j in range(4)] for i in range(4)],
+]
+
+
+def random_raw_groupoid(rng):
+    """A raw groupoid (objects, morphisms, table): one or two components of
+    one to three objects each, with isotropy C1, C2, C3, C4 or C2 x C2,
+    objects and morphism ids shuffled.  The table is X x G x X's, written
+    out from the group tables alone."""
+    ids = rng.sample(range(12), 6)
+    arrows = []
+    for c in range(rng.randint(1, 2)):
+        xs = ids[3 * c : 3 * c + rng.randint(1, 3)]
+        mult = rng.choice(RAW_GROUPS)
+        arrows += [(c, mult, y, g, x) for y in xs for g in range(len(mult)) for x in xs]
+    rng.shuffle(arrows)
+    at = {arrow[:1] + arrow[2:]: k for k, arrow in enumerate(arrows)}
+    table = [
+        [k, l, at[(c, y, mult[g][h], x)]]
+        for k, (c, mult, y, g, w) in enumerate(arrows)
+        for l, (c2, _, z, h, x) in enumerate(arrows)
+        if c == c2 and w == z
+    ]
+    objects = sorted({arrow[4] for arrow in arrows})
+    rng.shuffle(objects)
+    return objects, [{"source": a[4], "target": a[2]} for a in arrows], table
+
+
 # -- the four reference coefficient rings -----------------------------------
 
 

@@ -395,14 +395,19 @@ class TestExitCodes:
                 lambda d: d["signatures"][2].append([0, 1, 0, 2]),
                 "signature morphism Morphism(block=0, target=1, elem=0, source=2)",
             ),
+            ("broken/raw_assoc.json", lambda d: d["raw"]["compose"].append([1, 1, 0]), "compose pair (1, 1)"),
+            ("broken/raw_assoc.json", lambda d: d["raw"]["compose"].append([1, 1, 2]), "compose pair (1, 1)"),
         ],
-        ids=["factor", "matrix_entry", "vector_coordinate", "hom", "support", "signature_set"],
+        ids=[
+            "factor", "matrix_entry", "vector_coordinate", "hom", "support", "signature_set",
+            "raw_compose_identical", "raw_compose_conflicting",
+        ],
     )
     def test_repeated_key_is_a_format_error(self, capsys, tmp_path, name, edit, key):
         with open(fx(name), encoding="utf-8") as fh:
             spec = json.load(fh)
         edit(spec)
-        path = tmp_path / name
+        path = tmp_path / os.path.basename(name)
         path.write_text(json.dumps(spec).replace('"point_ring.json"', json.dumps(fx("point_ring.json"))))
         code, out, err = call(capsys, "validate", str(path))
         assert code == 2

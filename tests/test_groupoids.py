@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from gradix.groupoids import (
     from_composition_table,
     groupoid_from_json,
 )
+from oracles import random_raw_groupoid, raw_groupoid_failure, relabel_is_isomorphism, seeded
 
 
 def element_order(group, a):
@@ -95,7 +97,7 @@ class TestCanonicalForm:
     def test_morphism_count_and_order(self):
         g = two_block_groupoid()
         ms = list(g.morphisms())
-        assert len(ms) == g.morphism_count() == 2 * 2 * 2 + 2 * 2 * 1
+        assert len(ms) == 2 * 2 * 2 + 2 * 2 * 1
         assert ms == sorted(ms)
 
     def test_object_collision_rejected(self):
@@ -111,7 +113,7 @@ class TestCanonicalForm:
     def test_pair_groupoid(self):
         g = FiniteGroupoid.pair([2, 3, 4])
         assert len(g.blocks) == 1
-        assert g.morphism_count() == 9
+        assert len(list(g.morphisms())) == 9
         assert g.blocks[0].objects == (2, 3, 4) and g.blocks[0].group.order == 1
 
 
@@ -128,7 +130,7 @@ class TestMorphismValue:
         g = self.groupoid()
         ms = list(g.morphisms())
         assert ms == sorted(ms)
-        assert len(set(ms)) == len(ms) == g.morphism_count() == 2 * 2 * 4 + 3 * 3
+        assert len(set(ms)) == len(ms) == 2 * 2 * 4 + 3 * 3
 
     def test_rebuilt_from_key(self):
         g = self.groupoid()
@@ -160,7 +162,7 @@ class TestRawConversion:
         assert g.blocks[0].group.order == 2
         assert relabel[0] == g.identity(0)
 
-    def test_pair_groupoid_from_raw(self):
+    def raw_pair(self):
         # Two objects, four morphisms: the pair groupoid on {0, 1}.
         objects = [0, 1]
         morphisms = [
@@ -178,7 +180,10 @@ class TestRawConversion:
                     for c in range(4):
                         if src[c] == src[b] and tgt[c] == tgt[a]:
                             table.append([a, b, c])
-        g, relabel = from_composition_table(objects, morphisms, table)
+        return objects, morphisms, table
+
+    def test_pair_groupoid_from_raw(self):
+        g, relabel = from_composition_table(*self.raw_pair())
         assert g.to_json() == FiniteGroupoid.pair([0, 1]).to_json()
         assert relabel[1] == Morphism(0, 1, 0, 0)
 
@@ -199,6 +204,15 @@ class TestRawConversion:
             from_composition_table(objects, morphisms, bad_table)
         assert e.value.invariant == "groupoid.composability"
 
+    def test_product_of_a_non_composable_pair_rejected(self):
+        # The pair groupoid, plus a product for 0 -> 1 after itself.
+        objects, morphisms, table = self.raw_pair()
+        table.append([1, 1, 1])
+        assert raw_groupoid_failure(objects, morphisms, table) == "groupoid.composability"
+        with pytest.raises(ValidationError) as e:
+            from_composition_table(objects, morphisms, table)
+        assert e.value.invariant == "groupoid.composability"
+
     def test_broken_associativity_rejected(self):
         # Three loops with a non-associative "composition".
         objects = [0]
@@ -210,7 +224,44 @@ class TestRawConversion:
         ]
         with pytest.raises(ValidationError) as e:
             from_composition_table(objects, morphisms, table)
-        assert e.value.invariant in ("groupoid.associativity", "groupoid.inverse")
+        assert e.value.invariant == "groupoid.associativity"
+
+    def test_left_inverse_alone_is_not_enough(self):
+        # Loops e, a, b: b o a = e but a o b = a, so a has no two-sided inverse.
+        objects = [0]
+        morphisms = [{"source": 0, "target": 0} for _ in range(3)]
+        table = [
+            [0, 0, 0], [0, 1, 1], [0, 2, 2],
+            [1, 0, 1], [1, 1, 2], [1, 2, 1],
+            [2, 0, 2], [2, 1, 0], [2, 2, 0],
+        ]
+        assert raw_groupoid_failure(objects, morphisms, table) == "groupoid.inverse"
+        with pytest.raises(ValidationError) as e:
+            from_composition_table(objects, morphisms, table)
+        assert e.value.invariant == "groupoid.inverse"
+
+    def test_extra_loop_is_not_a_groupoid(self):
+        # Objects 0 and 1 joined by s: 1 -> 0 and t = s^-1, with trivial
+        # loops at 0 but a second loop a at 1 (a o a = 1_1).  Identities and
+        # inverses hold and every product joins the right endpoints, yet
+        # a = a o (t o s) != (a o t) o s = 1_1; both loops at 1 land on the
+        # one block-form morphism 1 -> 1.
+        objects = [0, 1]
+        morphisms = [
+            {"source": 0, "target": 0},
+            {"source": 1, "target": 0},
+            {"source": 0, "target": 1},
+            {"source": 1, "target": 1},
+            {"source": 1, "target": 1},
+        ]
+        table = [
+            [0, 0, 0], [0, 1, 1], [2, 0, 2], [2, 1, 3], [1, 2, 0], [1, 3, 1], [1, 4, 1],
+            [3, 2, 2], [3, 3, 3], [3, 4, 4], [4, 2, 2], [4, 3, 4], [4, 4, 3],
+        ]
+        assert raw_groupoid_failure(objects, morphisms, table) == "groupoid.associativity"
+        with pytest.raises(ValidationError) as e:
+            from_composition_table(objects, morphisms, table)
+        assert e.value.invariant == "groupoid.associativity"
 
     def test_round_trip_through_json(self):
         g = two_block_groupoid()
@@ -226,8 +277,32 @@ class TestRawConversion:
             groupoid_from_json({"blocks": [{"objects": [0], "group": {"order": 3, "mult": [[0]]}}]})
 
 
+def test_raw_tables_agree_with_the_axiom_oracle():
+    """Random raw groupoids, about two thirds with one product changed, get
+    the oracle's verdict and first broken axiom; an accepted table's
+    relabelling is an isomorphism onto the block form."""
+    rng = seeded(1818)
+    verdicts = Counter()
+    for _ in range(400):
+        objects, morphisms, table = random_raw_groupoid(rng)
+        if len(morphisms) > 1 and rng.random() < 2 / 3:
+            entry = rng.choice(table)
+            entry[2] = rng.choice([m for m in range(len(morphisms)) if m != entry[2]])
+        want = raw_groupoid_failure(objects, morphisms, table)
+        verdicts[want] += 1
+        if want is None:
+            g, relabel = from_composition_table(objects, morphisms, table)
+            assert relabel_is_isomorphism(g, relabel, table)
+        else:
+            with pytest.raises(ValidationError) as e:
+                from_composition_table(objects, morphisms, table)
+            assert e.value.invariant == want
+    names = ("composability", "identity", "inverse", "associativity")
+    assert set(verdicts) == {None} | {f"groupoid.{name}" for name in names}, verdicts
+
+
 @given(st.integers(1, 4), st.integers(1, 5))
 def test_block_morphism_count(num_objects, group_order):
     g = FiniteGroupoid([ConnectedBlock(range(num_objects), FiniteGroup.cyclic(group_order))])
-    assert g.morphism_count() == num_objects * num_objects * group_order
-    assert len(list(g.morphisms())) == g.morphism_count()
+    ms = list(g.morphisms())
+    assert len(set(ms)) == len(ms) == num_objects * num_objects * group_order
