@@ -22,7 +22,7 @@ from .fields import accumulate
 from .groupoids import FiniteGroupoid, Morphism, is_index
 from .division import GradedDivisionRing
 from .matrix_ring import MatrixRing
-from .structure import SemisimpleRingSpec
+from .structure import SemisimpleRingSpec, multiplicities
 
 # The largest total hom dimension, the sum of dim Hom(B, A) over all object
 # pairs, of a raw category.  `gradix category to-ring` of a one-object
@@ -88,9 +88,6 @@ class MatrixFormCategory:
             if any(self.dims[name][j] for name in self.objects)
         ]
 
-    def total_multiplicity(self, name):
-        return sum(self.dims[name])
-
 
 class CategoryFlags:
     def __init__(self, semisimple, simple_artinian, all_functors_free, division, witnesses):
@@ -105,53 +102,30 @@ class CategoryFlags:
 def classify_category(cat):
     """Numeric classification of a matrix-form category.
 
-    Raw categories are refused: their semisimplicity is not decided here.
+    The flags are the ring's, read off the same multiplicity table: block
+    j's runs are its nonzero n(j, A), in object order.  No ring is built,
+    so blocks over different fields still classify.  Raw categories are
+    refused as a FormatError: their semisimplicity is not decided here.
     """
-    if isinstance(cat, (RawCategory, CategoryRing)):
-        raise GradixError(
+    if not isinstance(cat, MatrixFormCategory):
+        raise FormatError(
             "raw categories only get validation and a ring; classification "
             "needs the matrix form with explicit per-object multiplicities"
         )
-    witnesses = {}
-    active = cat.active_blocks()
-    simple_artinian = len(active) == 1
-    witnesses["simple_artinian"] = f"{len(active)} nonzero blocks"
-
-    all_free = True
-    free_objects = {}
-    for j in active:
-        pick = None
-        for name in cat.objects:
-            if cat.multiplicity(j, name) != 1:
-                continue
-            if any(
-                cat.multiplicity(jp, name)
-                for jp in range(len(cat.fields))
-                if jp != j
-            ):
-                continue
-            pick = name
-            break
-        if pick is None:
-            all_free = False
-            witnesses["all_functors_free"] = (
-                f"block {j} has no object of multiplicity one to itself"
-            )
-            break
-        free_objects[j] = pick
-    if all_free:
-        witnesses["all_functors_free"] = free_objects
-
-    division = True
-    for name in cat.objects:
-        if cat.total_multiplicity(name) > 1:
-            division = False
-            witnesses["division"] = f"object {name!r} has total multiplicity {cat.total_multiplicity(name)}"
-            break
-    if division:
+    table = [[(a, cat.dims[a][j]) for a in cat.objects if cat.dims[a][j]] for j in range(len(cat.fields))]
+    counts, crowded, singles = multiplicities(table, cat.objects)
+    active = [j for j, runs in enumerate(table) if runs]
+    witnesses = {"simple_artinian": f"{len(active)} nonzero blocks"}
+    lacking = [j for j in active if singles[j] is None]
+    if lacking:
+        witnesses["all_functors_free"] = f"block {lacking[0]} has no object of multiplicity one to itself"
+    else:
+        witnesses["all_functors_free"] = {j: singles[j] for j in active}
+    if crowded:
+        witnesses["division"] = f"object {crowded[0]!r} has total multiplicity {counts[crowded[0]]}"
+    else:
         witnesses["division"] = "every object has total multiplicity at most one"
-
-    return CategoryFlags(True, simple_artinian, all_free, division, witnesses)
+    return CategoryFlags(True, len(active) == 1, not lacking, not crowded, witnesses)
 
 
 def category_to_semisimple_spec(cat):
@@ -247,6 +221,11 @@ class RawCategory:
                 if not field.is_zero(v):
                     clean[k] = v
             self.identities[name] = clean
+        extra = set(identities) - set(self.objects)
+        if extra:
+            raise ValidationError(
+                "category.identity", f"identity vectors for unknown objects {sorted(extra, key=repr)}"
+            )
         self._validate()
 
     @classmethod

@@ -9,6 +9,7 @@ invariant), 2 when input cannot be read or parsed.
 
 import argparse
 import json
+import os
 import sys
 
 from .elimination import DEFAULT_RANK_BOUND, invert_square, rank_all, solve
@@ -24,7 +25,7 @@ from .specfiles import (
     load_module,
     load_vectors,
 )
-from .structure import classify, spec_iso, wedderburn_decompose
+from .structure import classify, multiplicities, spec_iso, wedderburn_decompose
 
 SCHEMA = "gradix/1"
 
@@ -53,27 +54,22 @@ def _matrix_json(matrix):
     }
 
 
-def _index_counts(block):
-    counts = {}
-    for sig in block.signatures:
-        src = sig[0].source
-        counts[src] = counts.get(src, 0) + 1
-    return counts
-
-
 def _counts_text(counts):
     inner = ", ".join(f"{e}: {c}" for e, c in sorted(counts.items()))
     return "{" + inner + "}"
 
 
+def _block_counts(spec):
+    """Each block's index count per object, read off the spec's table."""
+    return [multiplicities([runs])[0] for runs in spec.table]
+
+
 def _block_lines(spec):
-    lines = []
-    for j, blk in enumerate(spec.blocks):
-        lines.append(
-            f"block {j}: size {blk.size}, base object {spec.base_object(j)}, "
-            f"support order {len(blk.ring.support)}, indices {_counts_text(_index_counts(blk))}"
-        )
-    return lines
+    return [
+        f"block {j}: size {blk.size}, base object {spec.base_object(j)}, "
+        f"support order {len(blk.ring.support)}, indices {_counts_text(counts)}"
+        for j, (blk, counts) in enumerate(zip(spec.blocks, _block_counts(spec)))
+    ]
 
 
 def _block_records(spec):
@@ -82,9 +78,9 @@ def _block_records(spec):
             "size": blk.size,
             "base_object": spec.base_object(j),
             "support_order": len(blk.ring.support),
-            "indices": {str(e): c for e, c in sorted(_index_counts(blk).items())},
+            "indices": {str(e): c for e, c in sorted(counts.items())},
         }
-        for j, blk in enumerate(spec.blocks)
+        for j, (blk, counts) in enumerate(zip(spec.blocks, _block_counts(spec)))
     ]
 
 
@@ -248,9 +244,9 @@ def _cmd_iso(args):
 
 
 def _cmd_module(args):
-    data = load_json(args.file)
+    data, base_dir = load_json(args.file), os.path.dirname(args.file)
     if isinstance(data, dict) and "vectors" in data:
-        module, vectors = load_kind(args.file, load_vectors)
+        module, vectors = load_vectors(data, base_dir)
         span = module.pdim_of_span(vectors)
         quot = module.quotient_pdim(vectors)
         text = [
@@ -259,7 +255,7 @@ def _cmd_module(args):
             f"quotient pdim: {quot}",
         ]
         return text, {"pdim": module.pdim(), "span_pdim": span, "quotient_pdim": quot}
-    module = load_kind(args.file, load_module)
+    module = load_module(data, base_dir)
     return [f"pdim: {module.pdim()}"], {"pdim": module.pdim()}
 
 

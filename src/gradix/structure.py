@@ -32,6 +32,7 @@ over Q and modulo p over F_p.
 """
 
 from collections import Counter
+from itertools import groupby
 
 from .errors import GradixError, ValidationError
 from .groupoids import union_classes
@@ -86,40 +87,16 @@ class SemisimpleRingSpec:
                 )
         self.groupoid = first.groupoid
         self.field = first.field
+        # table[j]: the sources of block j's signatures in index order, as
+        # (object, count) runs; a singleton signature's source is the only
+        # object where its index is live
+        self.table = tuple(
+            tuple((e, len(list(run))) for e, run in groupby(sig[0].source for sig in blk.signatures))
+            for blk in self.blocks
+        )
 
     def base_object(self, j):
         return self._bases[j]
-
-    def signature(self, j, k):
-        """The single morphism of block j, index k."""
-        return self.blocks[j].signatures[k][0]
-
-    def block_size(self, j):
-        return self.blocks[j].size
-
-    def indices_at(self, j, e):
-        """K_{j,e}: indices of block j whose signature starts at e.
-
-        A singleton signature's source is the only object where its index
-        is live, so these are the block's live indices at e.
-        """
-        return self.blocks[j].live_indices(e)
-
-    def blocks_at(self, e):
-        """J_e: blocks with at least one index at e."""
-        return tuple(j for j in range(len(self.blocks)) if self.indices_at(j, e))
-
-    def index_count(self, e):
-        """n_e: total number of indices over all blocks starting at e."""
-        return sum(len(self.indices_at(j, e)) for j in range(len(self.blocks)))
-
-    def objects(self):
-        """All objects carrying at least one index, sorted."""
-        return sorted({sig[0].source for blk in self.blocks for sig in blk.signatures})
-
-    def global_index(self, j, k):
-        """1-based position of block j, index k in the concatenated index list."""
-        return sum(self.block_size(jp) for jp in range(j)) + k + 1
 
 
 # -- classification ----------------------------------------------------------
@@ -146,17 +123,24 @@ class ClassificationFlags:
         }
 
 
-def _exclusive_singleton(spec, j):
-    """The object of the first index of block j, in index order, that is held
-    by that index alone and by no other block, or None."""
-    for k in range(spec.block_size(j)):
-        e = spec.signature(j, k).source
-        if len(spec.indices_at(j, e)) != 1:
-            continue
-        if any(spec.indices_at(jp, e) for jp in range(len(spec.blocks)) if jp != j):
-            continue
-        return e
-    return None
+def multiplicities(table, objects=()):
+    """Read a multiplicity table: per block, its objects as (object, count)
+    runs, in the block's index order.
+
+    Returns the index count at each object over all blocks, the crowded
+    ones among ``objects`` (two or more indices), in that order, and each
+    block's exclusive singleton: the object of its first run whose total
+    count is 1, so that one index of this block alone sits there, or None.
+    Mitchell's bridge reads both a semisimple ring's and a matrix-form
+    category's flags off this table.  Runs are summed, never expanded.
+    """
+    counts = Counter()
+    for runs in table:
+        for e, c in runs:
+            counts[e] += c
+    crowded = [e for e in objects if counts[e] >= 2]
+    singles = [next((e for e, _ in runs if counts[e] == 1), None) for runs in table]
+    return counts, crowded, singles
 
 
 def _verify_ipbn_witness(spec, e, singleton_of):
@@ -172,7 +156,7 @@ def _verify_ipbn_witness(spec, e, singleton_of):
     """
     for j, c in singleton_of.items():
         blk = spec.blocks[j]
-        here = spec.indices_at(j, e)
+        here = blk.live_indices(e)
         row = [blk.e_unit(k, c) for k in here]
         col = [blk.e_unit(c, k) for k in here]
         ab = blk.zero()
@@ -180,7 +164,7 @@ def _verify_ipbn_witness(spec, e, singleton_of):
             ab = ab.add(a.mul(b))
         if not ab.equal(blk.identity_at(e)):
             raise GradixError("internal error: pseudo-basis witness failed the AB identity")
-        local = blk.identity_at(spec.signature(j, c).source)
+        local = blk.identity_at(blk.signatures[c][0].source)
         for s, b in enumerate(col):
             for t, a in enumerate(row):
                 prod = b.mul(a)
@@ -195,62 +179,48 @@ def classify(spec):
     """Classification flags with certificates for a semisimple spec.
 
     A bare matrix ring is decomposed into its blocks first.  Every flag is
-    read off the index counts of the blocks; a false ipbn flag comes with
+    read off the spec's multiplicity table; a false ipbn flag comes with
     a pseudo-basis pair that is checked block by block.
     """
     if isinstance(spec, MatrixRing):
         spec = wedderburn_decompose(spec)
+    table, n_blocks = spec.table, len(spec.blocks)
+    counts, crowded, singles = multiplicities(table, sorted({e for runs in table for e, _ in runs}))
+    holders = {e: [j for j, runs in enumerate(table) if e in dict(runs)] for e in crowded}
     witnesses = {}
-    n_blocks = len(spec.blocks)
 
     gr_simple = n_blocks == 1
     if not gr_simple:
         witnesses["gr_simple"] = f"{n_blocks} blocks"
-
-    crowded = [e for e in spec.objects() if spec.index_count(e) >= 2]
 
     gr_division = not crowded
     if gr_division:
         witnesses["gr_division"] = "every object carries at most one index"
     else:
         e = crowded[0]
-        j = spec.blocks_at(e)[0]
-        k = spec.indices_at(j, e)[0]
-        pos = spec.global_index(j, k)
+        j = holders[e][0]
+        k = spec.blocks[j].live_indices(e)[0]
+        pos = sum(blk.size for blk in spec.blocks[:j]) + k + 1
         witnesses["gr_division"] = f"E{pos}{pos} has no right inverse"
         witnesses["gr_division_data"] = {"object": e, "block": j, "index": k}
 
-    singles = {}
-    pfm = True
-    for j in range(n_blocks):
-        f = _exclusive_singleton(spec, j)
-        if f is None:
-            pfm = False
-            witnesses["pfm"] = f"block {j} has no object of its own with exactly one index"
-            break
-        singles[j] = f
+    pfm = None not in singles
     if pfm:
-        witnesses["pfm"] = {j: singles[j] for j in range(n_blocks)}
+        witnesses["pfm"] = dict(enumerate(singles))
+    else:
+        witnesses["pfm"] = f"block {singles.index(None)} has no object of its own with exactly one index"
 
     ipbn = True
     for e in crowded:
-        singleton_of = {}
-        for j in spec.blocks_at(e):
-            f = _exclusive_singleton(spec, j)
-            if f is None:
-                break
-            singleton_of[j] = spec.indices_at(j, f)[0]
-        else:
-            _verify_ipbn_witness(spec, e, singleton_of)
-            size = spec.index_count(e)
-            ipbn = False
-            witnesses["ipbn"] = (
-                f"the module at object {e} has verified pseudo-bases of sizes 1 and {size}"
-            )
-            witnesses["ipbn_data"] = {"object": e, "sizes": (1, size)}
-            break
+        if any(singles[j] is None for j in holders[e]):
+            continue
+        _verify_ipbn_witness(spec, e, {j: spec.blocks[j].live_indices(singles[j])[0] for j in holders[e]})
+        ipbn = False
+        witnesses["ipbn"] = f"the module at object {e} has verified pseudo-bases of sizes 1 and {counts[e]}"
+        witnesses["ipbn_data"] = {"object": e, "sizes": (1, counts[e])}
+        break
     if ipbn:
-        witnesses.setdefault("ipbn", "no rectangular pseudo-basis pair exists")
+        witnesses["ipbn"] = "no rectangular pseudo-basis pair exists"
 
     if gr_division != (pfm and ipbn):
         raise GradixError("internal error: division flag disagrees with pfm and ipbn")
@@ -747,8 +717,5 @@ def simple_dimension(spec, shifts):
     flags = classify(spec)
     if not flags.pfm:
         raise GradixError("simple dimension needs a pfm ambient ring")
-    total = 0
-    for eps in shifts:
-        e = eps.target
-        total += spec.index_count(e)
-    return total
+    counts, _, _ = multiplicities(spec.table)
+    return sum(counts[eps.target] for eps in shifts)

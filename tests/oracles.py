@@ -196,6 +196,22 @@ def associativity_failure(field, hom_dims, compose):
     return None
 
 
+def multiplicity_flags(dims):
+    """The flags of a matrix-form category from their definitions, for
+    ``dims`` = {object: [n(j, A) for each block j]}: simple artinian when
+    exactly one block is nonzero, all functors free when each nonzero block
+    has an object where it alone has one index, division when every object
+    has total multiplicity at most one.  Computed as bench/gen.py's
+    ``Category.flags`` computes them, with no run table."""
+    rows = list(dims.values())
+    active = [j for j in range(len(rows[0])) if any(row[j] for row in rows)]
+    return {
+        "simple_artinian": len(active) == 1,
+        "all_functors_free": all(any(row[j] == 1 and sum(row) == 1 for row in rows) for j in active),
+        "division": all(sum(row) <= 1 for row in rows),
+    }
+
+
 def _inverse_shape(matrix):
     """The zero matrix of the shape a two-sided inverse would have."""
     return HomMatrix(matrix.ring, matrix.col_sig, matrix.row_sig)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import time
 from itertools import product
 
 import pytest
@@ -17,7 +18,7 @@ from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.specfiles import load_category, load_field
 from gradix.structure import classify
-from oracles import associativity_failure, random_scalar
+from oracles import associativity_failure, multiplicity_flags, random_scalar
 
 Q = Rationals()
 FIXTURES = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
@@ -92,7 +93,9 @@ class TestBridge:
         cat = MatrixFormCategory(["A", "B"], [Q], {"A": [1], "B": [2]})
         spec = category_to_semisimple_spec(cat)
         assert len(spec.blocks) == 1
-        assert spec.block_size(0) == 3
+        assert spec.blocks[0].size == 3
+        # objects A, B are 0, 1 of the pair groupoid: one index at A, two at B
+        assert spec.table == (((0, 1), (1, 2)),)
         assert classify(spec).pfm
 
     def test_multiplicity_two_alone_is_not_pfm(self):
@@ -146,6 +149,76 @@ class TestBridge:
             assert cflags.simple_artinian == rflags.gr_simple
             assert cflags.all_functors_free == rflags.pfm
             assert cflags.division == rflags.gr_division
+
+
+def _category_flags(flags):
+    return {k: getattr(flags, k) for k in ("simple_artinian", "all_functors_free", "division")}
+
+
+def _ring_flags(flags):
+    return {"simple_artinian": flags.gr_simple, "all_functors_free": flags.pfm, "division": flags.gr_division}
+
+
+class TestMultiplicityOracle:
+    """Both flag sets are read off one multiplicity table by
+    structure.multiplicities; the oracle reads the definitions off the
+    category's dims instead."""
+
+    def test_random_tables_with_inactive_blocks(self):
+        rng = random.Random(19)
+        inactive = 0
+        for _ in range(80):
+            names = [f"X{k}" for k in range(rng.randint(1, 4))]
+            n_blocks = rng.randint(1, 4)
+            dead = set(rng.sample(range(n_blocks), rng.randint(0, n_blocks - 1)))
+            dims = {
+                name: [0 if j in dead else rng.choice([0, 0, 1, 1, 2, 3]) for j in range(n_blocks)]
+                for name in names
+            }
+            cat = MatrixFormCategory(names, [Q] * n_blocks, dims)
+            cflags = classify_category(cat)
+            assert _category_flags(cflags) == multiplicity_flags(dims)
+            active = cat.active_blocks()
+            inactive += len(active) < n_blocks
+            if not active:
+                continue
+            rflags = classify(category_to_semisimple_spec(cat))
+            assert _ring_flags(rflags) == multiplicity_flags(dims)
+            if rflags.pfm:
+                # spec block p is active block p, and ring object k is names[k]
+                free = {j: names[e] for j, e in zip(active, rflags.witnesses["pfm"].values())}
+                assert free == cflags.witnesses["all_functors_free"]
+        assert inactive
+
+    def test_zero_category(self):
+        dims = {"A": [0, 0], "B": [0, 0]}
+        flags = classify_category(MatrixFormCategory(["A", "B"], [Q, Q], dims))
+        want = {"simple_artinian": False, "all_functors_free": True, "division": True}
+        assert _category_flags(flags) == multiplicity_flags(dims) == want
+        assert flags.witnesses == {
+            "simple_artinian": "0 nonzero blocks",
+            "all_functors_free": {},
+            "division": "every object has total multiplicity at most one",
+        }
+
+    def test_mixed_fields_classify_on_the_category_side(self):
+        rng = random.Random(23)
+        fields = [Q, PrimeField(5), PrimeField(7)]
+        for _ in range(30):
+            names = [f"X{k}" for k in range(rng.randint(1, 4))]
+            dims = {name: [rng.choice([0, 1, 1, 2]) for _ in fields] for name in names}
+            cat = MatrixFormCategory(names, fields, dims)
+            assert _category_flags(classify_category(cat)) == multiplicity_flags(dims)
+
+    def test_huge_multiplicity_is_summed_not_expanded(self):
+        dims = {"A": [10**9, 0], "B": [0, 1], "C": [1, 0]}
+        cat = MatrixFormCategory(list(dims), [Q, Q], dims)
+        start = time.perf_counter()
+        flags = classify_category(cat)
+        assert time.perf_counter() - start < 0.1
+        assert _category_flags(flags) == multiplicity_flags(dims)
+        assert flags.witnesses["all_functors_free"] == {0: "C", 1: "B"}
+        assert flags.witnesses["division"] == "object 'A' has total multiplicity 1000000000"
 
 
 class TestRawCategories:
@@ -260,6 +333,18 @@ class TestRawCategories:
                 {"A": {}, "B": {0: 1}},
             )
         assert err.value.invariant == "category.hom"
+
+    def test_identity_of_an_unknown_object(self):
+        with pytest.raises(ValidationError) as err:
+            RawCategory(
+                ["A"],
+                Q,
+                {("A", "A"): 1},
+                {(("A", "A", 0), ("A", "A", 0)): {0: 1}},
+                {"A": {0: 1}, "Z": {5: 1}},
+            )
+        assert err.value.invariant == "category.identity"
+        assert "'Z'" in str(err.value)
 
 
 def _rejection(objects, field, hom_dims, compose, identities):

@@ -23,6 +23,16 @@ POINT_MATRIX = {
     "row_signature": [POINT],
     "col_signature": [POINT],
 }
+# A valid raw category: one object A whose endomorphisms are Q.
+RAW_POINT = {
+    "raw_category": {
+        "field": {"kind": "Q"},
+        "objects": ["A"],
+        "homs": [["A", "A", 1]],
+        "compose": [[["A", "A", 0], ["A", "A", 0], [[0, 1]]]],
+        "identities": {"A": [[0, 1]]},
+    }
+}
 # The identity at object 2, outside gamma0 of point_ring2.json.
 AWAY = [0, 2, 0, 2]
 
@@ -223,6 +233,24 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: category.common_field: ")
+
+    def test_category_classify_of_a_valid_raw_category_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "raw.category.json"
+        path.write_text(json.dumps(RAW_POINT))
+        assert call(capsys, "validate", str(path))[0] == 0
+        code, out, err = call(capsys, "category", "classify", str(path))
+        assert (code, out) == (2, "")
+        assert "classification needs the matrix form" in err
+
+    def test_identity_of_an_unknown_object_names_the_invariant(self, capsys, tmp_path):
+        spec = json.loads(json.dumps(RAW_POINT))
+        spec["raw_category"]["identities"]["Z"] = [[5, 1]]
+        path = tmp_path / "raw.category.json"
+        path.write_text(json.dumps(spec))
+        for argv in (["validate"], ["category", "to-ring"]):
+            code, out, err = call(capsys, *argv, str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: category.identity: ")
 
     def test_iso_across_groupoids_names_the_common_grading(self, capsys):
         code, out, err = call(capsys, "iso", fx("pair_ring.json"), fx("point_ring.json"))

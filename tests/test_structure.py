@@ -20,13 +20,20 @@ from gradix.structure import (
     classify,
     corner_structure,
     iso_test,
+    multiplicities,
     simple_dimension,
     solve_coboundary,
     spec_iso,
     wedderburn_decompose,
 )
 
-from oracles import certificate_is_isomorphism, coboundary_exists, coboundary_twist, is_coboundary
+from oracles import (
+    certificate_is_isomorphism,
+    coboundary_exists,
+    coboundary_twist,
+    is_coboundary,
+    multiplicity_flags,
+)
 
 Q = Rationals()
 FIXTURES = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
@@ -109,12 +116,26 @@ class TestSpecValidation:
     def test_counts(self):
         _, ring = pfm_m3()
         spec = SemisimpleRingSpec([ring])
-        assert spec.indices_at(0, 1) == (0, 1)
-        assert spec.indices_at(0, 2) == (2,)
-        assert spec.index_count(1) == 2
-        assert spec.blocks_at(2) == (0,)
-        assert {e: spec.blocks_at(e) for e in spec.objects()} == {1: (0,), 2: (0,)}
-        assert spec.global_index(0, 0) == 1
+        assert spec.table == (((1, 2), (2, 1)),)
+        assert spec.blocks[0].live_indices(1) == (0, 1)
+        assert spec.blocks[0].live_indices(2) == (2,)
+        counts, crowded, singles = multiplicities(spec.table, [1, 2])
+        assert counts == {1: 2, 2: 1}
+        assert crowded == [1]
+        assert singles == [2]
+
+    def test_runs_keep_index_order(self):
+        # sources 2, 1, 1, 2, 3: object 2 comes back after object 1, so it
+        # is two runs, and the total at 2 sums them
+        g = FiniteGroupoid.pair([1, 2, 3])
+        d = concentrated(Q, g, 1)
+        ring = MatrixRing(d, [[Morphism(0, 1, 0, src)] for src in (2, 1, 1, 2, 3)])
+        spec = SemisimpleRingSpec([ring])
+        assert spec.table == (((2, 1), (1, 2), (2, 1), (3, 1)),)
+        counts, crowded, singles = multiplicities(spec.table, [1, 2, 3])
+        assert counts == {1: 2, 2: 2, 3: 1}
+        assert crowded == [1, 2]
+        assert singles == [3]
 
 
 class TestClassify:
@@ -129,6 +150,21 @@ class TestClassify:
         assert flags.witnesses["gr_division"] == "E11 has no right inverse"
         assert flags.witnesses["pfm"] == {0: 2}
         assert flags.witnesses["ipbn_data"]["sizes"] == (1, 2)
+
+    def test_pfm_witness_is_the_first_index_in_index_order(self):
+        # sources 3, 1, 1, 2 into object 1: objects 3 and 2 each hold one
+        # index, and 3 comes first in index order though last in object order
+        g = FiniteGroupoid.pair([1, 2, 3])
+        sources = [3, 1, 1, 2]
+        ring = MatrixRing(concentrated(Q, g, 1), [[Morphism(0, 1, 0, src)] for src in sources])
+        spec = wedderburn_decompose(ring)
+        flags = classify(spec)
+        dims = {e: [sources.count(e)] for e in (1, 2, 3)}
+        assert flags.pfm == multiplicity_flags(dims)["all_functors_free"]
+        assert flags.gr_division == multiplicity_flags(dims)["division"]
+        first = next(src for src in sources if sources.count(src) == 1)
+        assert flags.witnesses["pfm"] == {0: first} == {0: 3}
+        assert flags.witnesses["gr_division"] == "E22 has no right inverse"
 
     def test_two_by_two_over_a_field(self):
         flags = classify(m2_one_object())
@@ -181,18 +217,20 @@ class TestWedderburn:
         d, ring = two_class_ring()
         spec = wedderburn_decompose(ring)
         assert len(spec.blocks) == 2
-        assert [spec.block_size(j) for j in (0, 1)] == [2, 2]
+        assert [blk.size for blk in spec.blocks] == [2, 2]
         assert [spec.base_object(j) for j in (0, 1)] == [1, 3]
         # the off-base index connects through the supported cross morphism
-        assert spec.signature(0, 1) == Morphism(0, 1, 0, 2)
-        assert spec.signature(1, 1) == Morphism(0, 3, 0, 4)
+        assert spec.blocks[0].signatures[1] == (Morphism(0, 1, 0, 2),)
+        assert spec.blocks[1].signatures[1] == (Morphism(0, 3, 0, 4),)
+        assert spec.table == (((1, 1), (2, 1)), ((3, 1), (4, 1)))
         assert spec.provenance[0][0] == (0, d.groupoid.identity(1))
 
     def test_trivially_graded_field_stays_one_block(self):
         ring = m2_one_object()
         spec = wedderburn_decompose(ring)
         assert len(spec.blocks) == 1
-        assert spec.block_size(0) == 2
+        assert spec.blocks[0].size == 2
+        assert spec.table == (((0, 2),),)
 
     def test_prime_ring_is_a_single_block(self):
         _, ring = pfm_m3()
