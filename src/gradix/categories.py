@@ -17,12 +17,10 @@ product is composition when the middle object matches, zero otherwise.
 
 from collections import defaultdict
 
+from . import division, matrix_ring, structure
 from .errors import FormatError, GradixError, ValidationError
 from .fields import accumulate
 from .groupoids import FiniteGroupoid, Morphism, is_index
-from .division import GradedDivisionRing
-from .matrix_ring import MatrixRing
-from .structure import SemisimpleRingSpec, multiplicities
 
 # The largest total hom dimension, the sum of dim Hom(B, A) over all object
 # pairs, of a raw category.  `gradix category to-ring` of a one-object
@@ -32,6 +30,14 @@ from .structure import SemisimpleRingSpec, multiplicities
 # 2.5-2.8 s (Python 3.11, one core of a shared 2-vCPU host).  So the
 # ceiling keeps the worst case near 1 s.
 MAX_HOM_DIMENSION = 400
+
+# The largest total index count, the sum of n(j, A) over all blocks and
+# objects, of the block family category_to_semisimple_spec builds: one
+# signature per index.  A one-object category of multiplicity 10^5 takes
+# 0.68 s in one process and grows it to 64 MB; 1.5 * 10^5 takes 1.04 s and
+# 88 MB (Python 3.11, one core of a shared 2-vCPU host).  So the ceiling
+# keeps the build under 1 s with room for a busy host.
+MAX_SPEC_INDICES = 100_000
 
 
 def check_hom_dimension(total):
@@ -113,7 +119,7 @@ def classify_category(cat):
             "needs the matrix form with explicit per-object multiplicities"
         )
     table = [[(a, cat.dims[a][j]) for a in cat.objects if cat.dims[a][j]] for j in range(len(cat.fields))]
-    counts, crowded, singles = multiplicities(table, cat.objects)
+    counts, crowded, singles = structure.multiplicities(table, cat.objects)
     active = [j for j, runs in enumerate(table) if runs]
     witnesses = {"simple_artinian": f"{len(active)} nonzero blocks"}
     lacking = [j for j in active if singles[j] is None]
@@ -132,26 +138,33 @@ def category_to_semisimple_spec(cat):
     """The block family of matrix rings realizing the category's ring.
 
     One block per active j, over the field at the block's first populated
-    object, with one singleton signature per copy of every object.
+    object, with one singleton signature per copy of every object.  A
+    category with more than MAX_SPEC_INDICES indices in all is refused
+    before anything is built.
     """
     active = cat.active_blocks()
     if not active:
         raise GradixError("the zero category has no semisimple block form")
+    total = sum(sum(row) for row in cat.dims.values())
+    if total > MAX_SPEC_INDICES:
+        raise FormatError(
+            f"total index count {total} exceeds the ceiling MAX_SPEC_INDICES = {MAX_SPEC_INDICES}"
+        )
     groupoid = FiniteGroupoid.pair(list(range(len(cat.objects))))
     index = {name: k for k, name in enumerate(cat.objects)}
     blocks = []
     for j in active:
         base = next(name for name in cat.objects if cat.multiplicity(j, name))
         ident = groupoid.identity(index[base])
-        ring = GradedDivisionRing(
+        ring = division.GradedDivisionRing(
             cat.fields[j], groupoid, [ident], {(ident, ident): cat.fields[j].one()}
         )
         sigs = []
         for name in cat.objects:
             for _ in range(cat.multiplicity(j, name)):
                 sigs.append([Morphism(0, index[base], 0, index[name])])
-        blocks.append(MatrixRing(ring, sigs))
-    return SemisimpleRingSpec(blocks)
+        blocks.append(matrix_ring.MatrixRing(ring, sigs))
+    return structure.SemisimpleRingSpec(blocks)
 
 
 # -- raw categories and their rings ------------------------------------------

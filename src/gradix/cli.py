@@ -12,10 +12,8 @@ import json
 import os
 import sys
 
-from .elimination import DEFAULT_RANK_BOUND, invert_square, rank_all, solve
+from . import categories, elimination, matrix_ring, structure
 from .errors import FormatError, GradixError, ValidationError
-from .categories import MatrixFormCategory, classify_category, raw_from_matrix_form, ring_of_category
-from .matrix_ring import MatrixRing
 from .specfiles import (
     load_any,
     load_category,
@@ -25,7 +23,6 @@ from .specfiles import (
     load_module,
     load_vectors,
 )
-from .structure import classify, multiplicities, spec_iso, wedderburn_decompose
 
 SCHEMA = "gradix/1"
 
@@ -61,7 +58,7 @@ def _counts_text(counts):
 
 def _block_counts(spec):
     """Each block's index count per object, read off the spec's table."""
-    return [multiplicities([runs])[0] for runs in spec.table]
+    return [structure.multiplicities([runs])[0] for runs in spec.table]
 
 
 def _block_lines(spec):
@@ -116,7 +113,7 @@ def _cmd_validate(args):
         module, vectors = obj
         text = [f"vectors: {len(vectors)} in a module of pdim {module.pdim()}"]
         record = {"kind": kind, "vectors": len(vectors), "pdim": module.pdim()}
-    elif isinstance(obj, MatrixFormCategory):
+    elif isinstance(obj, categories.MatrixFormCategory):
         active = len(obj.active_blocks())
         text = [f"category: {len(obj.objects)} objects, {active} active blocks"]
         record = {"kind": kind, "objects": len(obj.objects), "active_blocks": active}
@@ -128,7 +125,8 @@ def _cmd_validate(args):
 
 def _cmd_rank(args):
     matrix = load_kind(args.file, load_matrix)
-    report = rank_all(matrix, rank_bound=args.rank_bound)
+    bound = elimination.DEFAULT_RANK_BOUND if args.rank_bound is None else args.rank_bound
+    report = elimination.rank_all(matrix, rank_bound=bound)
     record = {
         "rho_r": report.rho_r,
         "rho_c": report.rho_c,
@@ -138,7 +136,7 @@ def _cmd_rank(args):
     }
     if report.rho_i_skipped:
         text = [
-            f"rho_r=rho_c=rho={report.rho}, rho_i skipped (size over bound {args.rank_bound})"
+            f"rho_r=rho_c=rho={report.rho}, rho_i skipped (size over bound {bound})"
         ]
     elif report.rho_r == report.rho_c == report.rho == report.rho_i:
         text = [f"rho_r=rho_c=rho=rho_i={report.rho}"]
@@ -151,9 +149,9 @@ def _cmd_rank(args):
 
 def _cmd_invert(args):
     matrix = load_kind(args.file, load_matrix)
-    inverse = invert_square(matrix)
+    inverse = elimination.invert_square(matrix)
     if inverse is None:
-        report = rank_all(matrix)
+        report = elimination.rank_all(matrix)
         n = matrix.shape[0]
         return (
             [f"invertible: false (rank {report.rho} of {n})"],
@@ -169,7 +167,7 @@ def _cmd_invert(args):
 def _cmd_solve(args):
     matrix = load_kind(args.matrix, load_matrix)
     rhs = load_kind(args.rhs, load_matrix)
-    x = solve(matrix, rhs)
+    x = elimination.solve(matrix, rhs)
     if x is None:
         return ["solvable: false"], {"solvable": False}
     text = ["solvable: true"]
@@ -186,14 +184,14 @@ def _load_ring_spec(path):
         return obj
     if kind == "ring":
         g = obj.groupoid
-        return MatrixRing(obj, [[g.identity(e) for e in obj.gamma0()]])
+        return matrix_ring.MatrixRing(obj, [[g.identity(e) for e in obj.gamma0()]])
     raise FormatError(f"{path}: expected a ring or matrix ring file, found {kind}")
 
 
 def _cmd_classify(args):
     ring = _load_ring_spec(args.file)
-    spec = wedderburn_decompose(ring)
-    flags = classify(spec)
+    spec = structure.wedderburn_decompose(ring)
+    flags = structure.classify(spec)
     w = flags.witnesses
     text = [f"blocks: {len(spec.blocks)}"]
     text.append(f"gr-semisimple: {_flag(flags.gr_semisimple)}")
@@ -220,7 +218,7 @@ def _cmd_classify(args):
 
 def _cmd_decompose(args):
     ring = _load_ring_spec(args.file)
-    spec = wedderburn_decompose(ring)
+    spec = structure.wedderburn_decompose(ring)
     text = [f"blocks: {len(spec.blocks)}"]
     text.extend(_block_lines(spec))
     text.append("dimension audit: ok")
@@ -228,9 +226,9 @@ def _cmd_decompose(args):
 
 
 def _cmd_iso(args):
-    left = wedderburn_decompose(_load_ring_spec(args.left))
-    right = wedderburn_decompose(_load_ring_spec(args.right))
-    match = spec_iso(left, right)
+    left = structure.wedderburn_decompose(_load_ring_spec(args.left))
+    right = structure.wedderburn_decompose(_load_ring_spec(args.right))
+    match = structure.spec_iso(left, right)
     if match is None:
         return ["isomorphic: false"], {"isomorphic": False}
     g = left.groupoid
@@ -262,7 +260,7 @@ def _cmd_module(args):
 def _cmd_category(args):
     cat = load_kind(args.file, load_category)
     if args.action == "classify":
-        flags = classify_category(cat)
+        flags = categories.classify_category(cat)
         text = [
             f"semisimple: {_flag(flags.semisimple)}",
             f"simple-artinian: {_flag(flags.simple_artinian)}",
@@ -281,9 +279,9 @@ def _cmd_category(args):
             "witnesses": _jsonable(flags.witnesses),
         }
         return text, record
-    if isinstance(cat, MatrixFormCategory):
-        cat = raw_from_matrix_form(cat)
-    ring = ring_of_category(cat)
+    if isinstance(cat, categories.MatrixFormCategory):
+        cat = categories.raw_from_matrix_form(cat)
+    ring = categories.ring_of_category(cat)
     text = [f"objects: {', '.join(str(n) for n in ring.object_names)}"]
     dims = []
     for (a, b) in ring.support():
@@ -306,7 +304,7 @@ def build_parser():
 
     p = sub.add_parser("rank", parents=[common], help="all four ranks of a matrix")
     p.add_argument("file")
-    p.add_argument("--rank-bound", type=int, default=DEFAULT_RANK_BOUND)
+    p.add_argument("--rank-bound", type=int)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("invert", parents=[common], help="two-sided inverse of a square matrix")

@@ -13,14 +13,10 @@ violated invariant's name.
 import json
 import os
 
-from .categories import MatrixFormCategory, RawCategory, check_hom_dimension
-from .division import GradedDivisionRing
+from . import categories, division, matrices, matrix_ring, modules
 from .errors import FormatError
 from .fields import field_from_json
 from .groupoids import groupoid_from_json, is_index
-from .matrices import HomMatrix
-from .matrix_ring import MatrixRing
-from .modules import GradedModule
 
 
 def load_json(path):
@@ -129,7 +125,7 @@ def load_division_ring(data, base_dir="", seen=frozenset()):
         t = groupoid.morphism_from_json(row[1])
         factor.append(((s, t), field.coerce(row[2])))
     factor = _keyed(factor, "factor pair")
-    return GradedDivisionRing(field, groupoid, support, factor)
+    return division.GradedDivisionRing(field, groupoid, support, factor)
 
 
 def load_matrix_ring(data, base_dir="", seen=frozenset()):
@@ -141,7 +137,7 @@ def load_matrix_ring(data, base_dir="", seen=frozenset()):
         _distinct((g.morphism_from_json(m) for m in _typed(sig, _LIST, "signature")), "signature morphism")
         for sig in raw
     ]
-    return MatrixRing(ring, signatures)
+    return matrix_ring.MatrixRing(ring, signatures)
 
 
 def load_matrix(data, base_dir="", seen=frozenset()):
@@ -158,7 +154,7 @@ def load_matrix(data, base_dir="", seen=frozenset()):
         if not (is_index(i) and is_index(j)):
             raise FormatError(f"matrix entry indices must be integers, got {row!r}")
         entries.append(((i, j), ring.field.coerce(raw_val)))
-    return HomMatrix(ring, rows, cols, _keyed(entries, "matrix entry position"))
+    return matrices.HomMatrix(ring, rows, cols, _keyed(entries, "matrix entry position"))
 
 
 def load_module(data, base_dir="", seen=frozenset()):
@@ -166,7 +162,7 @@ def load_module(data, base_dir="", seen=frozenset()):
     ring = load_division_ring(_require(data, "ring", "module"), base_dir, seen)
     g = ring.groupoid
     shifts = [g.morphism_from_json(m) for m in _require(data, "shifts", "module", _LIST)]
-    return GradedModule(ring, shifts)
+    return modules.GradedModule(ring, shifts)
 
 
 def load_vectors(data, base_dir="", seen=frozenset()):
@@ -201,7 +197,7 @@ def load_category(data, base_dir="", seen=frozenset()):
             ):
                 raise FormatError(f"hom row must be [target, source, dim], got {row!r}")
         hom_dims = _keyed((((row[0], row[1]), row[2]) for row in homs), "hom pair")
-        check_hom_dimension(sum(hom_dims.values()))
+        categories.check_hom_dimension(sum(hom_dims.values()))
         compose = []
         for row in _optional_list(raw, "compose", "raw category"):
             if not (isinstance(row, _LIST) and len(row) == 3 and _is_basis(row[0]) and _is_basis(row[1])):
@@ -213,7 +209,7 @@ def load_category(data, base_dir="", seen=frozenset()):
             name: _coeff_dict(vec, f"identity of {name!r}")
             for name, vec in _require(raw, "identities", "raw category", dict).items()
         }
-        return RawCategory(objects, field, hom_dims, compose, identities)
+        return categories.RawCategory(objects, field, hom_dims, compose, identities)
     fields = [
         load_field(fd, base_dir, seen)
         for fd in _require(data, "division_rings", "category", _LIST)
@@ -221,7 +217,7 @@ def load_category(data, base_dir="", seen=frozenset()):
     dims = _require(data, "dims", "category")
     if not (isinstance(dims, dict) and all(isinstance(row, _LIST) for row in dims.values())):
         raise FormatError(f"category dims must map object names to count lists, got {dims!r}")
-    return MatrixFormCategory(_names(_require(data, "objects", "category"), "category objects"), fields, dims)
+    return categories.MatrixFormCategory(_names(_require(data, "objects", "category"), "category objects"), fields, dims)
 
 
 _LOADERS = [

@@ -6,7 +6,9 @@ from itertools import product
 
 import pytest
 
+import gradix.categories as categories
 from gradix.categories import (
+    MAX_SPEC_INDICES,
     MatrixFormCategory,
     RawCategory,
     category_to_semisimple_spec,
@@ -14,7 +16,7 @@ from gradix.categories import (
     raw_from_matrix_form,
     ring_of_category,
 )
-from gradix.errors import GradixError, ValidationError
+from gradix.errors import FormatError, GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.specfiles import load_category, load_field
 from gradix.structure import classify
@@ -114,6 +116,23 @@ class TestBridge:
         cat = MatrixFormCategory(["A"], [Q], {"A": [0]})
         with pytest.raises(GradixError):
             category_to_semisimple_spec(cat)
+
+    @pytest.mark.parametrize(
+        "dims, total",
+        [({"A": [10**9]}, 10**9), ({"A": [MAX_SPEC_INDICES, 0], "B": [0, 1]}, MAX_SPEC_INDICES + 1)],
+    )
+    def test_index_count_past_the_ceiling_is_refused_before_building(self, dims, total):
+        cat = MatrixFormCategory(list(dims), [Q] * len(dims["A"]), dims)
+        start = time.perf_counter()
+        with pytest.raises(FormatError) as err:
+            category_to_semisimple_spec(cat)
+        assert time.perf_counter() - start < 0.1
+        assert f"total index count {total} exceeds the ceiling MAX_SPEC_INDICES" in str(err.value)
+
+    def test_index_count_at_the_ceiling_builds(self, monkeypatch):
+        monkeypatch.setattr(categories, "MAX_SPEC_INDICES", 3)
+        cat = MatrixFormCategory(["A", "B"], [Q], {"A": [1], "B": [2]})
+        assert category_to_semisimple_spec(cat).blocks[0].size == 3
 
     def test_flag_agreement_on_fixtures(self):
         fixtures = [

@@ -71,6 +71,28 @@ class TestExpectedLines:
         assert code == 0
         assert "rho_i skipped" in out
 
+    @pytest.mark.parametrize(
+        "flag, text, rho_i",
+        [
+            ((), "rho_r=rho_c=rho=9, rho_i skipped (size over bound 8)\n", None),
+            (("--rank-bound", "9"), "rho_r=rho_c=rho=rho_i=9\n", 9),
+            (("--rank-bound", "3"), "rho_r=rho_c=rho=9, rho_i skipped (size over bound 3)\n", None),
+        ],
+    )
+    def test_rank_bound_default_and_flag(self, capsys, tmp_path, flag, text, rho_i):
+        path = tmp_path / "identity9.json"
+        path.write_text(json.dumps(
+            dict(POINT_MATRIX, row_signature=[POINT] * 9, col_signature=[POINT] * 9,
+                 entries=[[i, i, 1] for i in range(9)])
+        ))
+        assert call(capsys, "rank", str(path), *flag) == (0, text, "")
+        code, out, err = call(capsys, "rank", str(path), *flag, "--emit", "json")
+        skipped = "true" if rho_i is None else "false"
+        assert out == (
+            f'{{"rho": 9, "rho_c": 9, "rho_i": {json.dumps(rho_i)}, "rho_i_skipped": {skipped}, '
+            f'"rho_r": 9, "schema": "gradix/1", "verb": "rank"}}\n'
+        )
+
     def test_invert(self, capsys):
         code, out, err = call(capsys, "invert", fx("unimodular.matrix.json"))
         assert code == 0
