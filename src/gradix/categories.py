@@ -5,8 +5,8 @@ field and a multiplicity for every object; hom groups are block-diagonal
 spaces of rectangular matrices and everything about the category is
 numeric.  A raw category carries hom-space dimensions, composition
 structure constants and identity vectors; one read from a file is
-validated exhaustively and turned into a structure-constant graded ring
-for inspection, but the classification predicates refuse it.  The raw
+validated exhaustively and is then its own structure-constant graded
+ring, but the classification predicates refuse it.  The raw
 category that spells out a matrix-form category in matrix units is valid
 by construction and is built without that check.
 
@@ -19,16 +19,14 @@ from collections import defaultdict
 
 from . import division, matrix_ring, structure
 from .errors import FormatError, GradixError, ValidationError
-from .fields import accumulate
 from .groupoids import FiniteGroupoid, Morphism, is_index
 
 # The largest total hom dimension, the sum of dim Hom(B, A) over all object
-# pairs, of a raw category.  `gradix category to-ring` of a one-object
-# matrix-form category of multiplicity 20 (hom dimension 400, 160,000
-# associativity triples) takes 0.45 s in one process on an idle host and
-# 1.0-1.25 s when the host is busy; multiplicity 24 (576) takes 0.95 s and
-# 2.5-2.8 s (Python 3.11, one core of a shared 2-vCPU host).  So the
-# ceiling keeps the worst case near 1 s.
+# pairs, of a raw category.  `gradix validate` of a one-object raw file of
+# hom dimension 400 (8,000 structure constants, 160,000 associativity
+# triples) takes 0.85-1.2 s in one process, 0.7 s of it validation (Python
+# 3.11, one core of a shared 2-vCPU host), so the ceiling keeps reading a
+# raw file near 1 s.  A matrix-form category is spelled out trusted.
 MAX_HOM_DIMENSION = 400
 
 # The largest total index count, the sum of n(j, A) over all blocks and
@@ -180,6 +178,9 @@ class RawCategory:
     to its coefficient dict over the (A, A) basis.  The constructor
     checks all axioms exhaustively; ``_trusted`` builds a category from
     structure constants that satisfy them by construction.
+
+    A valid category is also its ring: the component at the object pair
+    (A, B) is Hom(B, A), and the product is the compose table.
     """
 
     def __init__(self, objects, field, hom_dims, compose, identities):
@@ -206,17 +207,11 @@ class RawCategory:
                 raise ValidationError(
                     "category.hom", f"composite {left!r} after {right!r} has mismatched middle objects"
                 )
-            if not (0 <= li < self.dim(la, lb)) or not (0 <= rj < self.dim(ra, rb)):
+            if not (0 <= li < self.component_dimension(la, lb)) or not (0 <= rj < self.component_dimension(ra, rb)):
                 raise ValidationError("category.hom", f"basis index out of range in {left!r} o {right!r}")
-            clean = {}
-            for k, raw in dict(coeffs).items():
-                if not (0 <= k < self.dim(la, rb)):
-                    raise ValidationError(
-                        "category.hom", f"composite of {left!r} and {right!r} hits bad index {k}"
-                    )
-                v = field.coerce(raw)
-                if not field.is_zero(v):
-                    clean[k] = v
+            clean = self._vector(
+                coeffs, (la, rb), "category.hom", f"composite of {left!r} and {right!r} hits bad index"
+            )
             if clean:
                 self.compose_table[(left, right)] = clean
         self.identities = {}
@@ -224,22 +219,26 @@ class RawCategory:
             raw = identities.get(name)
             if raw is None:
                 raise ValidationError("category.identity", f"object {name!r} has no identity vector")
-            clean = {}
-            for k, val in dict(raw).items():
-                if not (0 <= k < self.dim(name, name)):
-                    raise ValidationError(
-                        "category.identity", f"identity of {name!r} uses bad basis index {k}"
-                    )
-                v = field.coerce(val)
-                if not field.is_zero(v):
-                    clean[k] = v
-            self.identities[name] = clean
+            self.identities[name] = self._vector(
+                raw, (name, name), "category.identity", f"identity of {name!r} uses bad basis index"
+            )
         extra = set(identities) - set(self.objects)
         if extra:
             raise ValidationError(
                 "category.identity", f"identity vectors for unknown objects {sorted(extra, key=repr)}"
             )
         self._validate()
+
+    def _vector(self, coeffs, pair, invariant, bad_index):
+        """A coefficient dict over the basis of Hom at pair, zeros dropped."""
+        clean, dim = {}, self.component_dimension(*pair)
+        for k, raw in dict(coeffs).items():
+            if not (0 <= k < dim):
+                raise ValidationError(invariant, f"{bad_index} {k}")
+            v = self.field.coerce(raw)
+            if not self.field.is_zero(v):
+                clean[k] = v
+        return clean
 
     @classmethod
     def _trusted(cls, objects, field, hom_dims, compose_table, identities):
@@ -254,49 +253,29 @@ class RawCategory:
         cat.identities = identities
         return cat
 
-    def dim(self, a, b):
+    def component_dimension(self, a, b):
+        """dim Hom(B, A), the dimension of the ring's component at (A, B)."""
         return self.hom_dims.get((a, b), 0)
 
-    def _basis_compose(self, left, right):
-        return self.compose_table.get((left, right), {})
-
-    def _compose_vectors(self, a, b, c, x, y):
-        """Composite of x over the (a, b) basis with y over the (b, c) basis."""
-        field = self.field
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                for k, ck in self._basis_compose((a, b, i), (b, c, j)).items():
-                    accumulate(field, out, k, field.mul(field.mul(xi, yj), ck))
-        return out
+    def support(self):
+        """Object pairs with nonzero components, sorted."""
+        return sorted(self.hom_dims)
 
     def _validate(self):
         """Both identity laws on every basis morphism, then associativity on
         every basis triple where a bracketing can be nonzero.
 
-        (uv)w can be nonzero only if w composes nonzero with some basis
-        morphism in the support of uv, and u(vw) only if u composes nonzero
-        with some basis morphism in the support of vw; every other triple is
-        zero on both sides.  The candidates come from the nonzero entries of
-        the compose table.  The table is put over one common denominator d
-        once, and per triple the difference of the two bracketings is summed
-        on integers, over d^2, and each nonzero sum reduced once.  The
-        failure reported is the first failing triple in the order of the
+        The compose table and the identity vectors are put over one common
+        denominator d once, so every composite is an integer sum over d^2,
+        reduced once when compared.  (uv)w can be nonzero only if w composes
+        nonzero with some basis morphism in the support of uv, and u(vw)
+        only if u composes nonzero with some basis morphism in the support
+        of vw; every other triple is zero on both sides, so the candidates
+        come from the nonzero entries of the compose table.  The failure
+        reported is the first failing triple in the order of the
         all-triples loop: hom pairs, then basis indices.
         """
         field = self.field
-        for (a, b) in self.hom_dims:
-            for i in range(self.dim(a, b)):
-                got = self._compose_vectors(a, a, b, self.identities[a], {i: field.one()})
-                if got != {i: field.one()}:
-                    raise ValidationError(
-                        "category.identity", f"I_{a!r} does not fix basis morphism {(a, b, i)}"
-                    )
-                got = self._compose_vectors(a, b, b, {i: field.one()}, self.identities[b])
-                if got != {i: field.one()}:
-                    raise ValidationError(
-                        "category.identity", f"basis morphism {(a, b, i)} is not fixed by I_{b!r}"
-                    )
         # basis morphisms numbered in hom-pair order; a pair (x, y) is x * n + y
         start, basis = {}, []
         for (a, b), dim in self.hom_dims.items():
@@ -304,7 +283,9 @@ class RawCategory:
             basis += [(a, b, i) for i in range(dim)]
         n = len(basis)
         table = self.compose_table
-        nums, d = field.integers([c for coeffs in table.values() for c in coeffs.values()])
+        values = [c for coeffs in table.values() for c in coeffs.values()]
+        values += [c for coeffs in self.identities.values() for c in coeffs.values()]
+        nums, d = field.integers(values)
         nums = iter(nums)
         rows, right_of, left_of = {}, {}, {}
         for ((a, b, i), (_, c, j)), coeffs in table.items():
@@ -312,6 +293,26 @@ class RawCategory:
             rows[x * n + y] = [(z + k, next(nums)) for k in coeffs]
             right_of.setdefault(x, []).append(y)
             left_of.setdefault(y, []).append(x)
+        identity = {
+            name: [(start[(name, name)] + k, next(nums)) for k in coeffs]
+            for name, coeffs in self.identities.items()
+        }
+        quotient, dd = field.quotient, d * d
+
+        def fixes(x, products):
+            """Whether the composites, (row key, coefficient) pairs, sum to x."""
+            sums = defaultdict(int)
+            sums[x] = -dd
+            for key, c in products:
+                for z, y in rows.get(key, ()):
+                    sums[z] += c * y
+            return not any(s and not field.is_zero(quotient(s, dd)) for s in sums.values())
+
+        for x, (a, b, _) in enumerate(basis):
+            if not fixes(x, [(u * n + x, c) for u, c in identity[a]]):
+                raise ValidationError("category.identity", f"I_{a!r} does not fix basis morphism {basis[x]}")
+            if not fixes(x, [(x * n + w, c) for w, c in identity[b]]):
+                raise ValidationError("category.identity", f"basis morphism {basis[x]} is not fixed by I_{b!r}")
         triples = set()
         for key, uv in rows.items():
             u, v = divmod(key, n)
@@ -321,7 +322,6 @@ class RawCategory:
             v, w = divmod(key, n)
             for z, _ in vw:
                 triples.update((u, v, w) for u in left_of.get(z, ()))
-        quotient, dd = field.quotient, d * d
         failed = []
         for u, v, w in triples:
             sums = defaultdict(int)
@@ -341,89 +341,60 @@ class RawCategory:
             )
 
 
-class CategoryRing:
-    """The structure-constant graded ring of a validated raw category.
-
-    Degrees are object pairs (A, B), the morphisms of the pair groupoid
-    on the objects.  The product is the category's
-    composition table, which RawCategory._compose_vectors computes and
-    its validation checks; this view exposes the grading only.
-    """
-
-    def __init__(self, raw):
-        self.raw = raw
-        self.object_names = raw.objects
-
-    def component_dimension(self, a, b):
-        return self.raw.dim(a, b)
-
-    def support(self):
-        """Object pairs with nonzero components, sorted."""
-        return sorted(self.raw.hom_dims)
-
-
 def ring_of_category(raw):
-    """The graded ring of a raw category, valid once built: validated by
-    the constructor, or spelled out in matrix units."""
+    """The graded ring of a raw category, which is the category itself,
+    valid once built: validated by the constructor, or spelled out in
+    matrix units."""
     if not isinstance(raw, RawCategory):
         raise GradixError("ring construction needs a RawCategory")
-    return CategoryRing(raw)
+    return raw
 
 
 def raw_from_matrix_form(cat):
     """Spell out a matrix-form category as structure constants.
 
-    Hom bases are matrix units (j, p, q); composition contracts the inner
-    index within a block.  Used to cross-check the ring's per-degree
-    dimensions against the product formula.
+    The basis of Hom(B, A) is the matrix units E(j, p, q) of every block j,
+    with p < n(j, A) and q < n(j, B), in that order; composition contracts
+    the inner index within a block, E(j, p, q) E(j, q, s) = E(j, p, s), and
+    only those composing pairs are written.  Used to cross-check the ring's
+    per-degree dimensions against the product formula.
 
     The result is built without revalidation: matrix units compose
-    associatively, E_pq E_qs = E_ps, and the identity of each object is
-    the sum of its diagonal units E_pp, so both identity laws hold.  The
-    hom dimension ceiling and the single-field check still run first.
+    associatively, and the identity of each object is the sum of its
+    diagonal units E(j, p, p), so both identity laws hold.  The hom
+    dimension ceiling and the single-field check still run first.
     """
     active = cat.active_blocks()
     fields = {cat.fields[j] for j in active} or {cat.fields[0]}
     if len(fields) > 1:
         raise ValidationError("category.common_field", "structure constants need a single scalar field")
     field = fields.pop()
-    check_hom_dimension(
-        sum(sum(cat.multiplicity(j, a) for a in cat.objects) ** 2 for j in range(len(cat.fields)))
-    )
+    check_hom_dimension(sum(sum(cat.multiplicity(j, a) for a in cat.objects) ** 2 for j in active))
 
-    basis = {}
-    hom_dims = {}
+    one = field.one()
+    # offset[(a, b)][j]: the position of block j's first unit in the (a, b) basis
+    offset, hom_dims = {}, {}
     for a in cat.objects:
         for b in cat.objects:
-            units = [
-                (j, p, q)
-                for j in range(len(cat.fields))
-                for p in range(cat.multiplicity(j, a))
-                for q in range(cat.multiplicity(j, b))
-            ]
-            if units:
-                basis[(a, b)] = units
-                hom_dims[(a, b)] = len(units)
-
-    position = {
-        (pair, unit): k for pair, units in basis.items() for k, unit in enumerate(units)
-    }
+            offset[(a, b)] = starts = [0]
+            for na, nb in zip(cat.dims[a], cat.dims[b]):
+                starts.append(starts[-1] + na * nb)
+            if starts[-1]:
+                hom_dims[(a, b)] = starts[-1]
     compose = {}
-    for (a, b), left_units in basis.items():
-        for (b2, c), right_units in basis.items():
-            if b2 != b:
-                continue
-            for i, (j, p, q) in enumerate(left_units):
-                for jj, (j2, r, s) in enumerate(right_units):
-                    if j2 != j or r != q:
-                        continue
-                    k = position[((a, c), (j, p, s))]
-                    compose[((a, b, i), (b, c, jj))] = {k: field.one()}
-    identities = {}
-    for a in cat.objects:
-        coeffs = {}
-        for j in range(len(cat.fields)):
-            for p in range(cat.multiplicity(j, a)):
-                coeffs[position[((a, a), (j, p, p))]] = field.one()
-        identities[a] = coeffs
+    for j in active:
+        live = [(a, cat.multiplicity(j, a)) for a in cat.objects if cat.multiplicity(j, a)]
+        for a, na in live:
+            for b, nb in live:
+                for c, nc in live:
+                    ab, bc, ac = offset[(a, b)][j], offset[(b, c)][j], offset[(a, c)][j]
+                    for p in range(na):
+                        for q in range(nb):
+                            left = (a, b, ab + p * nb + q)
+                            for s in range(nc):
+                                compose[(left, (b, c, bc + q * nc + s))] = {ac + p * nc + s: one}
+    identities = {
+        a: {offset[(a, a)][j] + p * (n + 1): one for j, n in enumerate(cat.dims[a]) for p in range(n)}
+        for a in cat.objects
+    }
     return RawCategory._trusted(cat.objects, field, hom_dims, compose, identities)

@@ -282,13 +282,9 @@ def _cmd_category(args):
     if isinstance(cat, categories.MatrixFormCategory):
         cat = categories.raw_from_matrix_form(cat)
     ring = categories.ring_of_category(cat)
-    text = [f"objects: {', '.join(str(n) for n in ring.object_names)}"]
-    dims = []
-    for (a, b) in ring.support():
-        d = ring.component_dimension(a, b)
-        text.append(f"dim[{a}, {b}] = {d}")
-        dims.append([a, b, d])
-    return text, {"objects": list(ring.object_names), "dims": dims}
+    dims = [[a, b, ring.component_dimension(a, b)] for a, b in ring.support()]
+    text = [f"objects: {', '.join(str(n) for n in ring.objects)}"] + [f"dim[{a}, {b}] = {d}" for a, b, d in dims]
+    return text, {"objects": list(ring.objects), "dims": dims}
 
 
 def build_parser():

@@ -6,6 +6,7 @@ they hash, compare and serialize without ceremony; all arithmetic goes
 through the field object.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -16,6 +17,16 @@ from .errors import FormatError
 # (Sorenson and Webster, 2015); larger moduli are refused.
 MAX_PRIME = 3317044064679887385961980
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# A rational literal: [+-]digits, or [+-]digits/digits with a nonzero
+# denominator, in ASCII digits.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+# Python converts ints to and from decimal strings only up to 4300 digits,
+# which every int of at most _INT_BITS bits has.  Input keeps that bound;
+# output writes longer ints 1000 digits at a time, and as JSON strings.
+_CHUNK = 10**1000
+_INT_BITS = 14284
 
 
 def is_prime(n):
@@ -54,6 +65,15 @@ def _exact_root(n, d):
         x = y
 
 
+def _decimal(n):
+    """str(n) for an int n of any length."""
+    sign, n, low = "-" if n < 0 else "", abs(n), []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        low.append(str(r).zfill(1000))
+    return sign + str(n) + "".join(reversed(low))
+
+
 class Rationals:
     """The field Q, backed by fractions.Fraction."""
 
@@ -66,16 +86,19 @@ class Rationals:
         return Fraction(1)
 
     def coerce(self, value):
-        """Turn an int, Fraction, or 'a/b' string into an element."""
+        """Turn an int, Fraction, or 'a' or 'a/b' string into an element."""
         if isinstance(value, bool):
             raise FormatError(f"not a rational scalar: {value!r}")
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
+            literal = _RATIONAL.fullmatch(value)
+            if literal is None:
+                raise FormatError(f"bad rational literal {value[:40]!r}: not [+-]digits[/digits], denominator > 0")
             try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"bad rational literal {value!r}") from exc
+                return Fraction(int(literal[1]), int(literal[2] or 1))
+            except ValueError as exc:
+                raise FormatError(f"rational literal {value[:40]!r}... is past Python's digit limit") from exc
         raise FormatError(f"not a rational scalar: {value!r}")
 
     def add(self, a, b):
@@ -126,12 +149,12 @@ class Rationals:
         return a == b
 
     def to_json(self, a):
-        if a.denominator == 1:
-            return int(a)
-        return f"{a.numerator}/{a.denominator}"
+        if a.denominator == 1 and a.numerator.bit_length() <= _INT_BITS:
+            return a.numerator
+        return self.format(a)
 
     def format(self, a):
-        return str(a)
+        return _decimal(a.numerator) + ("" if a.denominator == 1 else "/" + _decimal(a.denominator))
 
     def describe(self):
         return "Q"

@@ -23,7 +23,6 @@ from collections import Counter
 
 from .errors import GradixError, ValidationError
 from .fields import accumulate
-from .groupoids import Morphism
 from .matrices import live_entries, sparse_product
 
 
@@ -160,7 +159,9 @@ class MatrixRing:
 
     def dimension_table(self):
         """Dimension over the base field of every nonzero component, as a
-        Counter from degree to dimension, recomputed on every call.
+        Counter from degree to dimension, recomputed on every call.  A
+        degree is the plain tuple (block, target, elem, source), which
+        equals, hashes and sorts as the Morphism of the same fields.
 
         Slot (i, j) is live at gamma exactly when delta*gamma*sigma^-1 is
         in the support, for delta and sigma the selections of i and j at
@@ -169,8 +170,7 @@ class MatrixRing:
         (i, j) at gamma = delta^-1*s*sigma, and no slot twice, since a
         selection is unique (signature.d_unique).  The cost is the total
         dimension of the ring: gamma runs from d(sigma) to d(delta) in
-        their block, its element read off the block's group table, and
-        each distinct degree becomes a Morphism once.
+        their block, its element read off the block's group table.
         """
         blocks = self.ring.groupoid.blocks
         support_to = {}
@@ -189,7 +189,7 @@ class MatrixRing:
                     row = mult[back[s.elem]]
                     sigmas = sigmas_to.get(s.source, ())
                     degrees += [(delta.block, delta.source, row[sigma.elem], sigma.source) for sigma in sigmas]
-        return Counter({Morphism(*gamma): k for gamma, k in Counter(degrees).items()})
+        return Counter(degrees)
 
     def zero(self):
         return MatrixRingElement(self, None, {})

@@ -26,7 +26,8 @@ def load_json(path):
             return json.load(fh, object_pairs_hook=lambda pairs: _keyed(pairs, f"{path}: key"))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # not JSON, not UTF-8, or an integer past Python's 4300-digit limit
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

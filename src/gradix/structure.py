@@ -35,7 +35,7 @@ from collections import Counter
 from itertools import groupby
 
 from .errors import GradixError, ValidationError
-from .groupoids import union_classes
+from .groupoids import Morphism, union_classes
 from .matrix_ring import MatrixRing
 
 # The largest support whose coboundary system iso solves.  One solve on a
@@ -231,10 +231,9 @@ def classify(spec):
 # -- decomposition -----------------------------------------------------------
 
 
-def wedderburn_decompose(ring, signatures=None):
+def wedderburn_decompose(ring):
     """Split a matrix ring over a graded division ring into its blocks.
 
-    Accepts either a MatrixRing or a division ring plus signature sets.
     Index pairs (i, sigma) are partitioned by the primality class of the
     signature's target; each class becomes one block over the corner at
     the class representative, each signature moved there by the ring's
@@ -245,37 +244,22 @@ def wedderburn_decompose(ring, signatures=None):
     go in sorted order, the order of the groupoid's morphisms, so the
     first mismatch is the first morphism whose dimensions disagree.
     """
-    if signatures is not None:
-        ring = MatrixRing(ring, signatures)
     if not isinstance(ring, MatrixRing):
-        raise GradixError("decomposition needs a matrix ring or ring-plus-signatures")
+        raise GradixError("decomposition needs a matrix ring")
     d = ring.ring
     g = d.groupoid
-    classes = d.primality_classes()
-    class_of = {}
-    for cls in classes:
-        for e in cls:
-            class_of[e] = tuple(cls)
-
-    pairs = []
-    for i, sig in enumerate(ring.signatures):
-        for s in sig:
-            pairs.append((i, s))
+    class_of = {e: tuple(cls) for cls in d.primality_classes() for e in cls}
     by_class = {}
-    for (i, s) in sorted(pairs):
+    for i, s in sorted((i, s) for i, sig in enumerate(ring.signatures) for s in sig):
         by_class.setdefault(class_of[s.target], []).append((i, s))
 
     blocks = []
-    provenance = []
     for cls in sorted(by_class):
         members = by_class[cls]
         base = members[0][1].target
         sigs = [[g.compose(d.connector(s.target, base), s)] for (_, s) in members]
         blocks.append(MatrixRing(d.corner(base), sigs))
-        provenance.append(tuple(members))
-
     spec = SemisimpleRingSpec(blocks)
-    spec.provenance = tuple(provenance)
 
     want, got = ring.dimension_table(), Counter()
     for blk in blocks:
@@ -283,7 +267,7 @@ def wedderburn_decompose(ring, signatures=None):
     for gamma in sorted(want.keys() | got.keys()):
         if want[gamma] != got[gamma]:
             raise GradixError(
-                f"internal error: dimension audit failed at {gamma}: {want[gamma]} != {got[gamma]}"
+                f"internal error: dimension audit failed at {Morphism(*gamma)}: {want[gamma]} != {got[gamma]}"
             )
     return spec
 

@@ -2,7 +2,9 @@
 
 import json
 import os
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -204,6 +206,13 @@ class TestExitCodes:
         code, out, err = call(capsys, "validate", str(bad))
         assert code == 2
         assert out == ""
+
+    def test_file_that_is_not_utf8_is_a_format_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, out, err = call(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
 
     def test_broken_structure_names_invariant(self, capsys):
         code, out, err = call(capsys, "validate", fx(os.path.join("broken", "ring_cocycle.json")))
@@ -536,3 +545,39 @@ class TestBrokenManifest:
             assert code == 1, f"{name} should be a domain error"
             assert out == "", f"{name} leaked output"
             assert invariant in err, f"{name}: expected {invariant} in {err!r}"
+
+
+class TestHugeNumbers:
+    """Exact answers longer than Python's 4300-digit int-to-str limit."""
+
+    A, B = int("7" * 3000), int("3" * 3000)
+
+    def _exact(self, value):
+        """str(value) with the digit limit lifted, computed apart from gradix."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("emit", ["text", "json"])
+    def test_inverse_past_the_digit_limit_prints_exactly(self, capsys, tmp_path, emit):
+        # [[A, B], [B, 1]] has determinant A - B^2, about 6000 digits
+        a, b = self.A, self.B
+        det = a - b * b
+        want = {(0, 0): Fraction(1, det), (0, 1): Fraction(-b, det), (1, 0): Fraction(-b, det), (1, 1): Fraction(a, det)}
+        path = tmp_path / "big.json"
+        entries = [[0, 0, a], [0, 1, b], [1, 0, b], [1, 1, 1]]
+        path.write_text(json.dumps(dict(POINT_MATRIX, row_signature=[POINT] * 2, col_signature=[POINT] * 2, entries=entries)))
+        start = time.perf_counter()
+        code, out, err = call(capsys, "invert", str(path), "--emit", emit)
+        assert time.perf_counter() - start < 10
+        assert (code, err) == (0, "")
+        if emit == "text":
+            assert out.splitlines() == ["invertible: true"] + [
+                f"  inverse[{i},{j}] = {self._exact(c)}" for (i, j), c in sorted(want.items())
+            ]
+        else:
+            got = json.loads(out)["inverse"]["entries"]
+            assert got == [[i, j, self._exact(c)] for (i, j), c in sorted(want.items())]

@@ -2,8 +2,9 @@
 
 Each example takes one file of fixtures/, changes it in one place (drops
 a key, gives a value another JSON type, repeats a key, repeats one
-element of a list, or puts a huge number such as 10^18 or 2^63 in place
-of a number) and runs a verb that reads it through gradix.cli.main.
+element of a list, or puts a huge number such as 10^18, 2^63, a
+5000-digit integer or an exponent string like "1e99999999" in place of a
+number) and runs a verb that reads it through gradix.cli.main.
 Every run must exit 0, 1 or 2 without a traceback within the deadline,
 and an exit 1 must name the violated invariant.  The huge numbers land on
 object ids, group elements, multiplicities, indices, moduli and scalars,
@@ -18,6 +19,7 @@ import os
 import re
 import shutil
 import sys
+import time
 from datetime import timedelta
 from unittest import mock
 
@@ -53,7 +55,13 @@ def parse(text):
     return json.loads(text, object_pairs_hook=Obj)
 
 
+class Digits(str):
+    """A JSON integer written out as its digits, past the length json.dumps converts."""
+
+
 def dump(value):
+    if isinstance(value, Digits):
+        return str(value)
     if isinstance(value, Obj):
         return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in value) + "}"
     if isinstance(value, list):
@@ -103,8 +111,12 @@ def lookup(tree, path):
     return tree
 
 
-# Numbers far past every size ceiling, of both signs and past 64 bits.
-HUGE = [10**18, 2**63, 10**9, -(10**18)]
+# Numbers far past every size ceiling, of both signs and past 64 bits; an
+# integer past Python's 4300-digit conversion limit; and exponent strings
+# whose value would take unbounded time and memory to build or print.
+TOO_LONG = Digits("9" * 5000)
+EXPONENTS = ["1e99999999", "1e-200000"]
+HUGE = [10**18, 2**63, 10**9, -(10**18), TOO_LONG, *EXPONENTS]
 
 
 def numbers(tree):
@@ -186,3 +198,16 @@ def test_mutated_fixture_exits_cleanly(workdir, case):
         assert out == "" and err.startswith("error: "), (name, text, err)
     if code == 1:
         assert NAMED_INVARIANT.match(err), (name, text, err)
+
+
+@pytest.mark.parametrize("emit", ["text", "json"])
+@pytest.mark.parametrize("huge", [TOO_LONG, *EXPONENTS], ids=["5000 digits", *EXPONENTS])
+def test_huge_scalar_is_a_format_error(workdir, huge, emit):
+    # the scalar of one entry of a Q matrix, read by a verb that prints its answer
+    tree = copy.deepcopy(TREES["unimodular.matrix.json"])
+    dict(tree)["entries"][0][2] = huge
+    (workdir / MUTANT).write_text(dump(tree))
+    start = time.perf_counter()
+    code, out, err = run_main(["invert", str(workdir / MUTANT), "--emit", emit])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "") and err.startswith("error: "), err

@@ -223,7 +223,9 @@ class TestWedderburn:
         assert spec.blocks[0].signatures[1] == (Morphism(0, 1, 0, 2),)
         assert spec.blocks[1].signatures[1] == (Morphism(0, 3, 0, 4),)
         assert spec.table == (((1, 1), (2, 1)), ((3, 1), (4, 1)))
-        assert spec.provenance[0][0] == (0, d.groupoid.identity(1))
+        # block 0's first index is the ring's index 0, at its signature 1_1
+        assert ring.signatures[0][0] == d.groupoid.identity(1)
+        assert spec.blocks[0].signatures[0] == (d.groupoid.identity(1),)
 
     def test_trivially_graded_field_stays_one_block(self):
         ring = m2_one_object()
@@ -242,7 +244,7 @@ class TestWedderburn:
         d = GradedDivisionRing.group_ring(Q, FiniteGroup.trivial())
         g = d.groupoid
         with pytest.raises(ValidationError):
-            wedderburn_decompose(d, [[g.identity(0)], []])
+            wedderburn_decompose(MatrixRing(d, [[g.identity(0)], []]))
 
     def test_round_trip_from_a_spec(self):
         groupoid = FiniteGroupoid.pair([0, 1, 2])
@@ -258,7 +260,7 @@ class TestWedderburn:
         factor.update(d2.factor)
         union = GradedDivisionRing(Q, groupoid, support, factor)
         sigs = [list(s) for blk in spec.blocks for s in blk.signatures]
-        recovered = wedderburn_decompose(union, sigs)
+        recovered = wedderburn_decompose(MatrixRing(union, sigs))
         assert len(recovered.blocks) == 2
         assert [recovered.base_object(j) for j in (0, 1)] == [0, 2]
         assert [
@@ -890,7 +892,7 @@ class TestBlockwiseChecks:
         monkeypatch.setattr(MatrixRing, "dimension_table", corrupt)
         with pytest.raises(GradixError, match="dimension audit failed") as err:
             wedderburn_decompose(ring)
-        assert f"at {second[0]}:" in str(err.value)
+        assert f"at {Morphism(*second[0])}:" in str(err.value)
 
 
 class TestCorners:
