@@ -14,18 +14,28 @@ Ranks come from the pivot count, the inner-rank factorization is
 A = A[:, pivot columns] * R[pivot rows], the inverse is the right block
 of the form of [A | I], and a solution the last column of [A | b].
 
-Rows hold bare field coefficients.  A slot's degree is fixed by the
-signatures, so the product of coefficients x and y at composable
-degrees d and e is the field element x*y*factor(d, e).  A row operation
-takes its scalar as a (degree, coefficient) pair: a scaling replaces the row with its left
-product, a transvection adds that product into another row.  The factor
-comes from the scalar degree's factor row of the ring, read at the slot
-position of each entry; the positions of a row signature over the
-columns are worked out once per reduction, on the first row that has it.
+A row of the worksheet is a dict of integer numerators over one row
+denominator D (always 1 over F_p), and factor values come from the ring's
+FactorRows.numerators over their common denominator df.  A slot's degree
+is fixed by the signatures, so the product of coefficients x and y at
+composable degrees d and e is x*y*factor(d, e), the factor read from d's
+row at the slot position of e; the positions of a row signature over the
+columns are worked out once per reduction.  The pivot row is scaled to the
+local unit at once.  Then, for each degree c of a transvection, the terms
+y_k * factor(c, slot_k) of the pivot row are formed once, and every target
+row of that degree takes N_k <- N_k * D_r * df - a * term_k on plain
+integers, a being its numerator at the pivot column; over Q one gcd over
+the row and its denominator follows, over F_p the row is reduced mod p in
+place.  Scaling a row by a nonzero integer is left multiplication by a
+central scalar of identity degree, so neither the row space nor the
+signatures change, and since every step is exact, the echelon form,
+pivots and signatures are those of per-entry field arithmetic.  Entries
+become field elements once, at the end, as N / D.
 """
 
+from math import gcd
+
 from .errors import GradixError, ValidationError
-from .fields import accumulate
 from .matrices import HomMatrix
 
 # rank_all reports rho_i as skipped for a matrix with more rows or columns
@@ -51,18 +61,23 @@ def row_reduce(matrix):
     Scans columns left to right, picking in each the topmost unused
     nonzero entry as pivot, normalizes it to the local unit (the pivot
     row's signature becomes the pivot column's), and clears the column
-    above and below.  The rows are dicts from column to coefficient, so
-    an operation touches only the rows it changes.
+    above and below.  The rows are dicts from column to integer
+    numerator, so an operation touches only the rows it changes.
     """
     ring = matrix.ring
-    g, field, factor = ring.groupoid, ring.field, ring.factor
-    pos, values, _, _ = ring.factor_rows()
-    mul, one = field.mul, field.one()
+    g, field = ring.groupoid, ring.field
+    pos, _, numerators, df = ring.factor_rows()
+    p = field.p if field.kind == "Fp" else None
     m, n = matrix.shape
     row_sig, col_sig = list(matrix.row_sig), matrix.col_sig
-    rows = [{} for _ in row_sig]
+    cells = [[] for _ in row_sig]
     for (i, j), c in matrix.entries.items():
-        rows[i][j] = c
+        cells[i].append((j, c))
+    rows, dens = [], []
+    for cell in cells:
+        nums, d = field.integers([c for _, c in cell])
+        rows.append({j: x for (j, _), x in zip(cell, nums)})
+        dens.append(d)
     slots = {}
 
     def slot_positions(alpha):
@@ -74,56 +89,89 @@ def row_reduce(matrix):
             at = slots[alpha] = [pos.get(g.compose_inverse(alpha, b)) for b in col_sig]
         return at
 
-    def left(i, deg, coeff):
-        """a*row_i for a = coeff at degree deg as a term dict.
-
-        Entry k of the row sits at slot(alpha_i, beta_k), so the term is
-        x*coeff*factor(deg, slot(alpha_i, beta_k)), the factor read from
-        deg's factor row at that slot's position; coeff*factor is formed
-        once per position.  No term is zero.
-        """
-        row, at = values[deg], slot_positions(row_sig[i])
-        scaled = [None] * len(row)
-        out = {}
-        for k, x in rows[i].items():
-            p = at[k]
-            c = scaled[p]
-            if c is None:
-                c = scaled[p] = mul(coeff, row[p])
-            out[k] = mul(x, c)
-        return out
-
     pivots = []
     r = 0
     for col in range(n):
-        pivot_row = next((row for row in range(r, m) if col in rows[row]), None)
+        pivot_row = next((i for i in range(r, m) if col in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        dens[r], dens[pivot_row] = dens[pivot_row], dens[r]
         row_sig[r], row_sig[pivot_row] = row_sig[pivot_row], row_sig[r]
         pivot_deg = ring.slot(row_sig[r], col_sig[col])
         x = rows[r][col]
-        if not (g.is_identity(pivot_deg) and field.equal(x, one)):
-            # scale the pivot row by the inverse of its pivot entry; its
-            # signature becomes pivot_deg^-1 alpha_r = beta_col
+        if not (g.is_identity(pivot_deg) and x == dens[r]):
+            # left-multiply by u_inv / (x factor(pivot_deg, inv)), inv =
+            # pivot_deg^-1: entry k becomes N_k factor(inv, slot_k) over
+            # x factor(pivot_deg, inv) (D and df cancel), and the signature
+            # inv alpha_r = beta_col
             inv_deg = g.inverse(pivot_deg)
-            rows[r] = left(r, inv_deg, field.inv(mul(x, factor[(pivot_deg, inv_deg)])))
-            row_sig[r] = col_sig[col]
-        for row in range(m):
-            if row == r or col not in rows[row]:
+            f, at = numerators[inv_deg], slot_positions(row_sig[r])
+            d = x * numerators[pivot_deg][pos[inv_deg]]
+            if p is None:
+                row = {k: y * f[at[k]] for k, y in rows[r].items()}
+                dens[r] = _lowest_terms(row, d)
+            else:
+                c = pow(d, -1, p)
+                row = {k: y * f[at[k]] * c % p for k, y in rows[r].items()}
+            rows[r], row_sig[r] = row, col_sig[col]
+        pivot, dr, at = rows[r], dens[r], slot_positions(row_sig[r])
+        scale = dr * df
+        terms = {}
+        for i in range(m):
+            row = rows[i]
+            if i == r or col not in row:
                 continue
-            # add a*row_r to this row, a of degree alpha_row * alpha_r^{-1}
-            c_deg = ring.slot(row_sig[row], col_sig[col])
-            assert g.compose(c_deg, row_sig[r]) == row_sig[row]
-            for k, t in left(r, c_deg, field.neg(rows[row][col])).items():
-                accumulate(field, rows[row], k, t)
+            # row_i -= a*row_r for a = its entry at col, of degree alpha_i alpha_r^-1
+            c_deg = ring.slot(row_sig[i], col_sig[col])
+            if g.compose(c_deg, row_sig[r]) != row_sig[i]:
+                raise GradixError("internal error: a transvection degree does not carry the pivot row to its target")
+            t = terms.get(c_deg)
+            if t is None:
+                f = numerators[c_deg]
+                if p is None:
+                    t = terms[c_deg] = [(k, y * f[at[k]]) for k, y in pivot.items()]
+                else:
+                    t = terms[c_deg] = [(k, y * f[at[k]] % p) for k, y in pivot.items()]
+            a = row[col]
+            if p is None:
+                if scale != 1:
+                    for k in row:
+                        row[k] *= scale
+                for k, y in t:
+                    v = row.get(k, 0) - a * y
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+                dens[i] = _lowest_terms(row, dens[i] * scale)
+            else:
+                for k, y in t:
+                    v = (row.get(k, 0) - a * y) % p
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
         pivots.append((r, col))
         r += 1
         if r == m:
             break
+    quotient = field.quotient
     echelon = HomMatrix(ring, row_sig, col_sig)
-    echelon.entries = {(i, k): c for i, row in enumerate(rows) for k, c in row.items()}
+    echelon.entries = {(i, k): quotient(y, dens[i]) for i, row in enumerate(rows) for k, y in row.items()}
     return Reduction(echelon, pivots)
+
+
+def _lowest_terms(row, d):
+    """Divide the integer row and its denominator d != 0 in place by their
+    gcd, signed so that the denominator comes out positive; returns it."""
+    c = gcd(d, *row.values())
+    if d < 0:
+        c = -c
+    if c != 1:
+        for k in row:
+            row[k] //= c
+    return d // c
 
 
 class RankReport:

@@ -101,12 +101,6 @@ class Rationals:
                 raise FormatError(f"rational literal {value[:40]!r}... is past Python's digit limit") from exc
         raise FormatError(f"not a rational scalar: {value!r}")
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
     def mul(self, a, b):
         return a * b
 
@@ -193,12 +187,6 @@ class PrimeField:
         if isinstance(value, bool) or not isinstance(value, int):
             raise FormatError(f"not an F_{self.p} scalar: {value!r}")
         return value % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -291,16 +279,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-def accumulate(field, line, key, term):
-    """Add term at key of a sparse dict of field elements; a zero sum is never stored."""
-    old = line.get(key)
-    total = term if old is None else field.add(old, term)
-    if field.is_zero(total):
-        line.pop(key, None)
-    else:
-        line[key] = total
 
 
 def field_from_json(data):

@@ -22,7 +22,6 @@ the signatures like the degrees of a hom-space matrix product.
 from collections import Counter
 
 from .errors import GradixError, ValidationError
-from .fields import accumulate
 from .matrices import live_entries, sparse_product
 
 
@@ -55,6 +54,8 @@ class MatrixRingElement:
         return self.degree == other.degree and self.entries == other.entries
 
     def add(self, other):
+        """The entrywise sum, on integers over one denominator as in
+        sparse_product; a zero sum is never stored."""
         p = self.parent
         if self.is_zero:
             return other
@@ -62,9 +63,17 @@ class MatrixRingElement:
             return self
         if self.degree != other.degree:
             raise GradixError("can only add homogeneous elements of equal degree")
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            accumulate(p.ring.field, out, key, c)
+        field = p.ring.field
+        keys = list(self.entries) + list(other.entries)
+        nums, d = field.integers(list(self.entries.values()) + list(other.entries.values()))
+        sums = Counter()
+        for key, n in zip(keys, nums):
+            sums[key] += n
+        out = {}
+        for key, n in sums.items():
+            c = field.quotient(n, d)
+            if not field.is_zero(c):
+                out[key] = c
         if not out:
             return p.zero()
         return MatrixRingElement(p, self.degree, out)

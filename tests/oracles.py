@@ -22,6 +22,16 @@ from gradix.matrices import HomMatrix
 from gradix.matrix_ring import MatrixRing
 
 
+def plus(field, a, b):
+    """a + b from the definition of the field: over Q, or mod p over F_p."""
+    return a + b if field.kind == "Q" else (a + b) % field.p
+
+
+def negate(field, a):
+    """-a from the definition of the field."""
+    return -a if field.kind == "Q" else -a % field.p
+
+
 def field_solve(field, rows, rhs):
     """Solve rows * x = rhs over the field; a solution list or None.
 
@@ -47,7 +57,7 @@ def field_solve(field, rows, rhs):
         for i in range(m):
             if i != r and not field.is_zero(aug[i][c]):
                 f = aug[i][c]
-                aug[i] = [field.add(a, field.neg(field.mul(f, b))) for a, b in zip(aug[i], aug[r])]
+                aug[i] = [plus(field, a, negate(field, field.mul(f, b))) for a, b in zip(aug[i], aug[r])]
         pivot_of.append(c)
         r += 1
     for i in range(r, m):
@@ -57,6 +67,61 @@ def field_solve(field, rows, rhs):
     for row, c in enumerate(pivot_of):
         x[c] = aug[row][n]
     return x
+
+
+def row_reduce_by_field(matrix):
+    """The reduced echelon form by per-entry field arithmetic, as
+    elimination.row_reduce computed it before its rows went over to integer
+    numerators: the same pivot choice and operation order, every entry a
+    field element, every factor read off ring.factor.  Returns the echelon
+    entries {(i, k): c}, the (row, column) pivots and the row signature.
+    """
+    ring = matrix.ring
+    g, field, factor = ring.groupoid, ring.field, ring.factor
+    m, n = matrix.shape
+    row_sig, col_sig = list(matrix.row_sig), matrix.col_sig
+    rows = [{} for _ in row_sig]
+    for (i, j), c in matrix.entries.items():
+        rows[i][j] = c
+
+    def left(i, deg, coeff):
+        """a*row_i for a = coeff at degree deg: entry k is x*coeff*factor(deg, alpha_i beta_k^-1)."""
+        alpha = row_sig[i]
+        return {
+            k: field.mul(x, field.mul(coeff, factor[(deg, g.compose(alpha, g.inverse(col_sig[k])))]))
+            for k, x in rows[i].items()
+        }
+
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot_row = next((row for row in range(r, m) if col in rows[row]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        row_sig[r], row_sig[pivot_row] = row_sig[pivot_row], row_sig[r]
+        pivot_deg = g.compose(row_sig[r], g.inverse(col_sig[col]))
+        x = rows[r][col]
+        if not (g.is_identity(pivot_deg) and field.equal(x, field.one())):
+            inv_deg = g.inverse(pivot_deg)
+            rows[r] = left(r, inv_deg, field.inv(field.mul(x, factor[(pivot_deg, inv_deg)])))
+            row_sig[r] = col_sig[col]
+        for row in range(m):
+            if row == r or col not in rows[row]:
+                continue
+            c_deg = g.compose(row_sig[row], g.inverse(col_sig[col]))
+            assert g.compose(c_deg, row_sig[r]) == row_sig[row]
+            for k, t in left(r, c_deg, negate(field, rows[row][col])).items():
+                total = plus(field, rows[row].get(k, field.zero()), t)
+                if field.is_zero(total):
+                    rows[row].pop(k, None)
+                else:
+                    rows[row][k] = total
+        pivots.append((r, col))
+        r += 1
+        if r == m:
+            break
+    return {(i, k): c for i, row in enumerate(rows) for k, c in row.items()}, pivots, row_sig
 
 
 def times(ring, x, y):
@@ -101,7 +166,7 @@ def graded_product(a, b):
                 t = g.compose(b.row_sig[k], g.inverse(b.col_sig[j]))
                 degree, term = times(ring, (s, x), (t, y))
                 assert degree == g.compose(a.row_sig[i], g.inverse(b.col_sig[j]))
-                total = field.add(total, term)
+                total = plus(field, total, term)
             if not field.is_zero(total):
                 entries[(i, j)] = total
     return HomMatrix(ring, a.row_sig, b.col_sig, entries)
@@ -139,7 +204,7 @@ def matrix_ring_product(x, y):
                 left, right = _element_pair(x, i, k), _element_pair(y, k, j)
                 product = None if left is None or right is None else times(ring, left, right)
                 if product is not None:
-                    total = field.add(total, product[1])
+                    total = plus(field, total, product[1])
             if not field.is_zero(total):
                 entries[(i, j)] = total
     return p.element(g.compose(x.degree, y.degree), entries)
@@ -167,7 +232,7 @@ def _compose_vectors(field, compose, x, y, a, b, c):
     for i, xi in x.items():
         for j, yj in y.items():
             for k, ck in compose.get(((a, b, i), (b, c, j)), {}).items():
-                out[k] = field.add(out.get(k, field.zero()), field.mul(field.mul(xi, yj), ck))
+                out[k] = plus(field, out.get(k, field.zero()), field.mul(field.mul(xi, yj), ck))
     return {k: v for k, v in out.items() if not field.is_zero(v)}
 
 
@@ -255,7 +320,7 @@ def _product_equations(matrix, shape, flip):
                     beta = ring.factor_value(left_deg, right_deg)
                     pos = index[(a, j)]
                     term = field.mul(matrix.coeff(i, a), beta)
-                coeffs[pos] = field.add(coeffs[pos], term)
+                coeffs[pos] = plus(field, coeffs[pos], term)
             rows.append(coeffs)
             rhs.append(field.one() if i == j else field.zero())
     return slots, rows, rhs
@@ -356,7 +421,7 @@ def certificate_is_isomorphism(cert):
             image = field.mul(cert.coboundary[w[0]], w[1])
             if field.is_zero(image):
                 return None
-            entries[key] = field.add(entries.get(key, field.zero()), image)
+            entries[key] = plus(field, entries.get(key, field.zero()), image)
         return dst.element(x.degree, entries)
 
     gens = _single_entry_generators(src)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -581,3 +582,37 @@ class TestHugeNumbers:
         else:
             got = json.loads(out)["inverse"]["entries"]
             assert got == [[i, j, self._exact(c)] for (i, j), c in sorted(want.items())]
+
+
+class TestOptimizedInterpreter:
+    """python -O strips assert statements, so no self-check may be one."""
+
+    MATRICES = ("rank1.matrix.json", "rhs.matrix.json", "unimodular.matrix.json")
+
+    def test_matrix_verbs_match_the_snapshot_under_python_O(self):
+        from test_cli_snapshot import SNAPSHOT, cases
+
+        with open(SNAPSHOT, encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        runs = [
+            (snapshot[verb][key], argv)
+            for verb in ("rank", "invert", "solve")
+            for key, argv in cases((verb,))
+            if all(name in self.MATRICES for name in key.split()[1:])
+        ]
+        assert len(runs) == 30
+        src = os.path.join(os.path.dirname(FIXTURES), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        seen = []
+        for start in range(0, len(runs), 4):
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-O", "-m", "gradix.cli", *argv],
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True,
+                )
+                for _, argv in runs[start:start + 4]
+            ]
+            for proc in procs:
+                out, _ = proc.communicate()
+                seen.append([proc.returncode, out])
+        assert seen == [pinned for pinned, _ in runs]

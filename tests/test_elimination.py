@@ -7,12 +7,16 @@ from gradix.division import GradedDivisionRing
 from gradix.elimination import invert_square, rank_all, row_reduce, solve
 from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
-from gradix.groupoids import FiniteGroup, FiniteGroupoid, Morphism
+from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrices import HomMatrix
 from oracles import (
+    coboundary_twist,
     graded_product,
     product_test_rings,
     random_matrix_on,
+    random_signature,
+    ring_two_object_c2,
+    row_reduce_by_field,
     sample_nonzero,
 )
 from oracles import random_matrix as oracle_matrix
@@ -287,3 +291,103 @@ class TestAgainstDefinitionProduct:
         with pytest.raises(ValidationError) as caught:
             invert_square(square)
         assert caught.value.invariant == "invert.gamma0"
+
+
+def sparse_ring(field, rng):
+    """Full support on four objects with C_2 isotropy, twisted by a random
+    coboundary: a slot is alive only when its row and column signatures
+    leave the same object, so most slots of a random matrix are dead."""
+    g = FiniteGroupoid([ConnectedBlock([0, 1, 2, 3], FiniteGroup.cyclic(2))])
+    support = list(g.morphisms())
+    factor = {(s, t): field.one() for s in support for t in support if g.is_composable(s, t)}
+    return coboundary_twist(GradedDivisionRing(field, g, support, factor), rng)
+
+
+def coprime_denominator_matrix(rng, ring, rows, cols):
+    """Entries in every live slot over the pairwise coprime denominators 7^20, 11^15, 13^12 and 17^10."""
+    dens = [7**20, 11**15, 13**12, 17**10]
+    entries = {
+        (i, j): Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10**12), rng.choice(dens))
+        for i, a in enumerate(rows)
+        for j, b in enumerate(cols)
+        if ring.slot(a, b) is not None
+    }
+    return HomMatrix(ring, rows, cols, entries)
+
+
+def assert_same_reduction(mat):
+    red = row_reduce(mat)
+    entries, pivots, row_sig = row_reduce_by_field(mat)
+    assert red.echelon.entries == entries
+    assert list(red.pivots) == pivots
+    assert list(red.echelon.row_sig) == row_sig
+
+
+class TestAgainstFieldReduction:
+    """row_reduce on integer rows against the per-entry field reduction:
+    the same echelon entries, pivots and row signatures, exactly."""
+
+    @pytest.fixture(params=[PrimeField(7), Q], ids=["f7", "q"])
+    def rings(self, request):
+        rng = random.Random(41)
+        field = request.param
+        two = ring_two_object_c2(field)
+        return [two, coboundary_twist(two, rng), coboundary_twist(two, rng), sparse_ring(field, rng)]
+
+    def test_wide_tall_and_square(self, rings):
+        rng = random.Random(43)
+        for ring in rings:
+            for m, n in [(3, 7), (7, 3), (5, 5), (1, 6), (6, 1)]:
+                for _ in range(6):
+                    a = random_matrix_on(rng, ring, random_signature(rng, ring, m), random_signature(rng, ring, n), 0.8)
+                    assert_same_reduction(a)
+                    assert_same_reduction(a.transpose_opposite())
+
+    def test_rank_deficient(self, rings):
+        rng = random.Random(47)
+        deficient = 0
+        for ring in rings:
+            for _ in range(8):
+                middle = random_signature(rng, ring, 2)
+                b = random_matrix_on(rng, ring, random_signature(rng, ring, 6), middle, 1.0)
+                c = random_matrix_on(rng, ring, middle, random_signature(rng, ring, 5), 1.0)
+                a = b.mul(c)
+                deficient += row_reduce(a).rank < 5
+                assert_same_reduction(a)
+        assert deficient == 8 * len(rings)
+
+    def test_augmented_by_identity_and_by_a_column(self, rings):
+        rng = random.Random(53)
+        for ring in rings:
+            pool = [s for s in ring.groupoid.morphisms() if s.target in ring.gamma0()]
+            for n in (2, 4, 6):
+                rows = [rng.choice(pool) for _ in range(n)]
+                a = random_matrix_on(rng, ring, rows, [rng.choice(pool) for _ in range(n)], 0.9)
+                assert_same_reduction(a.hstack(HomMatrix.identity(ring, rows)))
+                b = random_matrix_on(rng, ring, rows, [rng.choice(pool)], 1.0)
+                assert_same_reduction(a.hstack(b))
+
+    def test_large_coprime_denominators(self):
+        rng = random.Random(59)
+        two = ring_two_object_c2(Q)
+        for ring in (two, coboundary_twist(two, rng), sparse_ring(Q, rng)):
+            pool = [s for s in ring.groupoid.morphisms() if s.target in ring.gamma0()]
+            for m, n in [(4, 4), (3, 6), (6, 3)]:
+                rows = [rng.choice(pool) for _ in range(m)]
+                a = coprime_denominator_matrix(rng, ring, rows, [rng.choice(pool) for _ in range(n)])
+                assert_same_reduction(a)
+                if m == n:
+                    assert_same_reduction(a.hstack(HomMatrix.identity(ring, rows)))
+
+
+def test_a_wrong_transvection_degree_is_an_internal_error(monkeypatch):
+    # slot is patched to answer the identity for every row but the pivot's,
+    # so the degree meant to carry the pivot row onto row 1 does not
+    ring = f5_c2()
+    e, s = sorted(ring.support, key=ring.groupoid.is_identity, reverse=True)
+    a = HomMatrix(ring, [e, s], [e], {(0, 0): 1, (1, 0): 1})
+    assert row_reduce(a).rank == 1
+    real = ring.slot
+    monkeypatch.setattr(ring, "slot", lambda x, y: real(x, x) if x != y else real(x, y))
+    with pytest.raises(GradixError, match="internal error"):
+        row_reduce(a)

@@ -24,6 +24,7 @@ from oracles import (
     coboundary_twist,
     graded_product,
     matrix_ring_product,
+    negate,
     random_element,
     random_matrix_on,
     random_matrix_ring,
@@ -117,7 +118,7 @@ class TestKernelStress:
             b = random_matrix_on(rng, ring, [s], random_signature(rng, ring, 4), 1.0)
             b = HomMatrix(ring, [s, s], b.col_sig, {
                 **{(0, j): c for (_, j), c in b.entries.items()},
-                **{(1, j): field.neg(c) for (_, j), c in b.entries.items()},
+                **{(1, j): negate(field, c) for (_, j), c in b.entries.items()},
             })
             assert a.mul(b).entries == {} == graded_product(a, b).entries
 
