@@ -149,7 +149,7 @@ class GradedDivisionRing:
         """Equal field, grading groupoid, support and factor set."""
         return self is other or (
             self.field == other.field
-            and self.groupoid.to_json() == other.groupoid.to_json()
+            and self.groupoid == other.groupoid
             and self.support == other.support
             and self.factor == other.factor
         )

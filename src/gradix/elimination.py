@@ -40,7 +40,7 @@ from .matrices import HomMatrix
 
 # rank_all reports rho_i as skipped for a matrix with more rows or columns
 # than this; below it, rho_i is read off one extra reduction.
-DEFAULT_RANK_BOUND = 8
+RHO_I_BOUND = 8
 
 
 class Reduction:
@@ -190,7 +190,7 @@ class RankReport:
         return len(vals) == 1
 
 
-def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
+def rank_all(matrix):
     """All four ranks of a matrix over a graded division ring.
 
     Row rank by reduction, column rank by reducing the transpose over the
@@ -201,7 +201,7 @@ def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
     minor: the pivot columns of the reduction are independent columns of
     A, those of the transposed reduction independent rows, so the minor
     on them is invertible when the ranks agree, and its rank is rho_i.
-    A matrix with more than rank_bound rows or columns skips rho_i.
+    A matrix with more than RHO_I_BOUND rows or columns skips rho_i.
     """
     red = row_reduce(matrix)
     rho_r = red.rank
@@ -214,7 +214,7 @@ def rank_all(matrix, rank_bound=DEFAULT_RANK_BOUND):
         raise GradixError("internal error: factorization witness failed to reproduce the matrix")
     rho = rho_r
 
-    skipped = max(matrix.shape) > rank_bound
+    skipped = max(matrix.shape) > RHO_I_BOUND
     rho_i = None
     if not skipped:
         minor = matrix.submatrix([j for (_, j) in red_op.pivots], [j for (_, j) in red.pivots])

@@ -177,6 +177,14 @@ class FiniteGroupoid:
             raise ValidationError("groupoid.size", f"{total} objects exceeds ceiling {MAX_OBJECTS}")
         self.blocks = tuple(blocks)
         self._block_of = {x: i for i, b in enumerate(blocks) for x in b.objects}
+        self._key = tuple((b.objects, b.group) for b in self.blocks)
+
+    def __eq__(self, other):
+        """Equal blocks in the same order: object ids and group tables."""
+        return self is other or (isinstance(other, FiniteGroupoid) and self._key == other._key)
+
+    def __hash__(self):
+        return hash(self._key)
 
     # -- basic structure ----------------------------------------------------
 
@@ -266,14 +274,6 @@ class FiniteGroupoid:
         if not self.contains(m):
             raise FormatError(f"morphism {data!r} does not belong to the groupoid")
         return m
-
-    def to_json(self):
-        return {
-            "blocks": [
-                {"objects": list(b.objects), "group": {"order": b.group.order, "mult": [list(r) for r in b.group.mult_table]}}
-                for b in self.blocks
-            ]
-        }
 
     def __repr__(self):
         return f"FiniteGroupoid({len(self.blocks)} blocks, {len(self._block_of)} objects)"

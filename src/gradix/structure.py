@@ -62,7 +62,6 @@ class SemisimpleRingSpec:
             raise ValidationError("block.support_at_base", "a spec needs at least one block")
         self._bases = []
         first = self.blocks[0].ring
-        grading = first.groupoid.to_json()
         for j, blk in enumerate(self.blocks):
             gamma0 = blk.ring.gamma0()
             if len(gamma0) != 1:
@@ -77,7 +76,7 @@ class SemisimpleRingSpec:
                         "block.singleton_signature",
                         f"block {j}, index {k}: signature set has {len(sig)} members",
                     )
-            if blk.ring.groupoid.to_json() != grading:
+            if blk.ring.groupoid != first.groupoid:
                 raise ValidationError(
                     "block.common_grading", f"block {j} is graded by a different groupoid"
                 )
@@ -366,13 +365,14 @@ def _position_tables(d1, d2, tau):
     its tau-conjugates (the support of d2), prod[a][b] the position of
     supp[a] supp[b] by the group table of tau's block (compose checks
     that every degree is a loop at tau's source), and each factor set as
-    (values, numerators, denominator) rows, f2 at the conjugates."""
+    (values, numerators, denominator) rows, f2 at the conjugates.  None
+    when conjugation by tau does not carry supp(d1) onto supp(d2)."""
     g = d1.groupoid
     supp = sorted(d1.support)
     tau_inv = g.inverse(tau)
     conj = [g.compose(tau, g.compose(s, tau_inv)) for s in supp]
     if set(conj) != d2.support:
-        raise GradixError("internal error: conjugation by tau does not carry the support across")
+        return None
     mult = g.blocks[tau.block].group.mult_table
     at = {s.elem: a for a, s in enumerate(supp)}
     prod = [[at[mult[s.elem][t.elem]] for t in supp] for s in supp]
@@ -385,7 +385,8 @@ def _position_tables(d1, d2, tau):
 
 def solve_coboundary(d1, d2, tau):
     """A map c: supp(d1) -> units with c(s)c(t)f2(s',t') = f1(s,t)c(st),
-    primes denoting tau-conjugates, or None when the twists differ.
+    primes denoting tau-conjugates, or None when the twists differ or
+    conjugation by tau does not carry supp(d1) onto supp(d2).
 
     That is exactly the condition making a |-> c(deg a) a ring map from
     the first twist to the tau-conjugated second.  Each pair (s, t) gives
@@ -396,16 +397,18 @@ def solve_coboundary(d1, d2, tau):
     pair then checks the solution as c(s)c(t)N2 D1 = N1 c(st) D2, with c
     over its own denominator.
 
-    Both rings must be concentrated blocks and tau must conjugate the
-    first support onto the second, of at most MAX_COBOUNDARY_SUPPORT
-    degrees.
+    Both rings must be concentrated blocks, and a support that tau
+    carries across may have at most MAX_COBOUNDARY_SUPPORT degrees.
     """
     field = d1.field
+    tables = _position_tables(d1, d2, tau)
+    if tables is None:
+        return None
     if len(d1.support) > MAX_COBOUNDARY_SUPPORT:
         raise ValidationError(
             "coboundary.size", f"support size {len(d1.support)} exceeds ceiling {MAX_COBOUNDARY_SUPPORT}"
         )
-    supp, _, prod, (f1, n1, den1), (f2, n2, den2) = _position_tables(d1, d2, tau)
+    supp, _, prod, (f1, n1, den1), (f2, n2, den2) = tables
     m = len(supp)
     first, ratios = {}, []
     for a in range(m):
@@ -470,13 +473,14 @@ class IsoCertificate:
         return self.target.element(x.degree, out_entries)
 
 
-def _perfect_matching(candidates, n):
-    """Kuhn's augmenting paths; candidates[i] lists the allowed partners."""
+def _perfect_matching(fits, n):
+    """Kuhn's augmenting paths; fits(i, j) tells whether j is an allowed
+    partner of i, asked in index order of j."""
     match_to = [None] * n
 
     def augment(i, seen):
-        for j in candidates[i]:
-            if j in seen:
+        for j in range(n):
+            if j in seen or not fits(i, j):
                 continue
             seen.add(j)
             if match_to[j] is None or augment(match_to[j], seen):
@@ -509,27 +513,16 @@ def _find_certificate(block1, block2):
 
     e1 = d1.gamma0()[0]
     e2 = d2.gamma0()[0]
+    sig1 = [s for (s,) in block1.signatures]
     for tau in g.hom(e1, e2):
-        tau_inv = g.inverse(tau)
-        conj_supp = {g.compose(tau, g.compose(h, tau_inv)) for h in d1.support}
-        if conj_supp != d2.support:
-            continue
         c = solve_coboundary(d1, d2, tau)
         if c is None:
             continue
-        candidates, connectors = [], {}
-        for i, (si,) in enumerate(block1.signatures):
-            row = []
-            for ip, (sp,) in enumerate(block2.signatures):
-                h = d1.slot(g.compose(tau_inv, sp), si)
-                if h is not None:
-                    row.append(ip)
-                    connectors[(i, ip)] = h
-            candidates.append(row)
-        pi = _perfect_matching(candidates, block1.size)
+        moved = [g.compose(g.inverse(tau), sp) for (sp,) in block2.signatures]
+        pi = _perfect_matching(lambda i, ip: d1.slot(moved[ip], sig1[i]) is not None, block1.size)
         if pi is None:
             continue
-        units = {i: (connectors[(i, pi[i])], d1.field.one()) for i in range(block1.size)}
+        units = {i: (d1.slot(moved[pi[i]], s), d1.field.one()) for i, s in enumerate(sig1)}
         return IsoCertificate(block1, block2, tau, pi, c, units)
     return None
 
@@ -566,7 +559,10 @@ def _verify_certificate(cert):
     n, pi, c = b1.size, cert.pi, cert.coboundary
     if b2.size != n or sorted(pi) != list(range(n)):
         raise GradixError("internal error: certificate index map is not a bijection")
-    supp, conj, prod, (f1, n1, den1), (_, n2, den2) = _position_tables(d1, b2.ring, cert.tau)
+    tables = _position_tables(d1, b2.ring, cert.tau)
+    if tables is None:
+        raise GradixError("internal error: conjugation by tau does not carry the support across")
+    supp, conj, prod, (f1, n1, den1), (_, n2, den2) = tables
     if any(h not in c or field.is_zero(c[h]) for h in supp):
         raise GradixError("internal error: certificate coboundary is not a unit on the support")
     # units[i]: the positions and coefficients of u_i and u_i^-1, and the
@@ -653,16 +649,12 @@ def spec_iso(spec1, spec2):
         return None
     SemisimpleRingSpec(spec1.blocks + spec2.blocks)
     certs = {}
-    candidates = []
     for j, blk in enumerate(spec1.blocks):
-        row = []
         for jp, other in enumerate(spec2.blocks):
             cert = _find_certificate(blk, other)
             if cert is not None:
-                row.append(jp)
                 certs[(j, jp)] = cert
-        candidates.append(row)
-    pi = _perfect_matching(candidates, n)
+    pi = _perfect_matching(lambda j, jp: (j, jp) in certs, n)
     if pi is None:
         return None
     match = [(j, pi[j], certs[(j, pi[j])]) for j in range(n)]
@@ -698,8 +690,7 @@ def simple_dimension(spec, shifts):
     """
     if isinstance(spec, MatrixRing):
         spec = wedderburn_decompose(spec)
-    flags = classify(spec)
-    if not flags.pfm:
+    counts, _, singles = multiplicities(spec.table)
+    if None in singles:
         raise GradixError("simple dimension needs a pfm ambient ring")
-    counts, _, _ = multiplicities(spec.table)
     return sum(counts[eps.target] for eps in shifts)

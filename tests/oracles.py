@@ -491,6 +491,32 @@ def coboundary_exists(d1, d2, tau):
     return any(_solves(d1.field, equations, dict(zip(supp, c))) for c in product(units, repeat=len(supp)))
 
 
+def perfect_matching_by_lists(candidates, n):
+    """Kuhn's augmenting paths over candidate lists, candidates[i] the
+    allowed partners of i in increasing order: the matching that
+    structure.spec_iso and the certificate search used before they asked
+    a predicate instead."""
+    match_to = [None] * n
+
+    def augment(i, seen):
+        for j in candidates[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if match_to[j] is None or augment(match_to[j], seen):
+                match_to[j] = i
+                return True
+        return False
+
+    for i in range(n):
+        if not augment(i, set()):
+            return None
+    pi = [None] * n
+    for j, i in enumerate(match_to):
+        pi[i] = j
+    return pi
+
+
 # -- raw groupoids --------------------------------------------------------------
 
 
@@ -579,6 +605,107 @@ def random_raw_groupoid(rng):
     objects = sorted({arrow[4] for arrow in arrows})
     rng.shuffle(objects)
     return objects, [{"source": a[4], "target": a[2]} for a in arrows], table
+
+
+# -- relabelling ----------------------------------------------------------------
+
+
+def group_identity(mult):
+    """The two-sided identity of a multiplication table, or None."""
+    n = len(mult)
+    return next((e for e in range(n) if all(mult[e][x] == x and mult[x][e] == x for x in range(n))), None)
+
+
+class Relabelling:
+    """An isomorphism of groupoids, applied to spec JSON.
+
+    Object ids 0..63 move one step along a seeded cycle through all of
+    them, so no object keeps its id and no proper set of objects maps
+    onto itself; other ids, negative ones among them, stay.  Each block's
+    group elements, when there are two or more, are permuted so that the
+    identity (element 0 of a table without one) is not element 0; the permutation is seeded from
+    the seed, the block's index and its table, so a ring and a file that
+    refers to it relabel alike.  The table becomes the same group under
+    the new names, and a morphism [block, target, elem, source] becomes
+    [block, next(target), perm[elem], next(source)].  Every law a file
+    breaks is one that relabelling keeps, so it breaks the same law after.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        cycle = random.Random(seed).sample(range(64), 64)
+        self.next = dict(zip(cycle, cycle[1:] + cycle[:1]))
+
+    def object(self, x):
+        return self.next.get(x, x) if isinstance(x, int) and not isinstance(x, bool) else x
+
+    def group(self, block, gd):
+        """(the relabelled group JSON, perm: old element -> new)."""
+        mult = gd["mult"]
+        n = len(mult)
+        perm = list(range(n))
+        moved = group_identity(mult) or 0
+        rng = random.Random(f"{self.seed} {block} {mult}")
+        while n > 1 and perm[moved] == 0:
+            rng.shuffle(perm)
+        table = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[perm[a]][perm[b]] = perm[mult[a][b]]
+        return dict(gd, mult=table), perm
+
+    def groupoid(self, gd):
+        """(the relabelled groupoid JSON, the element permutation of each block).
+        A raw groupoid has its object ids moved; its elements have no names."""
+        if "raw" in gd:
+            raw = gd["raw"]
+            morphisms = [dict(m, source=self.object(m["source"]), target=self.object(m["target"])) for m in raw["morphisms"]]
+            return dict(gd, raw=dict(raw, objects=[self.object(x) for x in raw["objects"]], morphisms=morphisms)), []
+        blocks, perms = [], []
+        for k, bd in enumerate(gd["blocks"]):
+            group, perm = self.group(k, bd["group"])
+            blocks.append(dict(bd, objects=[self.object(x) for x in bd["objects"]], group=group))
+            perms.append(perm)
+        return dict(gd, blocks=blocks), perms
+
+    def morphism(self, m, perms):
+        block, target, elem, source = m
+        perm = perms[block] if 0 <= block < len(perms) else ()
+        return [block, self.object(target), perm[elem] if 0 <= elem < len(perm) else elem, self.object(source)]
+
+    def spec(self, data, resolve):
+        """The relabelled copy of a spec file's JSON.  ``resolve(ref)``
+        returns, for a {"ref": path} slot, the JSON it names and the
+        resolver of that file; the slot itself is kept, since the file it
+        names is relabelled on its own."""
+        return self._spec(data, resolve)[0]
+
+    def _spec(self, data, resolve):
+        """(relabelled JSON, the element permutations of its groupoid)."""
+        if set(data) == {"ref"}:
+            return data, self._spec(*resolve(data["ref"]))[1]
+        if "blocks" in data or "raw" in data:
+            return self.groupoid(data)
+        out, perms = dict(data), []
+        if "groupoid" in data:
+            out["groupoid"], perms = self._spec(data["groupoid"], resolve)
+        for key in ("ring", "module"):
+            if key in data:
+                out[key], perms = self._spec(data[key], resolve)
+
+        def move(m):
+            return self.morphism(m, perms)
+
+        for key in ("support", "row_signature", "col_signature", "shifts"):
+            if key in data:
+                out[key] = [move(m) for m in data[key]]
+        if "factor" in data:
+            out["factor"] = [[move(s), move(t), c] for s, t, c in data["factor"]]
+        if "signatures" in data:
+            out["signatures"] = [[move(m) for m in sig] for sig in data["signatures"]]
+        if "vectors" in data:
+            out["vectors"] = [dict(v, degree=move(v["degree"])) for v in data["vectors"]]
+        return out, perms
 
 
 # -- the four reference coefficient rings -----------------------------------

@@ -69,32 +69,37 @@ class TestExpectedLines:
         assert code == 0
         assert out == "rho_r=rho_c=rho=rho_i=1\n"
 
-    def test_rank_bound_skips_minor_rank(self, capsys):
-        code, out, err = call(capsys, "rank", fx("rank1.matrix.json"), "--rank-bound", "1")
-        assert code == 0
-        assert "rho_i skipped" in out
-
     @pytest.mark.parametrize(
-        "flag, text, rho_i",
+        "n, text, rho_i",
         [
-            ((), "rho_r=rho_c=rho=9, rho_i skipped (size over bound 8)\n", None),
-            (("--rank-bound", "9"), "rho_r=rho_c=rho=rho_i=9\n", 9),
-            (("--rank-bound", "3"), "rho_r=rho_c=rho=9, rho_i skipped (size over bound 3)\n", None),
+            (9, "rho_r=rho_c=rho=9, rho_i skipped (size over bound 8)\n", None),
+            (8, "rho_r=rho_c=rho=rho_i=8\n", 8),
         ],
+        ids=["9x9", "8x8"],
     )
-    def test_rank_bound_default_and_flag(self, capsys, tmp_path, flag, text, rho_i):
-        path = tmp_path / "identity9.json"
+    def test_rank_skips_rho_i_above_eight(self, capsys, tmp_path, n, text, rho_i):
+        path = tmp_path / "identity.json"
         path.write_text(json.dumps(
-            dict(POINT_MATRIX, row_signature=[POINT] * 9, col_signature=[POINT] * 9,
-                 entries=[[i, i, 1] for i in range(9)])
+            dict(POINT_MATRIX, row_signature=[POINT] * n, col_signature=[POINT] * n,
+                 entries=[[i, i, 1] for i in range(n)])
         ))
-        assert call(capsys, "rank", str(path), *flag) == (0, text, "")
-        code, out, err = call(capsys, "rank", str(path), *flag, "--emit", "json")
+        assert call(capsys, "rank", str(path)) == (0, text, "")
+        code, out, err = call(capsys, "rank", str(path), "--emit", "json")
         skipped = "true" if rho_i is None else "false"
         assert out == (
-            f'{{"rho": 9, "rho_c": 9, "rho_i": {json.dumps(rho_i)}, "rho_i_skipped": {skipped}, '
-            f'"rho_r": 9, "schema": "gradix/1", "verb": "rank"}}\n'
+            f'{{"rho": {n}, "rho_c": {n}, "rho_i": {json.dumps(rho_i)}, "rho_i_skipped": {skipped}, '
+            f'"rho_r": {n}, "schema": "gradix/1", "verb": "rank"}}\n'
         )
+
+    def test_rank_bound_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["rank", fx("rank1.matrix.json"), "--rank-bound", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --rank-bound 3" in captured.err
+        assert captured.err.startswith("usage: gradix")
+        assert "Traceback" not in captured.err
 
     def test_invert(self, capsys):
         code, out, err = call(capsys, "invert", fx("unimodular.matrix.json"))

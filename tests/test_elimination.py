@@ -135,11 +135,13 @@ class TestRanks:
     def test_minor_search_skip_bound(self):
         d = rational_point()
         e = d.groupoid.identity(0)
-        m = HomMatrix.identity(d, [e, e, e])
-        report = rank_all(m, rank_bound=2)
+        report = rank_all(HomMatrix.identity(d, [e] * 8))
+        assert not report.rho_i_skipped
+        assert report.rho_i == report.rho == 8
+        report = rank_all(HomMatrix.identity(d, [e] * 9))
         assert report.rho_i_skipped
         assert report.rho_i is None
-        assert report.rho == 3
+        assert report.rho == 9
 
     def test_rank_invariant_under_elementary_products(self):
         # every invertible P is a product of elementary matrices

@@ -117,6 +117,37 @@ class TestCanonicalForm:
         assert g.blocks[0].objects == (2, 3, 4) and g.blocks[0].group.order == 1
 
 
+class TestEquality:
+    """Groupoids are equal when their blocks are: object ids and group
+    tables, in block order."""
+
+    def test_equal_blocks_make_equal_groupoids(self):
+        g, h = two_block_groupoid(), two_block_groupoid()
+        assert g is not h and g == h and hash(g) == hash(h)
+        assert not g != h
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            # object 7 renamed 6
+            [ConnectedBlock([0, 1], FiniteGroup.cyclic(2)), ConnectedBlock([5, 6], FiniteGroup.trivial())],
+            # the same blocks listed the other way round
+            [ConnectedBlock([5, 7], FiniteGroup.trivial()), ConnectedBlock([0, 1], FiniteGroup.cyclic(2))],
+            # C_2 written with identity 1: the same group, another table
+            [ConnectedBlock([0, 1], FiniteGroup([[1, 0], [0, 1]])), ConnectedBlock([5, 7], FiniteGroup.trivial())],
+        ],
+        ids=["object_id", "block_order", "group_table"],
+    )
+    def test_a_differing_block_makes_them_unequal(self, blocks):
+        g, h = two_block_groupoid(), FiniteGroupoid(blocks)
+        assert g != h and h != g
+        assert len({g, h}) == 2
+
+    def test_a_groupoid_is_not_equal_to_its_blocks(self):
+        g = two_block_groupoid()
+        assert g != g.blocks and g != None  # noqa: E711
+
+
 class TestMorphismValue:
     """Morphisms are plain values; every factor table and sorted choice relies on it."""
 
@@ -184,7 +215,8 @@ class TestRawConversion:
 
     def test_pair_groupoid_from_raw(self):
         g, relabel = from_composition_table(*self.raw_pair())
-        assert g.to_json() == FiniteGroupoid.pair([0, 1]).to_json()
+        pair = FiniteGroupoid.pair([0, 1])
+        assert g is not pair and g == pair and hash(g) == hash(pair)
         assert relabel[1] == Morphism(0, 1, 0, 0)
 
     def test_functoriality_of_relabeling(self):
@@ -263,10 +295,17 @@ class TestRawConversion:
             from_composition_table(objects, morphisms, table)
         assert e.value.invariant == "groupoid.associativity"
 
-    def test_round_trip_through_json(self):
-        g = two_block_groupoid()
-        h = groupoid_from_json(g.to_json())
-        assert h.to_json() == g.to_json()
+    def test_same_json_parsed_twice_is_equal(self):
+        data = {
+            "blocks": [
+                {"objects": [1, 0], "group": {"order": 2, "mult": [[0, 1], [1, 0]]}},
+                {"objects": [7, 5], "group": {"mult": [[0]]}},
+            ]
+        }
+        g, h = groupoid_from_json(data), groupoid_from_json(data)
+        assert g is not h
+        assert g == h == two_block_groupoid()
+        assert len({g, h, two_block_groupoid()}) == 1
 
     def test_json_rejects_malformed(self):
         with pytest.raises(FormatError):

@@ -312,7 +312,8 @@ class TestReductionCounts:
         assert rank_all(a).rho_i == 4
         assert len(calls) == 3
         calls.clear()
-        assert rank_all(a, rank_bound=5).rho_i_skipped
+        # nine rows, one more than rank_all computes rho_i for
+        assert rank_all(random_matrix_on(rng, ring, [e] * 9, [e] * 6)).rho_i_skipped
         assert len(calls) == 2
 
     def test_one_reduction_per_inverse_and_solve(self, monkeypatch):

@@ -2,7 +2,7 @@ import json
 import os
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 from math import gcd, isqrt
 
 import pytest
@@ -33,6 +33,7 @@ from oracles import (
     coboundary_twist,
     is_coboundary,
     multiplicity_flags,
+    perfect_matching_by_lists,
 )
 
 Q = Rationals()
@@ -105,6 +106,18 @@ class TestSpecValidation:
         with pytest.raises(ValidationError) as err:
             SemisimpleRingSpec([blk])
         assert err.value.invariant == "block.support_at_base"
+
+    def test_equal_groupoids_are_one_grading(self):
+        # each block over its own copy of the pair groupoid on {1, 2}
+        blocks = [MatrixRing(concentrated(Q, FiniteGroupoid.pair([1, 2]), 1), [[Morphism(0, 1, 0, 1)]]) for _ in "ab"]
+        assert blocks[0].ring.groupoid is not blocks[1].ring.groupoid
+        spec = SemisimpleRingSpec(blocks)
+        assert spec.groupoid == blocks[1].ring.groupoid
+        assert spec_iso(spec, SemisimpleRingSpec(blocks[::-1])) is not None
+        other = MatrixRing(concentrated(Q, FiniteGroupoid.pair([1, 3]), 1), [[Morphism(0, 1, 0, 1)]])
+        with pytest.raises(ValidationError) as err:
+            SemisimpleRingSpec(blocks + [other])
+        assert err.value.invariant == "block.common_grading"
 
     def test_blocks_share_the_grading(self):
         d1, ring1 = pfm_m3()
@@ -441,12 +454,12 @@ def c2_groupoid():
     return FiniteGroupoid([ConnectedBlock([0, 1], FiniteGroup.cyclic(2))])
 
 
-def corrupted(cert, pi=None, coboundary=None, units=None):
+def corrupted(cert, pi=None, coboundary=None, units=None, tau=None):
     """A fresh, unverified copy of a certificate with some of its data replaced."""
     return IsoCertificate(
         cert.source,
         cert.target,
-        cert.tau,
+        cert.tau if tau is None else tau,
         cert.pi if pi is None else pi,
         cert.coboundary if coboundary is None else coboundary,
         cert.units if units is None else units,
@@ -647,16 +660,19 @@ class TestVerificationWork:
 
     def test_pfm_m3_self_iso_compose_count(self, monkeypatch):
         # groupoid compositions of decomposing pfm_m3 twice and matching it
-        # with itself: 6 moved signatures, 9 connector candidates, 2 tau-
-        # conjugates for the search and 2 each for the coboundary and the
-        # check, which multiply support positions by the group table
+        # with itself: 6 moved signatures, 3 signatures moved by tau^-1 for
+        # the matching, and 2 tau-conjugates each for the coboundary and
+        # the check, which multiply support positions by the group table.
+        # The search does not conjugate the support itself (the coboundary
+        # solve tests tau), and the matching moves each target signature
+        # once rather than once per candidate pair.
         with open(os.path.join(FIXTURES, "pfm_m3.ring.json")) as fh:
             ring = load_matrix_ring(json.load(fh))
         calls = []
         compose = FiniteGroupoid.compose
         monkeypatch.setattr(FiniteGroupoid, "compose", lambda g, a, b: calls.append(1) or compose(g, a, b))
         assert spec_iso(wedderburn_decompose(ring), wedderburn_decompose(ring)) is not None
-        assert len(calls) == 21
+        assert len(calls) == 13
 
 
 def cyclic_twist(field, n, lam):
@@ -817,6 +833,73 @@ class TestLargeInputs:
     def test_large_prime_does_not_split_over_q(self):
         plain = cyclic_twist(Q, 2, 1)
         assert timed_coboundary(cyclic_twist(Q, 2, self.P), plain) is None
+
+
+def s3_groupoid():
+    """S_3 at object 0: element i is the i-th permutation of (0, 1, 2) in
+    sorted order, so 0 is the identity and 1, 2, 5 are the transpositions."""
+    perms = sorted(permutations(range(3)))
+    at = {p: i for i, p in enumerate(perms)}
+    return FiniteGroupoid.one_object(FiniteGroup([[at[tuple(a[k] for k in b)] for b in perms] for a in perms]))
+
+
+def two_element_subgroup(g, elem):
+    """The group ring of the subgroup {1, elem} of S_3 at object 0."""
+    support = [g.identity(0), Morphism(0, 0, elem, 0)]
+    return GradedDivisionRing(Q, g, support, {(s, t): Q.one() for s in support for t in support})
+
+
+class TestConjugatingMorphism:
+    """A tau that does not carry supp(d1) onto supp(d2) is no candidate:
+    the coboundary solve answers None for it, and a certificate with such
+    a tau fails its check."""
+
+    def test_solve_coboundary_is_none_for_a_tau_that_misses_the_support(self):
+        g = s3_groupoid()
+        d1, d2 = two_element_subgroup(g, 1), two_element_subgroup(g, 2)
+        verdicts = {}
+        for tau in g.hom(0, 0):
+            conj = g.compose(tau, g.compose(Morphism(0, 0, 1, 0), g.inverse(tau)))
+            verdicts[tau.elem] = (conj.elem == 2, solve_coboundary(d1, d2, tau) is not None)
+        # two of the six taus conjugate transposition 1 onto transposition
+        # 2, and the untwisted rings then need no more than c = 1
+        assert sorted(carries for carries, _ in verdicts.values()) == [False] * 4 + [True] * 2
+        assert all(carries == solved for carries, solved in verdicts.values())
+
+    def test_verify_rejects_a_tau_that_misses_the_support(self):
+        g = s3_groupoid()
+        block = MatrixRing(two_element_subgroup(g, 1), [[g.identity(0)]])
+        cert = iso_test(block, block)
+        assert cert.verified and cert.tau == g.identity(0)
+        bad = corrupted(cert, tau=Morphism(0, 0, 2, 0))
+        with pytest.raises(GradixError, match="internal error: conjugation by tau does not carry the support"):
+            structure._verify_certificate(bad)
+        assert not bad.verified
+        assert pruned_accepts(corrupted(cert))
+
+    def test_the_ceiling_holds_for_a_tau_that_carries_the_support(self):
+        d = GradedDivisionRing.group_ring(Q, FiniteGroup.cyclic(13))
+        with pytest.raises(ValidationError) as err:
+            solve_coboundary(d, d, d.groupoid.identity(0))
+        assert err.value.invariant == "coboundary.size"
+
+
+class TestPerfectMatching:
+    """The matching asks fits(i, j) in index order of j, the order of the
+    candidate lists it replaced, so it finds the same pi."""
+
+    def test_same_pi_as_candidate_lists(self):
+        rng = random.Random(20261019)
+        outcomes = set()
+        for trial in range(300):
+            n = rng.randint(1, 7)
+            density = rng.choice([0.2, 0.4, 0.6, 0.9])
+            edges = {(i, j) for i in range(n) for j in range(n) if rng.random() < density}
+            candidates = [[j for j in range(n) if (i, j) in edges] for i in range(n)]
+            pi = structure._perfect_matching(lambda i, j: (i, j) in edges, n)
+            assert pi == perfect_matching_by_lists(candidates, n), (n, sorted(edges))
+            outcomes.add(pi is None)
+        assert outcomes == {True, False}
 
 
 class TestCoboundaryCeiling:
