@@ -61,6 +61,7 @@ class GradedDivisionRing:
         self._gamma0 = tuple(sorted({m.source for m in self.support}))
         self._opposite = None
         self._factor_rows = None
+        self._slots = {}
 
     @classmethod
     def _trusted(cls, parent, support, factor):
@@ -78,6 +79,7 @@ class GradedDivisionRing:
         ring._gamma0 = tuple(sorted({m.source for m in ring.support}))
         ring._opposite = None
         ring._factor_rows = None
+        ring._slots = {}
         return ring
 
     # -- validation ---------------------------------------------------------
@@ -141,9 +143,19 @@ class GradedDivisionRing:
         This is the one slot rule: entry (i, j) of a hom-space matrix over
         [alpha][beta] lives at slot(alpha_i, beta_j), and entry (i, j) of a
         matrix-ring element of degree gamma at slot(delta_i gamma, sigma_j).
+        A pair that leaves different objects is dead at once; any other pair
+        is composed on its first call and kept in the ring's slot table,
+        which holds only the pairs asked for (support and groupoid never
+        change, so it cannot go stale).
         """
-        d = self.groupoid.compose_inverse(a, b)
-        return d if d in self.support else None
+        if a.source != b.source:
+            return None
+        try:
+            return self._slots[a, b]
+        except KeyError:
+            d = self.groupoid.compose_inverse(a, b)
+            d = self._slots[a, b] = d if d in self.support else None
+            return d
 
     def same_ring(self, other):
         """Equal field, grading groupoid, support and factor set."""
@@ -259,13 +271,14 @@ class GradedDivisionRing:
         and the support is closed under inverses, so the support stays and
         the factor set is a normalized 2-cocycle because the opposite ring
         is associative with the same local units.  The opposite of the
-        opposite is this ring itself.
+        opposite is this ring itself, and the two share one slot table,
+        since a slot depends only on the groupoid and the support.
         """
         if self._opposite is None:
             g = self.groupoid
             factor = {(s, t): self.factor[(g.inverse(t), g.inverse(s))] for (s, t) in self.factor}
             op = GradedDivisionRing._trusted(self, self.support, factor)
-            op._opposite = self
+            op._opposite, op._slots = self, self._slots
             self._opposite = op
         return self._opposite
 

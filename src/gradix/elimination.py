@@ -19,8 +19,10 @@ denominator D (always 1 over F_p), and factor values come from the ring's
 FactorRows.numerators over their common denominator df.  A slot's degree
 is fixed by the signatures, so the product of coefficients x and y at
 composable degrees d and e is x*y*factor(d, e), the factor read from d's
-row at the slot position of e; the positions of a row signature over the
-columns are worked out once per reduction.  The pivot row is scaled to the
+row at the slot position of e.  Slot degrees come from the ring's slot
+table (GradedDivisionRing.slot), shared with products and entry checks,
+and the positions of a row signature over the columns are listed once per
+reduction.  The pivot row is scaled to the
 local unit at once.  Then, for each degree c of a transvection, the terms
 y_k * factor(c, slot_k) of the pivot row are formed once, and every target
 row of that degree takes N_k <- N_k * D_r * df - a * term_k on plain
@@ -82,11 +84,10 @@ def row_reduce(matrix):
 
     def slot_positions(alpha):
         """Per column k, the position of the slot degree alpha * beta_k^-1
-        (None when dead: pos holds only support degrees), built on the
-        first row of signature alpha."""
+        (None when dead), listed on the first row of signature alpha."""
         at = slots.get(alpha)
         if at is None:
-            at = slots[alpha] = [pos.get(g.compose_inverse(alpha, b)) for b in col_sig]
+            at = slots[alpha] = [pos.get(ring.slot(alpha, b)) for b in col_sig]
         return at
 
     pivots = []
@@ -157,7 +158,7 @@ def row_reduce(matrix):
         if r == m:
             break
     quotient = field.quotient
-    echelon = HomMatrix(ring, row_sig, col_sig)
+    echelon = HomMatrix._trusted(ring, row_sig, col_sig)
     echelon.entries = {(i, k): quotient(y, dens[i]) for i, row in enumerate(rows) for k, y in row.items()}
     return Reduction(echelon, pivots)
 
@@ -197,7 +198,10 @@ def rank_all(matrix):
     opposite ring, inner rank from the factorization A = B*C with B the
     pivot columns of A and C the pivot rows of the echelon form (a pivot
     row is normalized to the signature of its pivot column, so B*C is
-    defined).  The invertible-submatrix rank comes from the pivot
+    defined).  The witness checks that C's pivot columns are exactly the
+    local units, so that B*C equals B, A's pivot columns, there; only the
+    other columns need a product, and a matrix of full column rank needs
+    none.  The invertible-submatrix rank comes from the pivot
     minor: the pivot columns of the reduction are independent columns of
     A, those of the transposed reduction independent rows, so the minor
     on them is invertible when the ranks agree, and its rank is rho_i.
@@ -208,16 +212,23 @@ def rank_all(matrix):
     red_op = row_reduce(matrix.transpose_opposite())
     rho_c = red_op.rank
 
-    b = matrix.submatrix(range(matrix.shape[0]), [j for (_, j) in red.pivots])
-    c = red.echelon.submatrix([i for (i, _) in red.pivots], range(matrix.shape[1]))
-    if not b.mul(c).equal(matrix):
+    m, n = matrix.shape
+    cols = [j for (_, j) in red.pivots]
+    b = matrix.submatrix(range(m), cols)
+    c = red.echelon.submatrix([i for (i, _) in red.pivots], range(n))
+    units = c.submatrix(range(rho_r), cols)
+    one = matrix.ring.field.one()
+    if units.row_sig != units.col_sig or units.entries != {(t, t): one for t in range(rho_r)}:
+        raise GradixError("internal error: a pivot column of the factorization witness is not a local unit")
+    rest = sorted(set(range(n)).difference(cols))
+    if rest and not b.mul(c.submatrix(range(rho_r), rest)).equal(matrix.submatrix(range(m), rest)):
         raise GradixError("internal error: factorization witness failed to reproduce the matrix")
     rho = rho_r
 
     skipped = max(matrix.shape) > RHO_I_BOUND
     rho_i = None
     if not skipped:
-        minor = matrix.submatrix([j for (_, j) in red_op.pivots], [j for (_, j) in red.pivots])
+        minor = matrix.submatrix([j for (_, j) in red_op.pivots], cols)
         rho_i = row_reduce(minor).rank
 
     report = RankReport(rho_r, rho_c, rho, rho_i, skipped, (b, c))
@@ -234,8 +245,18 @@ def invert_square(matrix):
 
     Requires a square signature whose targets all lie in gamma0.  Reduces
     [A | I]: a pivot in the right block means A is singular; otherwise
-    the left block is I and the right block is the inverse.  Both
-    AB = I_{r(alpha)} and BA = I_{r(beta)} are verified exactly.
+    the left block is I and the right block B is the inverse.
+
+    One exact product, A*B = I_{r(alpha)}, verifies B on both sides.
+    Every target lies in gamma0, so each summand D(alpha_i) and D(beta_j)
+    of the two free modules is nonzero, and it is graded-simple, because
+    every nonzero homogeneous element of a graded division ring is
+    invertible.  Both free modules therefore have length n, which is well
+    defined by the graded Jordan-Hoelder theorem (Nastasescu and Van
+    Oystaeyen, Methods of Graded Rings, 2004).  A*B = I makes A a split
+    epimorphism between them with section B, so the kernel of A is a
+    summand of length n - n = 0.  Then A is an isomorphism and B = A^-1,
+    so B*A = I_{r(beta)} holds as well.
     """
     m, n = matrix.shape
     if m != n:
@@ -250,12 +271,8 @@ def invert_square(matrix):
     if any(col >= n for (_, col) in red.pivots):
         return None
     inverse = red.echelon.submatrix(range(n), range(n, 2 * n))
-    left = inverse.mul(matrix)
-    right = matrix.mul(inverse)
-    if not left.equal(HomMatrix.identity(matrix.ring, matrix.col_sig)):
-        raise GradixError("internal error: reduced right block is not a left inverse")
-    if not right.equal(HomMatrix.identity(matrix.ring, matrix.row_sig)):
-        raise GradixError("internal error: left inverse failed to verify on the right")
+    if not matrix.mul(inverse).equal(HomMatrix.identity(matrix.ring, matrix.row_sig)):
+        raise GradixError("internal error: reduced right block is not an inverse")
     return inverse
 
 
@@ -276,7 +293,7 @@ def solve(matrix, rhs):
     for (_, col) in red.pivots:
         if col == n:
             return None
-    x = HomMatrix(matrix.ring, matrix.col_sig, rhs.col_sig)
+    x = HomMatrix._trusted(matrix.ring, matrix.col_sig, rhs.col_sig)
     for (row, col) in red.pivots:
         c = red.echelon.coeff(row, n)
         if not matrix.ring.field.is_zero(c):

@@ -3,9 +3,12 @@
 A matrix in M_{m x n}(D)[alpha][beta] has its (i,j) slot pinned to the
 degree alpha_i * beta_j^-1.  A slot is alive when that composition is
 defined and lies in the support of D; entries elsewhere are forced to
-zero.  That rule is coded once, as GradedDivisionRing.slot (on the fused
-groupoid step FiniteGroupoid.compose_inverse), and live_entries is the one
-entry check of hom matrices, module vectors and matrix-ring elements.
+zero.  That rule is coded once, as GradedDivisionRing.slot, which keeps
+one slot table per ring: a pair of signature morphisms is composed the
+first time any matrix over the ring asks for it, and products,
+elimination and the entry checks all read the same table.  live_entries
+is the one entry check of hom matrices, module vectors and matrix-ring
+elements.
 Since components are one-dimensional, an entry is stored as a bare
 field coefficient, and the degree bookkeeping lives entirely in the two
 signatures.
@@ -94,6 +97,15 @@ class HomMatrix:
                 raise ValidationError("matrix.signature", f"{a} is not a morphism of the grading groupoid")
         self.entries = live_entries("matrix.entry_slot", ring.field, entries or {}, self.shape, self.slot_degree)
 
+    @classmethod
+    def _trusted(cls, ring, row_sig, col_sig):
+        """An empty matrix over signatures taken from matrices over the
+        ring's groupoid, so morphisms of it by construction; built without
+        the constructor's signature check."""
+        out = cls.__new__(cls)
+        out.ring, out.row_sig, out.col_sig, out.entries = ring, tuple(row_sig), tuple(col_sig), {}
+        return out
+
     @property
     def shape(self):
         return (len(self.row_sig), len(self.col_sig))
@@ -129,7 +141,7 @@ class HomMatrix:
         self._common_ring(other)
         if self.col_sig != other.row_sig:
             raise GradixError("signature mismatch: column signature must equal the other row signature")
-        out = HomMatrix(self.ring, self.row_sig, other.col_sig)
+        out = HomMatrix._trusted(self.ring, self.row_sig, other.col_sig)
         out.entries = sparse_product(self.ring, self.entries, other.entries, self.slot_degree, other.slot_degree)
         return out
 
@@ -139,7 +151,7 @@ class HomMatrix:
         """The rows and columns at the given positions, in the given order;
         only the stored entries are walked."""
         rows, cols = list(rows), list(cols)
-        out = HomMatrix(self.ring, [self.row_sig[i] for i in rows], [self.col_sig[j] for j in cols])
+        out = HomMatrix._trusted(self.ring, [self.row_sig[i] for i in rows], [self.col_sig[j] for j in cols])
         row_at, col_at = {}, {}
         for a, i in enumerate(rows):
             row_at.setdefault(i, []).append(a)
@@ -155,7 +167,7 @@ class HomMatrix:
         self._common_ring(other)
         if self.row_sig != other.row_sig:
             raise GradixError("row signature mismatch in hstack")
-        out = HomMatrix(self.ring, self.row_sig, self.col_sig + other.col_sig)
+        out = HomMatrix._trusted(self.ring, self.row_sig, self.col_sig + other.col_sig)
         out.entries.update(self.entries)
         n = len(self.col_sig)
         for (i, j), c in other.entries.items():
@@ -165,7 +177,7 @@ class HomMatrix:
     def transpose_opposite(self):
         """The transpose over the opposite ring; anti-multiplicative."""
         op = self.ring.opposite()
-        out = HomMatrix(op, self.col_sig, self.row_sig)
+        out = HomMatrix._trusted(op, self.col_sig, self.row_sig)
         for (i, j), c in self.entries.items():
             out.entries[(j, i)] = c
         return out

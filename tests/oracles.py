@@ -351,6 +351,19 @@ def is_invertible(matrix):
     return field_solve(matrix.ring.field, rows + rows2, rhs + rhs2) is not None
 
 
+def is_two_sided_inverse(matrix, candidate):
+    """Both products of matrix and candidate, from the definition, are the
+    identities I_{r(alpha)} and I_{r(beta)}: the two-sided check that
+    invert_square's single product stands in for."""
+    one = matrix.ring.field.one()
+    if candidate.row_sig != matrix.col_sig or candidate.col_sig != matrix.row_sig:
+        return False
+    return all(
+        graded_product(x, y).entries == {(i, i): one for i in range(len(x.row_sig))}
+        for x, y in ((matrix, candidate), (candidate, matrix))
+    )
+
+
 def minor_rank(matrix):
     """Largest size of an invertible square submatrix, by full enumeration."""
     from itertools import combinations
@@ -888,14 +901,26 @@ def seeded(seed):
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
+def _bench_module(name):
+    """bench/<name>.py, loaded under the name bench_<name>."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def benchmark_structure_inputs(seed):
     """The seeded spec data of the benchmark's structure workload
     (``make`` of bench/structure.py): matrix rings over rings whose
     supports split into primality classes, with C_4 isotropy and a
     coboundary factor set, and matrix-form categories."""
-    if BENCH not in sys.path:
-        sys.path.insert(0, BENCH)
-    spec = importlib.util.spec_from_file_location("bench_structure", os.path.join(BENCH, "structure.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.make(seed)
+    return _bench_module("structure").make(seed)
+
+
+def benchmark_linalg_jobs(seed):
+    """The jobs of one round of the benchmark's linalg workload at a seed
+    (``build`` of bench/linalg.py), each with its answer check."""
+    module = _bench_module("linalg")
+    return module.build(module.make(seed))

@@ -1,17 +1,22 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from gradix import elimination, matrices
 from gradix.division import GradedDivisionRing
 from gradix.elimination import invert_square, rank_all, row_reduce, solve
 from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
 from gradix.matrices import HomMatrix
+from gradix.specfiles import load_json, load_matrix
 from oracles import (
+    benchmark_linalg_jobs,
     coboundary_twist,
     graded_product,
+    is_two_sided_inverse,
     product_test_rings,
     random_matrix_on,
     random_signature,
@@ -393,3 +398,257 @@ def test_a_wrong_transvection_degree_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(ring, "slot", lambda x, y: real(x, x) if x != y else real(x, y))
     with pytest.raises(GradixError, match="internal error"):
         row_reduce(a)
+
+
+# -- the single verifying product ----------------------------------------------
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap owner.name so that each call is counted; returns the count list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def invertible(rng, ring, n):
+    """A random invertible n x n matrix over ring and its inverse."""
+    pool = [s for s in ring.groupoid.morphisms() if s.target in ring.gamma0()]
+    while True:
+        a = random_matrix_on(rng, ring, [rng.choice(pool) for _ in range(n)], [rng.choice(pool) for _ in range(n)], 0.9)
+        b = invert_square(a)
+        if b is not None:
+            return a, b
+
+
+def perturbations(rng, b):
+    """Seeded wrong inverses, each differing from b: one entry changed, one
+    entry zeroed, and two columns of one source swapped (a slot's life
+    depends only on the sources of its signatures, so every entry stays
+    in a live slot)."""
+    field, (rows, cols) = b.ring.field, b.shape
+    i, j = rng.randrange(rows), rng.randrange(cols)
+    while b.slot_degree(i, j) is None:
+        i, j = rng.randrange(rows), rng.randrange(cols)
+    changed = dict(b.entries)
+    old = b.coeff(i, j)
+    # times 2 (not 1 over F_p for p > 2), or a nonzero value in an empty slot
+    changed[(i, j)] = sample_nonzero(field, rng) if field.is_zero(old) else field.mul(old, field.coerce(2))
+    zeroed = dict(b.entries)
+    del zeroed[rng.choice(sorted(zeroed))]
+    out = [changed, zeroed]
+    pairs = [
+        (j1, j2)
+        for j1 in range(cols)
+        for j2 in range(j1 + 1, cols)
+        if b.col_sig[j1].source == b.col_sig[j2].source
+        and any(b.coeff(r, j1) != b.coeff(r, j2) for r in range(rows))
+    ]
+    if pairs:
+        j1, j2 = rng.choice(pairs)
+        swap = {j1: j2, j2: j1}
+        out.append({(r, swap.get(c, c)): v for (r, c), v in b.entries.items()})
+    wrong = [HomMatrix(b.ring, b.row_sig, b.col_sig, entries) for entries in out]
+    assert all(w.entries != b.entries for w in wrong)
+    return wrong
+
+
+def plant_in_reduction(monkeypatch, change, target=None):
+    """row_reduce as before, but change(red) edits each reduction, or only
+    the reduction of ``target`` when one is given."""
+    real = elimination.row_reduce
+
+    def planted(matrix):
+        red = real(matrix)
+        if target is None or matrix is target:
+            change(red)
+        return red
+
+    monkeypatch.setattr(elimination, "row_reduce", planted)
+
+
+@pytest.fixture(params=[Q, PrimeField(7)], ids=["q", "f7"])
+def twisted_two_object(request):
+    """Full support on two objects with C_2 isotropy, over Q or F_7, twisted
+    by a seeded coboundary."""
+    return coboundary_twist(ring_two_object_c2(request.param), random.Random(67))
+
+
+class TestOneProductInverse:
+    """invert_square verifies B with A*B = I alone; every wrong B that the
+    two-sided check of tests/oracles.py rejects is still an internal error."""
+
+    def test_every_perturbed_inverse_is_an_internal_error(self, monkeypatch, twisted_two_object):
+        rng = random.Random(61)
+        caught = 0
+        for n in (2, 3, 4, 5, 6):
+            a, b = invertible(rng, twisted_two_object, n)
+            assert is_two_sided_inverse(a, b)
+            for wrong in perturbations(rng, b):
+                assert not is_two_sided_inverse(a, wrong)
+
+                def right_block(red, wrong=wrong, n=n):
+                    kept = {(i, j): c for (i, j), c in red.echelon.entries.items() if j < n}
+                    red.echelon.entries = kept | {(i, n + j): c for (i, j), c in wrong.entries.items()}
+
+                with monkeypatch.context() as patch:
+                    plant_in_reduction(patch, right_block)
+                    with pytest.raises(GradixError, match="internal error"):
+                        invert_square(a)
+                caught += 1
+            assert invert_square(a).equal(b)
+        assert caught >= 14
+
+    def test_the_planted_inverse_itself_passes(self, monkeypatch, twisted_two_object):
+        # the planting keeps a right block it is given unchanged
+        a, b = invertible(random.Random(62), twisted_two_object, 4)
+
+        def right_block(red):
+            kept = {(i, j): c for (i, j), c in red.echelon.entries.items() if j < 4}
+            red.echelon.entries = kept | {(i, 4 + j): c for (i, j), c in b.entries.items()}
+
+        plant_in_reduction(monkeypatch, right_block)
+        assert invert_square(a).equal(b)
+
+    def test_one_verifying_product_per_inverse(self, monkeypatch, twisted_two_object):
+        rng = random.Random(63)
+        products = counting(monkeypatch, matrices, "sparse_product")
+        for n in (1, 3, 6, 9):
+            a, _ = invertible(rng, twisted_two_object, n)
+            del products[:]
+            assert invert_square(a) is not None
+            assert len(products) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_benchmark_inverse_makes_one_verifying_product(self, monkeypatch, seed):
+        jobs = [job for job in benchmark_linalg_jobs(seed) if job.name.endswith(".invert")]
+        assert len(jobs) == 4
+        products = counting(monkeypatch, matrices, "sparse_product")
+        for job in jobs:
+            del products[:]
+            answer = job.run()
+            assert len(products) == 1, job.name
+            assert job.check(answer), job.name
+
+
+class TestRankWitness:
+    """rank_all checks that C's pivot columns are the local units and
+    multiplies B*C only on the other columns."""
+
+    def deficient(self, ring, seed):
+        """A 4 x 7 matrix of rank 2, with pivot rows that reach a live non-pivot slot."""
+        rng = random.Random(seed)
+        while True:
+            middle = random_signature(rng, ring, 2)
+            b = random_matrix_on(rng, ring, random_signature(rng, ring, 4), middle, 1.0)
+            a = b.mul(random_matrix_on(rng, ring, middle, random_signature(rng, ring, 7), 1.0))
+            red = row_reduce(a)
+            pivots = {j for _, j in red.pivots}
+            live = [(t, j) for t in range(red.rank) for j in range(7) if j not in pivots and red.echelon.slot_degree(t, j) is not None]
+            if red.rank == 2 and live:
+                return a, live[0]
+
+    def test_a_corrupted_non_pivot_column_is_an_internal_error(self, monkeypatch, twisted_two_object):
+        ring = twisted_two_object
+        for seed in range(5):
+            a, (t, j) = self.deficient(ring, seed)
+            assert rank_all(a).rho == 2
+
+            def corrupt(red, t=t, j=j):
+                old = red.echelon.coeff(t, j)
+                red.echelon.entries[(t, j)] = ring.field.one() if ring.field.is_zero(old) else ring.field.mul(old, ring.field.coerce(2))
+
+            with monkeypatch.context() as patch:
+                plant_in_reduction(patch, corrupt, target=a)
+                with pytest.raises(GradixError, match="internal error: factorization witness"):
+                    rank_all(a)
+
+    def test_a_pivot_column_that_is_not_a_local_unit_is_an_internal_error(self, monkeypatch, twisted_two_object):
+        ring = twisted_two_object
+        a, _ = self.deficient(ring, 0)
+        square, _ = invertible(random.Random(64), ring, 5)
+        for m in (a, square):
+            t, j = row_reduce(m).pivots[-1]
+            with monkeypatch.context() as patch:
+                plant_in_reduction(patch, lambda red: red.echelon.entries.update({(t, j): ring.field.coerce(2)}), target=m)
+                with pytest.raises(GradixError, match="internal error: a pivot column"):
+                    rank_all(m)
+            with monkeypatch.context() as patch:
+                plant_in_reduction(patch, lambda red: red.echelon.entries.pop((t, j)), target=m)
+                with pytest.raises(GradixError, match="internal error: a pivot column"):
+                    rank_all(m)
+
+    def test_full_rank_square_needs_no_product(self, monkeypatch, twisted_two_object):
+        rng = random.Random(65)
+        squares = [invertible(rng, twisted_two_object, n)[0] for n in (1, 4, 8, 9)]
+        a, _ = self.deficient(twisted_two_object, 1)
+        products = counting(monkeypatch, matrices, "sparse_product")
+        for m in squares:
+            report = rank_all(m)
+            assert report.rho == m.shape[0] and report.all_equal()
+        assert products == []
+        assert rank_all(a).rho == 2
+        assert len(products) == 1
+
+
+# -- the slot table --------------------------------------------------------------
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
+
+
+def same_source_pairs(matrix):
+    sigs = set(matrix.row_sig + matrix.col_sig)
+    return {(a, b) for a in sigs for b in sigs if a.source == b.source}
+
+
+class TestSlotTableWork:
+    """Deterministic work counts: FiniteGroupoid.compose_inverse runs at
+    most once per same-source signature pair of a ring, and never again."""
+
+    def test_unimodular_fixture(self, monkeypatch):
+        calls = counting(monkeypatch, FiniteGroupoid, "compose_inverse")
+        path = os.path.join(FIXTURES, "unimodular.matrix.json")
+        a = load_matrix(load_json(path), os.path.dirname(path))
+        first = invert_square(a)
+        # every signature is the one identity of the point ring
+        assert len(same_source_pairs(a)) == 1
+        assert [args[1:] for args in calls] == list(same_source_pairs(a))
+        del calls[:]
+        assert invert_square(a).equal(first)
+        assert calls == []
+
+    def test_first_inverse_composes_each_pair_once(self, monkeypatch, twisted_two_object):
+        rng = random.Random(66)
+        calls = counting(monkeypatch, FiniteGroupoid, "compose_inverse")
+        for n in (3, 6, 9):
+            ring = coboundary_twist(twisted_two_object, rng)
+            found, first = invertible(rng, ring, n)
+            # the same matrix on an equal ring whose slot table is empty
+            fresh = GradedDivisionRing(ring.field, ring.groupoid, ring.support, ring.factor)
+            del calls[:]
+            a = HomMatrix(fresh, found.row_sig, found.col_sig, found.entries)
+            assert invert_square(a).entries == first.entries
+            pairs = [args[1:] for args in calls]
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) <= same_source_pairs(a)
+            del calls[:]
+            assert invert_square(a).entries == first.entries
+            assert calls == []
+
+    def test_dead_pairs_and_the_opposite_ring_compose_nothing(self, monkeypatch, twisted_two_object):
+        ring = twisted_two_object
+        g = ring.groupoid
+        a, b = g.identity(0), Morphism(0, 1, 1, 1)
+        calls = counting(monkeypatch, FiniteGroupoid, "compose_inverse")
+        assert ring.slot(a, b) is None
+        assert calls == []
+        assert ring.slot(b, g.identity(1)) == b
+        assert len(calls) == 1
+        assert ring.opposite().slot(b, g.identity(1)) == b
+        assert len(calls) == 1

@@ -26,7 +26,10 @@ carries its reason.
 A second check keeps the slot rule in one place: outside groupoids.py no
 module of src/gradix may call compose(x, inverse(y)); a degree a o b^-1
 comes from FiniteGroupoid.compose_inverse, or from
-GradedDivisionRing.slot when it must also lie in the support.
+GradedDivisionRing.slot when it must also lie in the support.  The matrix
+modules (elimination, matrices, matrix_ring) may not call compose_inverse
+at all: they read every slot through GradedDivisionRing.slot, so they
+share the ring's one slot table.
 """
 
 import ast
@@ -284,6 +287,35 @@ def test_no_module_forks_the_slot_rule():
         with open(path, encoding="utf-8") as fh:
             forks += [f"{os.path.relpath(path, ROOT)}:{line}" for line in compose_inverse_calls(fh.read())]
     assert forks == []
+
+
+SLOT_READERS = ("elimination.py", "matrices.py", "matrix_ring.py")
+
+
+def slot_compositions(source):
+    """Lines of every compose_inverse call in a module's source, in order."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _called(node) == "compose_inverse"
+    )
+
+
+def test_the_guard_sees_an_inline_slot_composition():
+    source = (
+        "at = [pos.get(g.compose_inverse(alpha, b)) for b in col_sig]\n"
+        "d = ring.slot(alpha, beta)\n"
+        "e = compose_inverse(alpha, beta)\n"
+    )
+    assert slot_compositions(source) == [1, 3]
+
+
+def test_matrix_modules_read_slots_through_the_ring():
+    inline = []
+    for name in SLOT_READERS:
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            inline += [f"src/gradix/{name}:{line}" for line in slot_compositions(fh.read())]
+    assert inline == []
 
 
 # -- the dynamic companion -----------------------------------------------------
