@@ -150,12 +150,11 @@ class GradedDivisionRing:
         """
         if a.source != b.source:
             return None
-        try:
-            return self._slots[a, b]
-        except KeyError:
+        d = self._slots.get((a, b), False)
+        if d is False:
             d = self.groupoid.compose_inverse(a, b)
             d = self._slots[a, b] = d if d in self.support else None
-            return d
+        return d
 
     def same_ring(self, other):
         """Equal field, grading groupoid, support and factor set."""

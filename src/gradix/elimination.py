@@ -22,11 +22,12 @@ composable degrees d and e is x*y*factor(d, e), the factor read from d's
 row at the slot position of e.  Slot degrees come from the ring's slot
 table (GradedDivisionRing.slot), shared with products and entry checks,
 and the positions of a row signature over the columns are listed once per
-reduction.  The pivot row is scaled to the
-local unit at once.  Then, for each degree c of a transvection, the terms
-y_k * factor(c, slot_k) of the pivot row are formed once, and every target
-row of that degree takes N_k <- N_k * D_r * df - a * term_k on plain
-integers, a being its numerator at the pivot column; over Q one gcd over
+reduction.  The pivot row is scaled to the local unit at once.  Then, for
+each degree c of a transvection, the terms y_k * factor(c, slot_k) of the
+pivot row and the degree c * alpha_r are formed once; every target row of
+that degree must have signature c * alpha_r, and takes
+N_k <- N_k * D_r * df - a * term_k on plain integers, a being its
+numerator at the pivot column; over Q one gcd over
 the row and its denominator follows, over F_p the row is reduced mod p in
 place.  Scaling a row by a nonzero integer is left multiplication by a
 central scalar of identity degree, so neither the row space nor the
@@ -125,15 +126,16 @@ def row_reduce(matrix):
                 continue
             # row_i -= a*row_r for a = its entry at col, of degree alpha_i alpha_r^-1
             c_deg = ring.slot(row_sig[i], col_sig[col])
-            if g.compose(c_deg, row_sig[r]) != row_sig[i]:
-                raise GradixError("internal error: a transvection degree does not carry the pivot row to its target")
-            t = terms.get(c_deg)
-            if t is None:
+            if c_deg not in terms:
                 f = numerators[c_deg]
                 if p is None:
-                    t = terms[c_deg] = [(k, y * f[at[k]]) for k, y in pivot.items()]
+                    t = [(k, y * f[at[k]]) for k, y in pivot.items()]
                 else:
-                    t = terms[c_deg] = [(k, y * f[at[k]] % p) for k, y in pivot.items()]
+                    t = [(k, y * f[at[k]] % p) for k, y in pivot.items()]
+                terms[c_deg] = g.compose(c_deg, row_sig[r]), t
+            carried, t = terms[c_deg]
+            if carried != row_sig[i]:
+                raise GradixError("internal error: a transvection degree does not carry the pivot row to its target")
             a = row[col]
             if p is None:
                 if scale != 1:
