@@ -16,7 +16,8 @@ up to a multiplicative coboundary.  The coboundary system is solved
 exactly and the same way over every field: its equal exponent rows are
 merged, and an integer Smith form of the rest turns it into independent
 equations z^d = y, which need only exact d-th roots: integer roots over
-Q, Adleman-Manders-Miller roots over F_p.
+Q, Adleman-Manders-Miller roots over F_p.  The search solves it once
+per coset tau supp(d1) of the conjugating morphisms tau.
 
 The search yields an unverified certificate.  A certificate is verified
 once it is returned: by ``iso_test`` directly, and by ``spec_iso`` only
@@ -37,13 +38,6 @@ from itertools import groupby
 from .errors import GradixError, ValidationError
 from .groupoids import Morphism, union_classes
 from .matrix_ring import MatrixRing
-
-# The largest support whose coboundary system iso solves.  One solve on a
-# coboundary-twisted cyclic group ring takes about 0.005/0.014/0.06 s at
-# support 12/16/24 over F_10007 and 0.008/0.018/0.07 s over Q (best of
-# three, one core of a 2-vCPU host); a rejecting pair may solve once per
-# conjugating morphism.
-MAX_COBOUNDARY_SUPPORT = 12
 
 
 class SemisimpleRingSpec:
@@ -395,19 +389,12 @@ def solve_coboundary(d1, d2, tau):
     solver; equal rows with ratios N1/N2 != N1'/N2', compared as N1 N2' -
     N1' N2 over the factor sets' denominators, have no solution.  Every
     pair then checks the solution as c(s)c(t)N2 D1 = N1 c(st) D2, with c
-    over its own denominator.
-
-    Both rings must be concentrated blocks, and a support that tau
-    carries across may have at most MAX_COBOUNDARY_SUPPORT degrees.
+    over its own denominator.  Both rings must be concentrated blocks.
     """
     field = d1.field
     tables = _position_tables(d1, d2, tau)
     if tables is None:
         return None
-    if len(d1.support) > MAX_COBOUNDARY_SUPPORT:
-        raise ValidationError(
-            "coboundary.size", f"support size {len(d1.support)} exceeds ceiling {MAX_COBOUNDARY_SUPPORT}"
-        )
     supp, _, prod, (f1, n1, den1), (f2, n2, den2) = tables
     m = len(supp)
     first, ratios = {}, []
@@ -501,20 +488,30 @@ def _find_certificate(block1, block2):
     """The first conjugating morphism, coboundary and index matching found,
     as an unverified IsoCertificate, or None.
 
+    One tau per coset tau supp(d1) is tried, its least, as hom(e1, e2) is
+    walked in order.  For h in the support, tau o h carries supp(d1) onto
+    the same conjugates as tau; with u_h u_s u_h^-1 = lambda(s) u_{hsh^-1},
+    c solves tau's system exactly when c'(s) = c(hsh^-1) lambda(s) solves
+    that of tau o h (conjugate the ring map by u_h); and tau^-1 s'_i' s_i^-1
+    is in supp(d1) exactly when h^-1 tau^-1 s'_i' s_i^-1 is.  So the first
+    tau to pass both is the least of the first coset to pass, as in a sweep.
+
     Both blocks must lie in one SemisimpleRingSpec, which checks their
     form and their common grading.
     """
     d1, d2 = block1.ring, block2.ring
     g = d1.groupoid
-    sources1 = sorted(s[0].source for s in block1.signatures)
-    sources2 = sorted(s[0].source for s in block2.signatures)
-    if sources1 != sources2 or len(d1.support) != len(d2.support):
+    sig1 = [s for (s,) in block1.signatures]
+    sources2 = sorted(s.source for (s,) in block2.signatures)
+    if sorted(s.source for s in sig1) != sources2 or len(d1.support) != len(d2.support):
         return None
 
-    e1 = d1.gamma0()[0]
-    e2 = d2.gamma0()[0]
-    sig1 = [s for (s,) in block1.signatures]
-    for tau in g.hom(e1, e2):
+    tried = set()
+    for tau in g.hom(d1.gamma0()[0], d2.gamma0()[0]):
+        if tau.elem in tried:
+            continue
+        mult = g.blocks[tau.block].group.mult_table
+        tried.update(mult[tau.elem][h.elem] for h in d1.support)
         c = solve_coboundary(d1, d2, tau)
         if c is None:
             continue

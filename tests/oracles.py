@@ -504,6 +504,42 @@ def coboundary_exists(d1, d2, tau):
     return any(_solves(d1.field, equations, dict(zip(supp, c))) for c in product(units, repeat=len(supp)))
 
 
+def first_certificate_by_full_sweep(block1, block2):
+    """(tau, pi, c, units) of the first conjugating morphism that passes,
+    or None: the certificate search as it was before it skipped cosets.
+
+    Every tau of hom(e1, e2) is tried in order: the coboundary comes from
+    structure.solve_coboundary, and the matching by perfect_matching_by_lists
+    pairs index i with i' when r = tau^-1 s'_i' s_i^-1 is defined and lies
+    in supp(d1), u_i being (r, 1) for the chosen i'.
+    """
+    from gradix.structure import solve_coboundary
+
+    d1, d2 = block1.ring, block2.ring
+    g = d1.groupoid
+    sig1 = [s for (s,) in block1.signatures]
+    sig2 = [s for (s,) in block2.signatures]
+    if sorted(s.source for s in sig1) != sorted(s.source for s in sig2) or len(d1.support) != len(d2.support):
+        return None
+    n = len(sig1)
+    for tau in g.hom(d1.gamma0()[0], d2.gamma0()[0]):
+        c = solve_coboundary(d1, d2, tau)
+        if c is None:
+            continue
+        tau_inv = g.inverse(tau)
+        shift = {}
+        for i, s in enumerate(sig1):
+            for k, sp in enumerate(sig2):
+                if sp.source == s.source:
+                    r = g.compose(g.compose(tau_inv, sp), g.inverse(s))
+                    if r in d1.support:
+                        shift[(i, k)] = r
+        pi = perfect_matching_by_lists([[k for k in range(n) if (i, k) in shift] for i in range(n)], n)
+        if pi is not None:
+            return tau, pi, c, {i: (shift[(i, pi[i])], d1.field.one()) for i in range(n)}
+    return None
+
+
 def perfect_matching_by_lists(candidates, n):
     """Kuhn's augmenting paths over candidate lists, candidates[i] the
     allowed partners of i in increasing order: the matching that
@@ -892,6 +928,75 @@ def random_vectors(rng, module, count):
                 entries[i] = random_scalar(rng, module.ring.field)
         out.append(module.vector(tau, entries))
     return out
+
+
+def two_generated_subgroups(group):
+    """The subgroups generated by at most two elements, as sorted element
+    tuples, smallest first: every subgroup when the group has order at
+    most 8 and is not C_2^3."""
+    found = set()
+    for a in range(group.order):
+        for b in range(a, group.order):
+            elems = {group.identity}
+            while True:
+                more = elems | {group.mul(x, y) for x in elems for y in (a, b)}
+                if more == elems:
+                    break
+                elems = more
+            found.add(tuple(sorted(elems)))
+    return sorted(found, key=lambda h: (len(h), h))
+
+
+def _powers(group, x):
+    out = [group.identity]
+    while group.mul(out[-1], x) != group.identity:
+        out.append(group.mul(out[-1], x))
+    return out
+
+
+def loop_ring(field, g, obj, order, lam):
+    """The ring on the loops at obj whose group elements are ``order``.
+    When order lists x^0 .. x^(m-1), u_x^m = lam: the factor is lam where
+    exponents wrap around.  Otherwise order is a subgroup and lam is 1."""
+    at = {x: k for k, x in enumerate(order)}
+    support = [Morphism(0, obj, x, obj) for x in order]
+    factor = {
+        (s, t): field.coerce(lam if at[s.elem] + at[t.elem] >= len(order) else 1) for s in support for t in support
+    }
+    return GradedDivisionRing(field, g, support, factor)
+
+
+def random_block_pair(rng, group, elems, field):
+    """Two single-object-supported blocks over the groupoid with objects 0
+    and 1 and this isotropy group, each on a conjugate of the subgroup
+    elems, and each with a random coboundary twist.
+
+    The first sits at object 0 with one to three signatures.  The second
+    sits at a random object and is, half of the time, the first carried
+    across by a random tau0 = (e2, t, 0): support t elems t^-1, the same
+    cyclic twist lam, and signatures tau0 h_i s_i in shuffled order, h_i
+    in the support.  Otherwise it draws its own lam and signatures with
+    the same sources, and may or may not be isomorphic.  A cyclic
+    subgroup gets the twist lam for a random generator; any other is
+    untwisted."""
+    field_units = [1, 2, 3, -1]
+    g = FiniteGroupoid([ConnectedBlock([0, 1], group)])
+    gen = next((x for x in elems if len(_powers(group, x)) == len(elems)), None)
+    order = list(elems) if gen is None else _powers(group, gen)
+    e2, t = rng.randint(0, 1), rng.randrange(group.order)
+    iso = rng.random() < 0.5
+    lam1 = 1 if gen is None else rng.choice(field_units)
+    lam2 = lam1 if iso or gen is None else rng.choice(field_units)
+    moved = [group.mul(group.mul(t, x), group.inv(t)) for x in order]
+    d1 = coboundary_twist(loop_ring(field, g, 0, order, lam1), rng)
+    d2 = coboundary_twist(loop_ring(field, g, e2, moved, lam2), rng)
+    sig1 = [Morphism(0, 0, rng.randrange(group.order), rng.randint(0, 1)) for _ in range(rng.randint(1, 3))]
+    if iso:
+        sig2 = [Morphism(0, e2, group.mul(t, group.mul(rng.choice(elems), s.elem)), s.source) for s in sig1]
+        rng.shuffle(sig2)
+    else:
+        sig2 = [Morphism(0, e2, rng.randrange(group.order), s.source) for s in sig1]
+    return MatrixRing(d1, [[s] for s in sig1]), MatrixRing(d2, [[s] for s in sig2])
 
 
 def seeded(seed):

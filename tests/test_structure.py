@@ -28,12 +28,17 @@ from gradix.structure import (
 )
 
 from oracles import (
+    benchmark_structure_inputs,
     certificate_is_isomorphism,
     coboundary_exists,
     coboundary_twist,
+    first_certificate_by_full_sweep,
     is_coboundary,
+    loop_ring,
     multiplicity_flags,
     perfect_matching_by_lists,
+    random_block_pair,
+    two_generated_subgroups,
 )
 
 Q = Rationals()
@@ -877,11 +882,11 @@ class TestConjugatingMorphism:
         assert not bad.verified
         assert pruned_accepts(corrupted(cert))
 
-    def test_the_ceiling_holds_for_a_tau_that_carries_the_support(self):
+    def test_thirteen_degrees_solve_to_a_coboundary(self):
         d = GradedDivisionRing.group_ring(Q, FiniteGroup.cyclic(13))
-        with pytest.raises(ValidationError) as err:
-            solve_coboundary(d, d, d.groupoid.identity(0))
-        assert err.value.invariant == "coboundary.size"
+        tau = d.groupoid.identity(0)
+        c = solve_coboundary(d, d, tau)
+        assert c is not None and is_coboundary(d, d, tau, c)
 
 
 class TestPerfectMatching:
@@ -902,25 +907,149 @@ class TestPerfectMatching:
         assert outcomes == {True, False}
 
 
-class TestCoboundaryCeiling:
-    """The coboundary system is solved for supports of up to
-    MAX_COBOUNDARY_SUPPORT degrees; a larger one names its invariant."""
+class TestLargeSupports:
+    """Supports past the 12 degrees the search used to refuse: a group
+    ring's self-isomorphism is found and verified."""
 
-    def _block(self, n):
+    @staticmethod
+    def _self_iso(n):
         d = GradedDivisionRing.group_ring(Q, FiniteGroup.cyclic(n))
-        return MatrixRing(d, [[d.groupoid.identity(0)]])
+        block = MatrixRing(d, [[d.groupoid.identity(0)]])
+        return iso_test(block, block)
 
-    def test_cyclic_group_of_order_twelve_solves(self):
-        assert structure.MAX_COBOUNDARY_SUPPORT == 12
-        block = self._block(12)
-        cert = iso_test(block, block)
+    def test_cyclic_group_of_order_thirteen_is_verified(self):
+        cert = self._self_iso(13)
         assert cert is not None and cert.verified
 
-    def test_cyclic_group_of_order_thirteen_names_the_ceiling(self):
-        block = self._block(13)
-        with pytest.raises(ValidationError) as err:
-            iso_test(block, block)
-        assert err.value.invariant == "coboundary.size"
+    def test_cyclic_group_of_order_thirty_two_is_verified(self):
+        cert = self._self_iso(32)
+        assert cert is not None and cert.verified
+
+
+def coset_of(tau, elems, g):
+    """The group elements of the coset tau elems."""
+    row = g.blocks[tau.block].group.mult_table[tau.elem]
+    return frozenset(row[h] for h in elems)
+
+
+class TestCosetSearch:
+    """_find_certificate tries one tau per coset tau supp(d1) and returns
+    what a sweep over every tau returns
+    (oracles.first_certificate_by_full_sweep)."""
+
+    GROUPS = {
+        "C4": FiniteGroup.cyclic(4),
+        "C6": FiniteGroup.cyclic(6),
+        "S3": s3_groupoid().blocks[0].group,
+        "C2xC2": FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+        "C8": FiniteGroup.cyclic(8),
+    }
+
+    @staticmethod
+    def same_as_the_sweep(block1, block2):
+        SemisimpleRingSpec([block1, block2])
+        cert = structure._find_certificate(block1, block2)
+        swept = first_certificate_by_full_sweep(block1, block2)
+        got = None if cert is None else (cert.tau, list(cert.pi), cert.coboundary, cert.units)
+        assert got == swept
+        return cert is not None
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_every_subgroup_over_q_and_fp(self, name):
+        group = self.GROUPS[name]
+        outcomes = set()
+        for elems in two_generated_subgroups(group):
+            for field in (Q, PrimeField(7), PrimeField(13)):
+                rng = random.Random(f"{name} {elems} {field.kind} {getattr(field, 'p', 0)}")
+                for _ in range(4):
+                    outcomes.add(self.same_as_the_sweep(*random_block_pair(rng, group, elems, field)))
+        assert outcomes == {True, False}
+
+    def test_a_non_normal_support_of_order_two(self):
+        # {1, (0 1)} in S_3 has three conjugates, so conjugation carries
+        # supp(d1) onto supp(d2) only on one coset in three
+        group = self.GROUPS["S3"]
+        elems = (0, 1)
+        outcomes, carried = set(), set()
+        for field in (Q, PrimeField(7)):
+            rng = random.Random(f"S3 {field.kind}")
+            for _ in range(24):
+                block1, block2 = random_block_pair(rng, group, elems, field)
+                outcomes.add(self.same_as_the_sweep(block1, block2))
+                g, d1, d2 = block1.ring.groupoid, block1.ring, block2.ring
+                for tau in g.hom(0, d2.gamma0()[0]):
+                    carried.add(structure._position_tables(d1, d2, tau) is not None)
+        assert outcomes == {True, False} and carried == {True, False}
+
+    def test_the_benchmark_inputs(self):
+        # every block pair of each structure spec against itself, its iso
+        # copy and its other-class copy
+        outcomes = set()
+        for seed in (1, 2, 3):
+            for r in benchmark_structure_inputs(seed)["rings"]:
+                spec = wedderburn_decompose(load_matrix_ring(r["spec"]))
+                for k in ("spec", "iso_spec", "other_spec"):
+                    other = wedderburn_decompose(load_matrix_ring(r[k]))
+                    for block1 in spec.blocks:
+                        for block2 in other.blocks:
+                            outcomes.add(self.same_as_the_sweep(block1, block2))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_coboundary_existence_is_constant_on_cosets(self, p):
+        field = PrimeField(p)
+        verdicts = set()
+        for name in ("C4", "S3", "C2xC2"):
+            group = self.GROUPS[name]
+            for elems in two_generated_subgroups(group):
+                if len(elems) > 3 and p == 7:
+                    continue
+                rng = random.Random(f"{name} {elems} {p}")
+                for _ in range(3):
+                    block1, block2 = random_block_pair(rng, group, elems, field)
+                    d1, d2 = block1.ring, block2.ring
+                    g = d1.groupoid
+                    by_coset = {}
+                    for tau in g.hom(0, d2.gamma0()[0]):
+                        carries = structure._position_tables(d1, d2, tau) is not None
+                        verdict = (carries, carries and coboundary_exists(d1, d2, tau))
+                        by_coset.setdefault(coset_of(tau, elems, g), set()).add(verdict)
+                    assert all(len(v) == 1 for v in by_coset.values())
+                    verdicts |= set().union(*by_coset.values())
+        assert {(True, True), (True, False)} <= verdicts
+
+
+class TestCosetWork:
+    """Deterministic solve counts: a rejecting search solves once per coset
+    of the support, |G|/|H| times, where a sweep solves once per tau."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        log = []
+        real = structure.solve_coboundary
+        monkeypatch.setattr(structure, "solve_coboundary", lambda d1, d2, tau: log.append(tau) or real(d1, d2, tau))
+        return log
+
+    @staticmethod
+    def _pair(n, k, field, lam):
+        """Blocks over the subgroup of index k of C_n, twisted by lam and untwisted."""
+        g = FiniteGroupoid.one_object(FiniteGroup.cyclic(n))
+        order = list(range(0, n, k))
+        rings = [loop_ring(field, g, 0, order, x) for x in (lam, 1)]
+        return [MatrixRing(d, [[g.identity(0)]]) for d in rings]
+
+    def test_support_of_index_four_solves_four_times(self, solved):
+        block1, block2 = self._pair(64, 4, Q, 2)
+        assert iso_test(block1, block2) is None
+        assert [tau.elem for tau in solved] == [0, 1, 2, 3]
+        solved.clear()
+        assert first_certificate_by_full_sweep(block1, block2) is None
+        assert len(solved) == 64
+
+    def test_full_support_solves_once(self, solved):
+        block1, block2 = self._pair(32, 1, Q, 2)
+        assert iso_test(block1, block2) is None
+        assert len(solved) == 1
 
 
 class TestBlockwiseChecks:
