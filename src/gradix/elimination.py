@@ -21,8 +21,8 @@ is fixed by the signatures, so the product of coefficients x and y at
 composable degrees d and e is x*y*factor(d, e), the factor read from d's
 row at the slot position of e.  Slot degrees come from the ring's slot
 table (GradedDivisionRing.slot), shared with products and entry checks,
-and the positions of a row signature over the columns are listed once per
-reduction.  The pivot row is scaled to the local unit at once.  Then, for
+and a pivot row's slot positions are looked up only for the columns it
+holds, each once per reduction and row signature.  The pivot row is scaled to the local unit at once.  Then, for
 each degree c of a transvection, the terms y_k * factor(c, slot_k) of the
 pivot row and the degree c * alpha_r are formed once; every target row of
 that degree must have signature c * alpha_r, and takes
@@ -83,12 +83,14 @@ def row_reduce(matrix):
         dens.append(d)
     slots = {}
 
-    def slot_positions(alpha):
-        """Per column k, the position of the slot degree alpha * beta_k^-1
-        (None when dead), listed on the first row of signature alpha."""
-        at = slots.get(alpha)
-        if at is None:
-            at = slots[alpha] = [pos.get(ring.slot(alpha, b)) for b in col_sig]
+    def slot_positions(alpha, row):
+        """Column k -> the position of the slot degree alpha * beta_k^-1,
+        for the columns k that the row holds; each position is looked up
+        once per reduction and signature."""
+        at = slots.setdefault(alpha, {})
+        for k in row:
+            if k not in at:
+                at[k] = pos.get(ring.slot(alpha, col_sig[k]))
         return at
 
     pivots = []
@@ -108,7 +110,7 @@ def row_reduce(matrix):
             # x factor(pivot_deg, inv) (D and df cancel), and the signature
             # inv alpha_r = beta_col
             inv_deg = g.inverse(pivot_deg)
-            f, at = numerators[inv_deg], slot_positions(row_sig[r])
+            f, at = numerators[inv_deg], slot_positions(row_sig[r], rows[r])
             d = x * numerators[pivot_deg][pos[inv_deg]]
             if p is None:
                 row = {k: y * f[at[k]] for k, y in rows[r].items()}
@@ -117,7 +119,8 @@ def row_reduce(matrix):
                 c = pow(d, -1, p)
                 row = {k: y * f[at[k]] * c % p for k, y in rows[r].items()}
             rows[r], row_sig[r] = row, col_sig[col]
-        pivot, dr, at = rows[r], dens[r], slot_positions(row_sig[r])
+        pivot, dr = rows[r], dens[r]
+        at = slot_positions(row_sig[r], pivot)
         scale = dr * df
         terms = {}
         for i in range(m):

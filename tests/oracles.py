@@ -615,6 +615,42 @@ def raw_groupoid_failure(objects, morphisms, table):
     return None
 
 
+def cocycle_failures(field, groupoid, support, factor):
+    """Every triple (s, t, r) of support degrees, in sort order, with s o t
+    and t o r defined and factor(s,t) factor(st,r) != factor(t,r) factor(s,tr).
+
+    The cocycle identity straight from its definition, over every
+    composable triple.  Degrees are plain (block, target, elem, source)
+    tuples composed by their block's group table, (z, h, y) o (y, g, x) =
+    (z, hg, x), and the two sides are compared as field values: Fractions
+    over Q, integers mod p over F_p.
+    """
+    p = getattr(field, "p", None)
+    tables = [b.group.mult_table for b in groupoid.blocks]
+
+    def comp(a, b):
+        return (a[0], a[1], tables[a[0]][a[2]][b[2]], b[3])
+
+    degrees = sorted(support)
+    for s in degrees:
+        for t in degrees:
+            if (t[0], t[1]) != (s[0], s[3]):
+                continue
+            st = comp(s, t)
+            for r in degrees:
+                if (r[0], r[1]) != (t[0], t[3]):
+                    continue
+                lhs = factor[s, t] * factor[st, r]
+                rhs = factor[t, r] * factor[s, comp(t, r)]
+                if (lhs - rhs) % p if p else lhs != rhs:
+                    yield s, t, r
+
+
+def cocycle_failure(field, groupoid, support, factor):
+    """The first triple of cocycle_failures, or None for a cocycle."""
+    return next(cocycle_failures(field, groupoid, support, factor), None)
+
+
 def relabel_is_isomorphism(groupoid, relabel, table):
     """True when relabel is a bijection onto the groupoid's morphisms that
     keeps every product of the table."""
