@@ -297,7 +297,7 @@ class RawCategory:
             name: [(start[(name, name)] + k, next(nums)) for k in coeffs]
             for name, coeffs in self.identities.items()
         }
-        quotient, dd = field.quotient, d * d
+        dd = d * d
 
         def fixes(x, products):
             """Whether the composites, (row key, coefficient) pairs, sum to x."""
@@ -306,7 +306,7 @@ class RawCategory:
             for key, c in products:
                 for z, y in rows.get(key, ()):
                     sums[z] += c * y
-            return not any(s and not field.is_zero(quotient(s, dd)) for s in sums.values())
+            return not any(s and not field.is_zero(s) for s in sums.values())
 
         for x, (a, b, _) in enumerate(basis):
             if not fixes(x, [(u * n + x, c) for u, c in identity[a]]):
@@ -331,7 +331,7 @@ class RawCategory:
             for z, x in rows.get(v * n + w, ()):
                 for k, y in rows.get(u * n + z, ()):
                     sums[k] -= x * y
-            if any(s and not field.is_zero(quotient(s, dd)) for s in sums.values()):
+            if any(s and not field.is_zero(s) for s in sums.values()):
                 failed.append(tuple(basis[t] for t in (u, v, w)))
         if failed:
             place = {pair: k for k, pair in enumerate(self.hom_dims)}

@@ -40,11 +40,10 @@ def _flag(value):
 
 
 def _matrix_json(matrix):
-    g = matrix.ring.groupoid
     field = matrix.ring.field
     return {
-        "row_signature": [g.morphism_to_json(m) for m in matrix.row_sig],
-        "col_signature": [g.morphism_to_json(m) for m in matrix.col_sig],
+        "row_signature": [list(m) for m in matrix.row_sig],
+        "col_signature": [list(m) for m in matrix.col_sig],
         "entries": [
             [i, j, field.to_json(c)] for (i, j), c in sorted(matrix.entries.items())
         ],
@@ -224,11 +223,10 @@ def _cmd_iso(args):
     match = structure.spec_iso(left, right)
     if match is None:
         return ["isomorphic: false"], {"isomorphic": False}
-    g = left.groupoid
     text = ["isomorphic: true"]
     pairs = []
     for j, jp, cert in match:
-        tau = g.morphism_to_json(cert.tau)
+        tau = list(cert.tau)
         text.append(f"pair: {j} -> {jp} (tau={tau})")
         pairs.append({"left": j, "right": jp, "tau": tau})
     return text, {"isomorphic": True, "pairs": pairs}

@@ -59,11 +59,12 @@ def _cocycle_generators(groupoid, support):
 
     The components are the classes of objects linked by support arrows,
     each with its least object b as base.  For every other object x the
-    set holds the least support arrow a_x: b -> x and its inverse, and
-    then a greedy generating set of the support loops at b: in sort
-    order, each loop not yet in the subgroup the earlier ones generate.
-    Each one at least doubles that subgroup, so there are at most
-    log2 |H| of them for the isotropy group H.
+    set holds the least support arrow a_x: b -> x (not its inverse: see
+    GradedDivisionRing._check_cocycle), and then a greedy generating set
+    of the support loops at b: in sort order, each loop not yet in the
+    subgroup the earlier ones generate.  Each one at least doubles that
+    subgroup, so there are at most log2 |H| of them for the isotropy
+    group H.
     """
     homs = {}
     for m in sorted(support):
@@ -71,9 +72,7 @@ def _cocycle_generators(groupoid, support):
     gens = []
     for objs in union_classes({m.source for m in support}, homs):
         b = objs[0]
-        for x in objs[1:]:
-            a = homs[b, x][0]
-            gens += [a, groupoid.inverse(a)]
+        gens += [homs[b, x][0] for x in objs[1:]]
         group = groupoid.blocks[groupoid.block_of(b)].group
         elems, reached = [], {group.identity}
         for h in homs[b, b]:
@@ -140,18 +139,24 @@ class GradedDivisionRing:
             if g.identity(e) not in self.support:
                 raise ValidationError("support.identities", f"support touches object {e} but lacks its identity")
         by_target = _by_target(self.support)
-        pairs = [(s, t) for s in self.support for t in by_target.get(s.source, ())]
-        for s, t in pairs:
-            if g.compose(s, t) not in self.support:
-                raise ValidationError("support.composition_closed", f"support lacks the product of {s} and {t}")
+        for s in self.support:
+            for t in by_target.get(s.source, ()):
+                if g.compose(s, t) not in self.support:
+                    raise ValidationError("support.composition_closed", f"support lacks the product of {s} and {t}")
 
-        pairs = set(pairs)
+        # Each key must be a composable support pair (s, t), read by index
+        # (source is [3], target [1]); then the keys cover all such pairs
+        # exactly when there are as many.  Only a short count builds the
+        # set of pairs, to name the first missing one in its order.
+        support = self.support
         for key in self.factor:
-            if key not in pairs:
+            if not (isinstance(key, tuple) and len(key) == 2 and key[0] in support and key[1] in support
+                    and key[0][3] == key[1][1]):
                 raise ValidationError("factor.domain", f"factor given for non-composable or non-support pair {key}")
-        for key in pairs:
-            if key not in self.factor:
-                raise ValidationError("factor.domain", f"factor missing for composable support pair {key}")
+        if len(self.factor) != sum(len(by_target.get(s.source, ())) for s in self.support):
+            pairs = {(s, t) for s in self.support for t in by_target.get(s.source, ())}
+            key = next(key for key in pairs if key not in self.factor)
+            raise ValidationError("factor.domain", f"factor missing for composable support pair {key}")
         for key, value in self.factor.items():
             if self.field.is_zero(value):
                 raise ValidationError("factor.nonzero", f"factor at {key} is zero")
@@ -183,8 +188,14 @@ class GradedDivisionRing:
         with base b and generators a_x: b -> x (a_b the identity), each
         support arrow m: x -> y is a_y h a_x^-1 with h = a_y^-1 m a_x a
         support loop at b, and h is a positive word in the isotropy
-        generators, since the group is finite.  So T is the whole support
-        once it holds the generators.
+        generators, since the group is finite.  T is closed under inverses
+        too, so a_x^-1 lies in T with a_x.  For t in T with inverse t' and
+        v = u_t', the middle-t triples (t', t, t'), (t', t, t'r) and
+        (st', t, t') give f(t,t') = f(t',t) = c, u_t (v b) = c b and
+        (a v) u_t = c a for homogeneous a and b with v b and a v nonzero;
+        expanding ((a v) u_t)(v b) around u_t then gives
+        c (a v) b = c a (v b), and c is nonzero.  So T is the whole
+        support once it holds the generators.
 
         Factors are compared as integer numerators over the one common
         denominator d of the table, N(s,t) N(st,r) = N(t,r) N(s,tr),
@@ -193,7 +204,6 @@ class GradedDivisionRing:
         stays unbuilt).
         """
         g, field = self.groupoid, self.field
-        p = field.p if field.kind == "Fp" else None
         nums, _ = field.integers(list(self.factor.values()))
         rows = {}
         for (s, t), x in zip(self.factor, nums):
@@ -210,8 +220,7 @@ class GradedDivisionRing:
                 ns, nst = rows[s], rows[g.compose(s, t)]
                 a = ns[t]
                 for r, tr, b in rs:
-                    v = a * nst[r] - b * ns[tr]
-                    if v if p is None else v % p:
+                    if not field.is_zero(a * nst[r] - b * ns[tr]):
                         raise ValidationError("factor.cocycle", f"cocycle identity fails on the triple ({s}, {t}, {r})")
                 count += len(rs)
         return count

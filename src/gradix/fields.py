@@ -3,7 +3,8 @@
 A field object knows how to build, combine and print its elements.  Element
 values are plain Python data (Fraction for Q, int in range(p) for F_p), so
 they hash, compare and serialize without ceremony; all arithmetic goes
-through the field object.
+through the field object.  A field's JSON description is read by
+specfiles.load_field; scalars are read here, by coerce.
 """
 
 import re
@@ -137,6 +138,7 @@ class Rationals:
         return Fraction(num if a > 0 else -num, den)
 
     def is_zero(self, a):
+        """Whether a is zero; exact on an integer numerator over any denominator."""
         return a == 0
 
     def equal(self, a, b):
@@ -257,6 +259,7 @@ class PrimeField:
         return x * pow(zeta, k // q, p) % p
 
     def is_zero(self, a):
+        """Whether a is zero; exact on an integer numerator from integers() (over 1)."""
         return a % self.p == 0
 
     def equal(self, a, b):
@@ -280,16 +283,3 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-
-def field_from_json(data):
-    """Build a field from its JSON description {"kind": "Q"} or {"kind": "Fp", "p": 5}."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise FormatError(f"field description must be an object with 'kind', got {data!r}")
-    kind = data["kind"]
-    if kind == "Q":
-        return Rationals()
-    if kind == "Fp":
-        if "p" not in data:
-            raise FormatError("field of kind 'Fp' needs 'p'")
-        return PrimeField(data["p"])
-    raise FormatError(f"unknown field kind {kind!r}")

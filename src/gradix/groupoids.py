@@ -18,6 +18,12 @@ each component's loop group by FiniteGroup, and then one pass over the
 table checks that the relabelling is one to one and keeps every product,
 which makes the table a groupoid's (see from_composition_table).
 
+This module holds the mathematics and its laws only.  specfiles is the
+one reader of the file format: it checks the shape of both JSON forms
+and hands these constructors Python values, so they raise
+ValidationError alone (morphism_from_json, which bench code calls too,
+is the exception).
+
 Size ceilings (at most 64 objects overall, group order at most 64 per
 block) are enforced at construction so every later check can afford to be
 exhaustive.
@@ -264,9 +270,6 @@ class FiniteGroupoid:
 
     # -- serialization ------------------------------------------------------
 
-    def morphism_to_json(self, m):
-        return list(m)
-
     def morphism_from_json(self, data):
         if not (isinstance(data, (list, tuple)) and len(data) == 4 and all(is_index(v) for v in data)):
             raise FormatError(f"morphism must be [block, target, elem, source], got {data!r}")
@@ -300,57 +303,15 @@ def union_classes(elements, links):
     return [sorted(classes[r]) for r in sorted(classes)]
 
 
-def groupoid_from_json(data):
-    """Build a groupoid from its JSON description (block form or raw)."""
-    if not isinstance(data, dict):
-        raise FormatError(f"groupoid description must be an object, got {type(data).__name__}")
-    if "blocks" in data:
-        if not isinstance(data["blocks"], (list, tuple)):
-            raise FormatError(f"'blocks' must be a list of blocks, got {data['blocks']!r}")
-        blocks = []
-        for bd in data["blocks"]:
-            if not isinstance(bd, dict) or "objects" not in bd or "group" not in bd:
-                raise FormatError(f"block needs 'objects' and 'group', got {bd!r}")
-            if not isinstance(bd["objects"], (list, tuple)):
-                raise FormatError(f"block 'objects' must be a list of object ids, got {bd['objects']!r}")
-            gd = bd["group"]
-            if not isinstance(gd, dict) or "mult" not in gd:
-                raise FormatError(f"group needs a 'mult' table, got {gd!r}")
-            mult = gd["mult"]
-            if not (isinstance(mult, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in mult)):
-                raise FormatError(f"group 'mult' must be a list of rows, got {mult!r}")
-            if not all(is_index(v) for row in mult for v in row):
-                raise FormatError(f"group 'mult' entries must be element indices, got {mult!r}")
-            group = FiniteGroup(mult)
-            order = gd.get("order", group.order)
-            if not is_index(order) or order != group.order:
-                raise FormatError(f"stated group order {order!r} does not match table size {group.order}")
-            blocks.append(ConnectedBlock(bd["objects"], group))
-        return FiniteGroupoid(blocks)
-    if "raw" in data:
-        raw = data["raw"]
-        try:
-            objects = raw["objects"]
-            morphisms = raw["morphisms"]
-            compose = raw["compose"]
-        except (TypeError, KeyError) as exc:
-            raise FormatError("raw groupoid needs 'objects', 'morphisms', 'compose'") from exc
-        if not all(isinstance(v, (list, tuple)) for v in (objects, morphisms, compose)):
-            raise FormatError("raw groupoid 'objects', 'morphisms' and 'compose' must be lists")
-        if not all(is_index(x) for x in objects):
-            raise FormatError(f"raw groupoid objects must be integer ids, got {objects!r}")
-        groupoid, _ = from_composition_table(objects, morphisms, compose)
-        return groupoid
-    raise FormatError("groupoid description needs either 'blocks' or 'raw'")
-
-
-def from_composition_table(objects, morphisms, table):
+def from_composition_table(objects, src, tgt, comp):
     """Validate a raw groupoid and convert it to canonical block form.
 
-    ``objects`` is a list of nonnegative ids.  ``morphisms`` is a list of
-    {"source": x, "target": y} records (morphism ids are list positions).
-    ``table`` lists triples [g, h, gh], each pair once, and must cover
+    ``objects`` is a list of nonnegative ids.  Morphism i runs from
+    src[i] to tgt[i] (morphism ids are list positions).  ``comp`` maps
+    pairs (g, h) of morphism ids to the id of g o h, and must cover
     exactly the composable pairs, i.e. those with source(g) == target(h).
+    specfiles reads all of them from JSON and checks their shapes, so
+    every failure here is a ValidationError.
 
     The table is checked by carrying it onto its block form.  Products
     must join the right endpoints and cover the composable pairs; each
@@ -374,31 +335,12 @@ def from_composition_table(objects, morphisms, table):
         raise ValidationError("groupoid.object_ids", "duplicate object ids")
     out_of = {x: [] for x in obj_list}
     into = {x: [] for x in obj_list}
-
-    src = []
-    tgt = []
-    for i, md in enumerate(morphisms):
-        if not (isinstance(md, dict) and is_index(md.get("source")) and is_index(md.get("target"))):
-            raise FormatError(f"morphism record {i} needs integer 'source' and 'target', got {md!r}")
-        if md["source"] not in out_of or md["target"] not in out_of:
+    for i, (x, y) in enumerate(zip(src, tgt)):
+        if x not in out_of or y not in out_of:
             raise ValidationError("groupoid.object_ids", f"morphism {i} touches an unknown object")
-        src.append(md["source"])
-        tgt.append(md["target"])
-        out_of[md["source"]].append(i)
-        into[md["target"]].append(i)
+        out_of[x].append(i)
+        into[y].append(i)
     n = len(src)
-
-    comp = {}
-    for entry in table:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise FormatError(f"composition entry must be [g, h, gh], got {entry!r}")
-        g, h, gh = entry
-        for v in (g, h, gh):
-            if not is_index(v) or not 0 <= v < n:
-                raise FormatError(f"composition entry {entry!r} refers to an unknown morphism")
-        if (g, h) in comp:
-            raise FormatError(f"compose pair {(g, h)!r} is given twice")
-        comp[(g, h)] = gh
 
     # Every product joins the right endpoints; distinct composable entries
     # cover all composable pairs exactly when there are as many of them.

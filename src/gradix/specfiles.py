@@ -1,5 +1,10 @@
 """Reading the JSON spec files that describe mathematical objects.
 
+This is the one reader of the file format: every shape check on JSON
+data, fields and groupoids (block and raw form) included, lives here and
+is written on the helpers below, so the constructors it calls see Python
+values of the right types and check only the mathematics.
+
 One file per object.  Any slot that takes a sub-object also accepts
 {"ref": "relative/path.json"}, resolved against the referring file's
 directory, so fixtures compose without duplication.
@@ -13,10 +18,10 @@ violated invariant's name.
 import json
 import os
 
-from . import categories, division, matrices, matrix_ring, modules
+from . import categories, division, groupoids, matrices, matrix_ring, modules
 from .errors import FormatError
-from .fields import field_from_json
-from .groupoids import groupoid_from_json, is_index
+from .fields import PrimeField, Rationals
+from .groupoids import is_index
 
 
 def load_json(path):
@@ -70,12 +75,19 @@ def _typed(value, kind, what):
 def _keyed(pairs, what):
     """A dict from (key, value) pairs; a key given twice is a FormatError naming it."""
     out = {}
-    for key, value in pairs:
-        size = len(out)
+    for count, (key, value) in enumerate(pairs, 1):
         out[key] = value
-        if len(out) == size:
+        if len(out) != count:
             raise FormatError(f"{what} {key!r} is given twice")
     return out
+
+
+def _row(row, size, what, ids=0):
+    """row, a list of size items whose first ``ids`` items are integer ids;
+    what says so in the FormatError otherwise."""
+    if not (isinstance(row, _LIST) and len(row) == size and all(map(is_index, row[:ids]))):
+        raise FormatError(f"{what}, got {row!r}")
+    return row
 
 
 def _distinct(morphisms, what):
@@ -97,18 +109,72 @@ def _coeff_dict(pairs, what):
     return _keyed(pairs, f"{what}: index")
 
 
-def _is_basis(x):
+def _is_named(x):
+    """[name, name, integer]: a hom row [target, source, dim] or a basis morphism."""
     return isinstance(x, _LIST) and len(x) == 3 and isinstance(x[0], str) and isinstance(x[1], str) and is_index(x[2])
 
 
+def _block(data):
+    """A connected block {"objects": [id, ...], "group": {"mult": rows}};
+    the group may also state its "order", which must match the table."""
+    objects = _require(data, "objects", "block", _LIST)
+    group_data = _require(data, "group", "block", dict)
+    mult = _require(group_data, "mult", "group", _LIST)
+    if not all(isinstance(row, _LIST) and all(is_index(v) for v in row) for row in mult):
+        raise FormatError(f"group: 'mult' must be rows of element indices, got {mult!r}")
+    group = groupoids.FiniteGroup(mult)
+    order = group_data.get("order", group.order)
+    if not is_index(order) or order != group.order:
+        raise FormatError(f"group: stated order {order!r} does not match table size {group.order}")
+    return groupoids.ConnectedBlock(objects, group)
+
+
+def _raw_groupoid(raw):
+    """The block form of {"objects": [id, ...], "morphisms": [{"source": x,
+    "target": y}, ...], "compose": [[g, h, gh], ...]}, morphism ids being
+    list positions; groupoids.from_composition_table checks the laws."""
+    objects = _require(raw, "objects", "raw groupoid", _LIST)
+    records = _require(raw, "morphisms", "raw groupoid", _LIST)
+    entries = _require(raw, "compose", "raw groupoid", _LIST)
+    if not all(is_index(x) for x in objects):
+        raise FormatError(f"raw groupoid: objects must be integer ids, got {objects!r}")
+    for i, record in enumerate(records):
+        if not (isinstance(record, dict) and is_index(record.get("source")) and is_index(record.get("target"))):
+            raise FormatError(f"raw groupoid: morphism {i} needs integer 'source' and 'target', got {record!r}")
+    table = _keyed(_products(entries, len(records)), "compose pair")
+    src, tgt = [r["source"] for r in records], [r["target"] for r in records]
+    return groupoids.from_composition_table(objects, src, tgt, table)[0]
+
+
+def _products(entries, n):
+    """((g, h), gh) for each composition entry [g, h, gh] of morphism ids
+    in range(n)."""
+    for entry in entries:
+        g, h, gh = _row(entry, 3, "raw groupoid: composition entry must be [g, h, gh] of morphism ids", 3)
+        if not (0 <= g < n and 0 <= h < n and 0 <= gh < n):
+            raise FormatError(f"raw groupoid: composition entry {entry!r} refers to an unknown morphism")
+        yield (g, h), gh
+
+
 def load_groupoid(data, base_dir="", seen=frozenset()):
-    data, base_dir = _chase(data, base_dir, seen)
-    return groupoid_from_json(data)
+    """A groupoid in block form {"blocks": [block, ...]} or raw form {"raw": {...}}."""
+    data, _ = _chase(data, base_dir, seen)
+    if isinstance(data, dict) and "blocks" in data:
+        return groupoids.FiniteGroupoid([_block(b) for b in _require(data, "blocks", "groupoid", _LIST)])
+    if isinstance(data, dict) and "raw" in data:
+        return _raw_groupoid(data["raw"])
+    raise FormatError("groupoid needs either 'blocks' or 'raw'")
 
 
 def load_field(data, base_dir="", seen=frozenset()):
+    """A field {"kind": "Q"} or {"kind": "Fp", "p": p}."""
     data, _ = _chase(data, base_dir, seen)
-    return field_from_json(data)
+    kind = _require(data, "kind", "field")
+    if kind == "Q":
+        return Rationals()
+    if kind == "Fp":
+        return PrimeField(_require(data, "p", "field"))
+    raise FormatError(f"field: unknown kind {kind!r}")
 
 
 def load_division_ring(data, base_dir="", seen=frozenset()):
@@ -120,11 +186,8 @@ def load_division_ring(data, base_dir="", seen=frozenset()):
     )
     factor = []
     for row in _require(data, "factor", "ring", _LIST):
-        if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise FormatError(f"factor row must be [morphism, morphism, scalar], got {row!r}")
-        s = groupoid.morphism_from_json(row[0])
-        t = groupoid.morphism_from_json(row[1])
-        factor.append(((s, t), field.coerce(row[2])))
+        s, t, value = _row(row, 3, "factor row must be [morphism, morphism, scalar]")
+        factor.append(((groupoid.morphism_from_json(s), groupoid.morphism_from_json(t)), field.coerce(value)))
     factor = _keyed(factor, "factor pair")
     return division.GradedDivisionRing(field, groupoid, support, factor)
 
@@ -149,12 +212,8 @@ def load_matrix(data, base_dir="", seen=frozenset()):
     cols = [g.morphism_from_json(m) for m in _require(data, "col_signature", "matrix", _LIST)]
     entries = []
     for row in _optional_list(data, "entries", "matrix"):
-        if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise FormatError(f"matrix entry must be [row, col, scalar], got {row!r}")
-        i, j, raw_val = row
-        if not (is_index(i) and is_index(j)):
-            raise FormatError(f"matrix entry indices must be integers, got {row!r}")
-        entries.append(((i, j), ring.field.coerce(raw_val)))
+        i, j, value = _row(row, 3, "matrix entry must be [row, col, scalar] with integer indices", 2)
+        entries.append(((i, j), ring.field.coerce(value)))
     return matrices.HomMatrix(ring, rows, cols, _keyed(entries, "matrix entry position"))
 
 
@@ -176,9 +235,8 @@ def load_vectors(data, base_dir="", seen=frozenset()):
         degree = g.morphism_from_json(_require(vd, "degree", "vector"))
         entries = []
         for row in _optional_list(vd, "entries", "vector"):
-            if not (isinstance(row, (list, tuple)) and len(row) == 2 and is_index(row[0])):
-                raise FormatError(f"vector entry must be [index, scalar], got {row!r}")
-            entries.append((row[0], module.ring.field.coerce(row[1])))
+            i, value = _row(row, 2, "vector entry must be [index, scalar]", 1)
+            entries.append((i, module.ring.field.coerce(value)))
         vectors.append(module.vector(degree, _keyed(entries, "vector coordinate")))
     return module, vectors
 
@@ -192,16 +250,13 @@ def load_category(data, base_dir="", seen=frozenset()):
         objects = _names(_require(raw, "objects", "raw category"), "raw category objects")
         homs = _require(raw, "homs", "raw category", _LIST)
         for row in homs:
-            if not (
-                isinstance(row, _LIST) and len(row) == 3 and isinstance(row[0], str) and isinstance(row[1], str)
-                and is_index(row[2])
-            ):
+            if not _is_named(row):
                 raise FormatError(f"hom row must be [target, source, dim], got {row!r}")
         hom_dims = _keyed((((row[0], row[1]), row[2]) for row in homs), "hom pair")
         categories.check_hom_dimension(sum(hom_dims.values()))
         compose = []
         for row in _optional_list(raw, "compose", "raw category"):
-            if not (isinstance(row, _LIST) and len(row) == 3 and _is_basis(row[0]) and _is_basis(row[1])):
+            if not (isinstance(row, _LIST) and len(row) == 3 and _is_named(row[0]) and _is_named(row[1])):
                 raise FormatError(f"compose row must be [left, right, coeffs], got {row!r}")
             left, right, coeffs = row
             compose.append(((tuple(left), tuple(right)), _coeff_dict(coeffs, f"compose coefficients in {row!r}")))

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradix.errors import FormatError
-from gradix.fields import MAX_PRIME, PrimeField, Rationals, field_from_json, is_prime
+from gradix.fields import MAX_PRIME, PrimeField, Rationals, is_prime
+from gradix.specfiles import load_field
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -107,12 +108,12 @@ def test_f7_field_axioms(a, b, c):
 
 
 def test_json_round_trip():
-    assert field_from_json({"kind": "Q"}) == Q
-    assert field_from_json({"kind": "Fp", "p": 5}) == F5
+    assert load_field({"kind": "Q"}) == Q
+    assert load_field({"kind": "Fp", "p": 5}) == F5
     with pytest.raises(FormatError):
-        field_from_json({"kind": "R"})
+        load_field({"kind": "R"})
     with pytest.raises(FormatError):
-        field_from_json({"kind": "Fp"})
+        load_field({"kind": "Fp"})
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 101, 257])

@@ -12,8 +12,8 @@ from gradix.groupoids import (
     FiniteGroupoid,
     Morphism,
     from_composition_table,
-    groupoid_from_json,
 )
+from gradix.specfiles import load_groupoid
 from oracles import random_raw_groupoid, raw_groupoid_failure, relabel_is_isomorphism, seeded
 
 
@@ -23,6 +23,14 @@ def element_order(group, a):
     while x != group.identity:
         x, k = group.mul(x, a), k + 1
     return k
+
+
+def from_table(objects, morphisms, table):
+    """from_composition_table on a raw groupoid as JSON writes it: endpoint
+    records and [g, h, gh] entries, each pair once."""
+    src = [md["source"] for md in morphisms]
+    tgt = [md["target"] for md in morphisms]
+    return from_composition_table(objects, src, tgt, {(g, h): gh for g, h, gh in table})
 
 
 def two_block_groupoid():
@@ -169,7 +177,7 @@ class TestMorphismValue:
             again = Morphism(*m.key())
             assert again == m and hash(again) == hash(m)
             assert repr(m) == f"Morphism(block={m.block}, target={m.target}, elem={m.elem}, source={m.source})"
-            assert g.morphism_from_json(g.morphism_to_json(m)) == m
+            assert g.morphism_from_json(list(m)) == m
 
     def test_plain_tuple_is_not_a_morphism(self):
         g = self.groupoid()
@@ -187,7 +195,7 @@ class TestRawConversion:
         return objects, morphisms, table
 
     def test_one_object_c2(self):
-        g, relabel = from_composition_table(*self.raw_c2())
+        g, relabel = from_table(*self.raw_c2())
         assert len(g.blocks) == 1
         assert len(g.blocks[0].objects) == 1
         assert g.blocks[0].group.order == 2
@@ -214,14 +222,14 @@ class TestRawConversion:
         return objects, morphisms, table
 
     def test_pair_groupoid_from_raw(self):
-        g, relabel = from_composition_table(*self.raw_pair())
+        g, relabel = from_table(*self.raw_pair())
         pair = FiniteGroupoid.pair([0, 1])
         assert g is not pair and g == pair and hash(g) == hash(pair)
         assert relabel[1] == Morphism(0, 1, 0, 0)
 
     def test_functoriality_of_relabeling(self):
         objects, morphisms, table = self.raw_c2()
-        g, relabel = from_composition_table(objects, morphisms, table)
+        g, relabel = from_table(objects, morphisms, table)
         comp = {(a, b): c for a, b, c in table}
         for (a, b), c in comp.items():
             assert g.compose(relabel[a], relabel[b]) == relabel[c]
@@ -230,10 +238,10 @@ class TestRawConversion:
         objects = [0]
         morphisms = [{"source": 0, "target": 0}]
         table = [[0, 0, 0]]
-        g, _ = from_composition_table(objects, morphisms, table)  # trivial group is fine
+        g, _ = from_table(objects, morphisms, table)  # trivial group is fine
         bad_table = []  # composable pair (0,0) missing
         with pytest.raises(ValidationError) as e:
-            from_composition_table(objects, morphisms, bad_table)
+            from_table(objects, morphisms, bad_table)
         assert e.value.invariant == "groupoid.composability"
 
     def test_product_of_a_non_composable_pair_rejected(self):
@@ -242,7 +250,7 @@ class TestRawConversion:
         table.append([1, 1, 1])
         assert raw_groupoid_failure(objects, morphisms, table) == "groupoid.composability"
         with pytest.raises(ValidationError) as e:
-            from_composition_table(objects, morphisms, table)
+            from_table(objects, morphisms, table)
         assert e.value.invariant == "groupoid.composability"
 
     def test_broken_associativity_rejected(self):
@@ -255,7 +263,7 @@ class TestRawConversion:
             [2, 0, 2], [2, 1, 0], [2, 2, 2],  # 2*2 should be 1
         ]
         with pytest.raises(ValidationError) as e:
-            from_composition_table(objects, morphisms, table)
+            from_table(objects, morphisms, table)
         assert e.value.invariant == "groupoid.associativity"
 
     def test_left_inverse_alone_is_not_enough(self):
@@ -269,7 +277,7 @@ class TestRawConversion:
         ]
         assert raw_groupoid_failure(objects, morphisms, table) == "groupoid.inverse"
         with pytest.raises(ValidationError) as e:
-            from_composition_table(objects, morphisms, table)
+            from_table(objects, morphisms, table)
         assert e.value.invariant == "groupoid.inverse"
 
     def test_extra_loop_is_not_a_groupoid(self):
@@ -292,7 +300,7 @@ class TestRawConversion:
         ]
         assert raw_groupoid_failure(objects, morphisms, table) == "groupoid.associativity"
         with pytest.raises(ValidationError) as e:
-            from_composition_table(objects, morphisms, table)
+            from_table(objects, morphisms, table)
         assert e.value.invariant == "groupoid.associativity"
 
     def test_same_json_parsed_twice_is_equal(self):
@@ -302,18 +310,18 @@ class TestRawConversion:
                 {"objects": [7, 5], "group": {"mult": [[0]]}},
             ]
         }
-        g, h = groupoid_from_json(data), groupoid_from_json(data)
+        g, h = load_groupoid(data), load_groupoid(data)
         assert g is not h
         assert g == h == two_block_groupoid()
         assert len({g, h, two_block_groupoid()}) == 1
 
     def test_json_rejects_malformed(self):
         with pytest.raises(FormatError):
-            groupoid_from_json({"nope": 1})
+            load_groupoid({"nope": 1})
         with pytest.raises(FormatError):
-            groupoid_from_json({"blocks": [{"objects": [0]}]})
+            load_groupoid({"blocks": [{"objects": [0]}]})
         with pytest.raises(FormatError):
-            groupoid_from_json({"blocks": [{"objects": [0], "group": {"order": 3, "mult": [[0]]}}]})
+            load_groupoid({"blocks": [{"objects": [0], "group": {"order": 3, "mult": [[0]]}}]})
 
 
 def test_raw_tables_agree_with_the_axiom_oracle():
@@ -330,11 +338,11 @@ def test_raw_tables_agree_with_the_axiom_oracle():
         want = raw_groupoid_failure(objects, morphisms, table)
         verdicts[want] += 1
         if want is None:
-            g, relabel = from_composition_table(objects, morphisms, table)
+            g, relabel = from_table(objects, morphisms, table)
             assert relabel_is_isomorphism(g, relabel, table)
         else:
             with pytest.raises(ValidationError) as e:
-                from_composition_table(objects, morphisms, table)
+                from_table(objects, morphisms, table)
             assert e.value.invariant == want
     names = ("composability", "identity", "inverse", "associativity")
     assert set(verdicts) == {None} | {f"groupoid.{name}" for name in names}, verdicts

@@ -9,6 +9,11 @@ Every run must exit 0, 1 or 2 without a traceback within the deadline,
 and an exit 1 must name the violated invariant.  The huge numbers land on
 object ids, group elements, multiplicities, indices, moduli and scalars,
 so each must be refused or handled without work that grows with it.
+
+The corpus has no raw-form groupoid, so one is built here from
+pair3.groupoid.json (its composition table written out, morphism ids
+shuffled) and mutated the same way: morphism records, composition
+entries and morphism ids take the mutations too.
 """
 
 import contextlib
@@ -16,6 +21,7 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import shutil
 import sys
@@ -28,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import cli
+from gradix.specfiles import load_groupoid, load_kind
 
 FIXTURES = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
 MUTANT = "mutant.json"
@@ -131,16 +138,35 @@ def nonempty_lists(tree):
     return [path for path, v in nodes(tree) if isinstance(v, list) and not isinstance(v, Obj) and v]
 
 
+def raw_form(name, seed):
+    """The raw form of a block-form groupoid file: every composable pair's
+    product written out, morphism ids in a shuffled order."""
+    g = load_kind(os.path.join(FIXTURES, name), load_groupoid)
+    morphisms = list(g.morphisms())
+    random.Random(seed).shuffle(morphisms)
+    ids = {m: k for k, m in enumerate(morphisms)}
+    raw = {
+        "objects": sorted(x for block in g.blocks for x in block.objects),
+        "morphisms": [{"source": m.source, "target": m.target} for m in morphisms],
+        "compose": [[ids[s], ids[t], ids[g.compose(s, t)]] for s in morphisms for t in morphisms if g.is_composable(s, t)],
+    }
+    return parse(json.dumps({"raw": raw}))
+
+
 TREES = {}
 for name in READERS:
     with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
         TREES[name] = parse(fh.read())
+# Not a file of fixtures/: the raw form of pair3.groupoid.json, built above.
+RAW = "pair3.raw"
+TREES[RAW] = raw_form("pair3.groupoid.json", 3)
+RAW_READERS = {RAW: [["validate", MUTANT]]}
 
 
 @st.composite
-def mutants(draw):
-    """(fixture name, mutated JSON text, argv)."""
-    name = draw(st.sampled_from(sorted(READERS)))
+def mutants(draw, readers):
+    """(tree name, mutated JSON text, argv) for a tree of ``readers``."""
+    name = draw(st.sampled_from(sorted(readers)))
     tree = copy.deepcopy(TREES[name])
     how = draw(st.sampled_from(["drop", "swap", "repeat", "duplicate", "huge"]))
     if how == "huge":
@@ -162,7 +188,7 @@ def mutants(draw):
             key, value = obj[i]
             again = draw(st.sampled_from([value, *REPLACEMENTS]))
             obj.insert(draw(st.integers(0, len(obj))), (key, copy.deepcopy(again)))
-    return name, dump(tree), draw(st.sampled_from(READERS[name]))
+    return name, dump(tree), draw(st.sampled_from(readers[name]))
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +212,7 @@ def run_main(argv):
 NAMED_INVARIANT = re.compile(r"^error: [a-z0-9_]+\.[a-z0-9_]+: ")
 
 
-@settings(max_examples=250, derandomize=True, database=None, deadline=timedelta(seconds=2))
-@given(case=mutants())
-def test_mutated_fixture_exits_cleanly(workdir, case):
+def exits_cleanly(workdir, case):
     name, text, argv = case
     (workdir / MUTANT).write_text(text)
     code, out, err = run_main([str(workdir / arg) if arg.endswith(".json") else arg for arg in argv])
@@ -198,6 +222,23 @@ def test_mutated_fixture_exits_cleanly(workdir, case):
         assert out == "" and err.startswith("error: "), (name, text, err)
     if code == 1:
         assert NAMED_INVARIANT.match(err), (name, text, err)
+    return code
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=timedelta(seconds=2))
+@given(case=mutants(READERS))
+def test_mutated_fixture_exits_cleanly(workdir, case):
+    exits_cleanly(workdir, case)
+
+
+def test_the_raw_form_is_a_valid_groupoid(workdir):
+    assert exits_cleanly(workdir, (RAW, dump(TREES[RAW]), ["validate", MUTANT])) == 0
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=timedelta(seconds=2))
+@given(case=mutants(RAW_READERS))
+def test_mutated_raw_groupoid_exits_cleanly(workdir, case):
+    exits_cleanly(workdir, case)
 
 
 @pytest.mark.parametrize("emit", ["text", "json"])

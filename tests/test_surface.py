@@ -30,6 +30,10 @@ GradedDivisionRing.slot when it must also lie in the support.  The matrix
 modules (elimination, matrices, matrix_ring) may not call compose_inverse
 at all: they read every slot through GradedDivisionRing.slot, so they
 share the ring's one slot table.
+
+A third keeps the reading of the file format in one place: ``raise
+FormatError`` appears in src/gradix only in specfiles.py, the one reader,
+and in the few functions FORMAT_RAISERS names, each for its reason.
 """
 
 import ast
@@ -316,6 +320,71 @@ def test_matrix_modules_read_slots_through_the_ring():
         with open(os.path.join(SRC, name), encoding="utf-8") as fh:
             inline += [f"src/gradix/{name}:{line}" for line in slot_compositions(fh.read())]
     assert inline == []
+
+
+# -- the one reader ----------------------------------------------------------
+
+# Module -> the functions that may raise FormatError; None means anywhere.
+FORMAT_RAISERS = {
+    # the reader of the file format
+    "specfiles.py": None,
+    # a file of the wrong kind for the verb
+    "cli.py": {"_load_ring_spec"},
+    # refusals of input past a ceiling or outside what is decided
+    "categories.py": {"check_hom_dimension", "classify_category", "category_to_semisimple_spec"},
+    # scalars are parsed by the field that holds them; moduli by the field
+    "fields.py": {"Rationals.coerce", "PrimeField.__init__", "PrimeField.coerce"},
+    # a morphism read from JSON, which bench code also calls
+    "groupoids.py": {"FiniteGroupoid.morphism_from_json"},
+}
+
+
+def format_raises(source):
+    """(enclosing function, line) of every ``raise FormatError`` in a
+    module's source; a method is named Class.name, module level is ''."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "FormatError":
+                    found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_guard_sees_every_format_error_raise():
+    source = (
+        "class A:\n"
+        "    def f(self):\n"
+        "        if x:\n"
+        "            raise FormatError('a')\n"
+        "        def g():\n"
+        "            raise errors.FormatError\n"
+        "raise ValueError('b')\n"
+        "raise FormatError('c')\n"
+    )
+    assert format_raises(source) == [("A.f", 4), ("A.f.g", 6), ("", 8)]
+
+
+def test_only_the_reader_raises_format_errors():
+    stray = []
+    for path in python_files("src/gradix"):
+        allowed = FORMAT_RAISERS.get(os.path.basename(path), set())
+        with open(path, encoding="utf-8") as fh:
+            raises = format_raises(fh.read())
+        stray += [
+            f"{os.path.relpath(path, ROOT)}:{line} {owner}"
+            for owner, line in raises
+            if allowed is not None and owner not in allowed
+        ]
+    assert stray == []
 
 
 # -- the dynamic companion -----------------------------------------------------
