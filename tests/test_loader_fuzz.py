@@ -145,10 +145,11 @@ def raw_form(name, seed):
     morphisms = list(g.morphisms())
     random.Random(seed).shuffle(morphisms)
     ids = {m: k for k, m in enumerate(morphisms)}
+    pairs = [(s, t) for s in morphisms for t in morphisms if g.is_composable(s, t)]
     raw = {
         "objects": sorted(x for block in g.blocks for x in block.objects),
         "morphisms": [{"source": m.source, "target": m.target} for m in morphisms],
-        "compose": [[ids[s], ids[t], ids[g.compose(s, t)]] for s in morphisms for t in morphisms if g.is_composable(s, t)],
+        "compose": [[ids[s], ids[t], ids[g.compose(s, t)]] for s, t in pairs],
     }
     return parse(json.dumps({"raw": raw}))
 
