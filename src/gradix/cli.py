@@ -9,7 +9,6 @@ invariant), 2 when input cannot be read or parsed.
 
 import argparse
 import json
-import os
 import sys
 
 from . import categories, elimination, matrix_ring, structure
@@ -17,11 +16,9 @@ from .errors import FormatError, GradixError
 from .specfiles import (
     load_any,
     load_category,
-    load_json,
     load_kind,
     load_matrix,
-    load_module,
-    load_vectors,
+    load_module_file,
 )
 
 SCHEMA = "gradix/1"
@@ -233,19 +230,17 @@ def _cmd_iso(args):
 
 
 def _cmd_module(args):
-    data, base_dir = load_json(args.file), os.path.dirname(args.file)
-    if isinstance(data, dict) and "vectors" in data:
-        module, vectors = load_vectors(data, base_dir)
-        span = module.pdim_of_span(vectors)
-        quot = module.quotient_pdim(vectors)
-        text = [
-            f"pdim: {module.pdim()}",
-            f"span pdim: {span}",
-            f"quotient pdim: {quot}",
-        ]
-        return text, {"pdim": module.pdim(), "span_pdim": span, "quotient_pdim": quot}
-    module = load_module(data, base_dir)
-    return [f"pdim: {module.pdim()}"], {"pdim": module.pdim()}
+    module, vectors = load_kind(args.file, load_module_file)
+    if vectors is None:
+        return [f"pdim: {module.pdim()}"], {"pdim": module.pdim()}
+    span = module.pdim_of_span(vectors)
+    quot = module.quotient_pdim(vectors)
+    text = [
+        f"pdim: {module.pdim()}",
+        f"span pdim: {span}",
+        f"quotient pdim: {quot}",
+    ]
+    return text, {"pdim": module.pdim(), "span_pdim": span, "quotient_pdim": quot}
 
 
 def _cmd_category(args):

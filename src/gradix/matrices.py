@@ -6,17 +6,18 @@ defined and lies in the support of D; entries elsewhere are forced to
 zero.  That rule is coded once, as GradedDivisionRing.slot, which keeps
 one slot table per ring: a pair of signature morphisms is composed the
 first time any matrix over the ring asks for it, and products,
-elimination and the entry checks all read the same table.  live_entries
-is the one entry check of hom matrices, module vectors and matrix-ring
-elements.
+elimination and the entry checks all read the same table.
 Since components are one-dimensional, an entry is stored as a bare
 field coefficient, and the degree bookkeeping lives entirely in the two
 signatures.
 
 Products of compatible matrices are always degree-coherent: the middle
 signature cancels, so [alpha][beta] x [beta][tau] lands in [alpha][tau]
-with no cross terms.  sparse_product, shared with matrix-ring products,
-computes them on integers: both coefficient tables and the ring's factor
+with no cross terms.  A matrix-ring element of degree gamma is such a
+matrix over MatrixRing.signatures_at(gamma), so one sparse_product and
+one entry check, live_entries, serve hom matrices, module vectors and
+matrix-ring elements; both learn every slot from the signatures alone.
+sparse_product works on integers: both coefficient tables and the factor
 rows are put over their common denominators (d = 1 over F_p), each term
 is a product of three integers with the factor read from the left
 degree's row at the right degree's slot position, and each output entry
@@ -30,19 +31,21 @@ from collections import defaultdict
 from .errors import GradixError, ValidationError
 
 
-def sparse_product(ring, left, right, left_slot, right_slot):
-    """The product of coefficient tables {(i, k): x} and {(k, j): y}: each
-    x*y*factor(left_slot(i, k), right_slot(k, j)) is added at (i, j), on
-    integers over the common denominators, and each sum is reduced once; a
-    zero sum is never stored.
+def sparse_product(ring, left, right, left_sigs, right_sigs):
+    """The product of coefficient tables {(i, k): x} and {(k, j): y} over
+    signatures (rows, mids) and (mids2, cols): x*y*factor(slot(rows[i],
+    mids[k]), slot(mids2[k], cols[j])) is added at (i, j), on integers over
+    the common denominators, left terms grouped by row, and each sum is
+    reduced once; a zero sum is never stored.
     """
-    field = ring.field
+    field, slot = ring.field, ring.slot
+    (rows, mids), (mids2, cols) = left_sigs, right_sigs
     pos, _, factor_rows, df = ring.factor_rows()
     xs, dl = field.integers(list(left.values()))
     ys, dr = field.integers(list(right.values()))
     right_rows = {}
     for (k, j), y in zip(right, ys):
-        right_rows.setdefault(k, []).append((j, pos[right_slot(k, j)], y))
+        right_rows.setdefault(k, []).append((j, pos[slot(mids2[k], cols[j])], y))
     left_rows = {}
     for (i, k), x in zip(left, xs):
         if k in right_rows:
@@ -52,7 +55,7 @@ def sparse_product(ring, left, right, left_slot, right_slot):
     for i, terms in left_rows.items():
         sums = defaultdict(int)
         for k, x in terms:
-            row = factor_rows[left_slot(i, k)]
+            row = factor_rows[slot(rows[i], mids[k])]
             for j, p, y in right_rows[k]:
                 sums[j] += x * y * row[p]
         for j, n in sums.items():
@@ -62,15 +65,15 @@ def sparse_product(ring, left, right, left_slot, right_slot):
     return out
 
 
-def live_entries(invariant, field, entries, shape, slot_degree):
-    """The entries {(i, j): value} coerced into the field, zeros dropped.
+def live_entries(invariant, ring, entries, rows, cols):
+    """The entries {(i, j): value} coerced into the ring's field, zeros dropped.
 
     The one entry check of matrices, module vectors and matrix-ring
-    elements: a position outside ``shape``, or a nonzero value at a slot
-    that ``slot_degree(i, j)`` finds dead, raises ValidationError under
-    the caller's invariant name.
+    elements: a position outside the signatures' index range, or a nonzero
+    value at a slot that a None signature or ring.slot(rows[i], cols[j])
+    finds dead, raises ValidationError under the caller's invariant name.
     """
-    m, n = shape
+    field, m, n = ring.field, len(rows), len(cols)
     out = {}
     for (i, j), raw in dict(entries).items():
         if not (0 <= i < m and 0 <= j < n):
@@ -78,7 +81,8 @@ def live_entries(invariant, field, entries, shape, slot_degree):
         c = field.coerce(raw)
         if field.is_zero(c):
             continue
-        if slot_degree(i, j) is None:
+        row, col = rows[i], cols[j]
+        if row is None or col is None or ring.slot(row, col) is None:
             raise ValidationError(invariant, f"slot ({i},{j}) has no degree in the support; its entry must be zero")
         out[(i, j)] = c
     return out
@@ -95,7 +99,7 @@ class HomMatrix:
         for a in self.row_sig + self.col_sig:
             if not g.contains(a):
                 raise ValidationError("matrix.signature", f"{a} is not a morphism of the grading groupoid")
-        self.entries = live_entries("matrix.entry_slot", ring.field, entries or {}, self.shape, self.slot_degree)
+        self.entries = live_entries("matrix.entry_slot", ring, entries or {}, self.row_sig, self.col_sig)
 
     @classmethod
     def _trusted(cls, ring, row_sig, col_sig):
@@ -109,10 +113,6 @@ class HomMatrix:
     @property
     def shape(self):
         return (len(self.row_sig), len(self.col_sig))
-
-    def slot_degree(self, i, j):
-        """The degree alpha_i beta_j^-1 of slot (i,j), or None when dead."""
-        return self.ring.slot(self.row_sig[i], self.col_sig[j])
 
     def coeff(self, i, j):
         return self.entries.get((i, j), self.ring.field.zero())
@@ -142,7 +142,8 @@ class HomMatrix:
         if self.col_sig != other.row_sig:
             raise GradixError("signature mismatch: column signature must equal the other row signature")
         out = HomMatrix._trusted(self.ring, self.row_sig, other.col_sig)
-        out.entries = sparse_product(self.ring, self.entries, other.entries, self.slot_degree, other.slot_degree)
+        sigs = (self.row_sig, self.col_sig), (other.row_sig, other.col_sig)
+        out.entries = sparse_product(self.ring, self.entries, other.entries, *sigs)
         return out
 
     # -- block helpers ------------------------------------------------------

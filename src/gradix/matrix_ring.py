@@ -9,14 +9,16 @@ component at delta*gamma*sigma^-1, where delta is the unique signature
 of index i with source r(gamma) and sigma the unique signature of index
 j with source d(gamma); when either selection fails, or the resulting
 degree falls outside the support, the slot is dead and the entry must
-be zero.  That is the hom-space slot rule with row morphism delta*gamma:
-slot_degree is GradedDivisionRing.slot(delta*gamma, sigma), and element
-checks its entries with the same matrices.live_entries as a hom matrix.
+be zero.  So the component at gamma is a hom space, the groupoid form of
+a shifted matrix ring M_n(R)(sigma) (Nastasescu and Van Oystaeyen,
+Methods of Graded Rings, 2004): signatures_at(gamma) gives index i the
+row morphism delta*gamma and index j the column morphism sigma, and
+those signatures are the only way the ring learns a slot.  element
+checks entries with matrices.live_entries and a product is one
+matrices.sparse_product, exactly as for hom matrices.
 
 Since every component of D is one-dimensional, an element stores a bare
-field coefficient per live slot.  A product adds, at (i, j), the
-coefficient product times the factor of the two slot degrees, read off
-the signatures like the degrees of a hom-space matrix product.
+field coefficient per live slot.
 """
 
 from collections import Counter
@@ -54,8 +56,7 @@ class MatrixRingElement:
         return self.degree == other.degree and self.entries == other.entries
 
     def add(self, other):
-        """The entrywise sum, on integers over one denominator as in
-        sparse_product; a zero sum is never stored."""
+        """The entrywise sum; a zero sum is never stored."""
         p = self.parent
         if self.is_zero:
             return other
@@ -64,14 +65,9 @@ class MatrixRingElement:
         if self.degree != other.degree:
             raise GradixError("can only add homogeneous elements of equal degree")
         field = p.ring.field
-        keys = list(self.entries) + list(other.entries)
-        nums, d = field.integers(list(self.entries.values()) + list(other.entries.values()))
-        sums = Counter()
-        for key, n in zip(keys, nums):
-            sums[key] += n
-        out = {}
-        for key, n in sums.items():
-            c = field.quotient(n, d)
+        out = dict(self.entries)
+        for key, c in other.entries.items():
+            c = field.coerce(out.pop(key, 0) + c)
             if not field.is_zero(c):
                 out[key] = c
         if not out:
@@ -79,9 +75,12 @@ class MatrixRingElement:
         return MatrixRingElement(p, self.degree, out)
 
     def mul(self, other):
-        """The sparse product on the slot degrees at gamma1 and gamma2: index k
-        has one signature at d(gamma1) = r(gamma2), so slot(i, k) slot(k, j)
-        is the slot of (i, j) at gamma1*gamma2."""
+        """The product as hom matrices, one sparse_product over
+        signatures_at(gamma1) and signatures_at(gamma2).  Index k has one
+        signature sigma_k at d(gamma1) = r(gamma2), so for delta_i, tau_j the
+        selections of i at r(gamma1) and of j at d(gamma2) each term lies at
+            delta_i gamma1 sigma_k^-1 . sigma_k gamma2 tau_j^-1 = delta_i gamma1gamma2 tau_j^-1,
+        the slot of (i, j) at gamma1*gamma2."""
         p = self.parent
         if self.parent is not other.parent and not self.parent.same_shape(other.parent):
             raise GradixError("cannot multiply elements of different matrix rings")
@@ -91,10 +90,7 @@ class MatrixRingElement:
         if not g.is_composable(self.degree, other.degree):
             return p.zero()
         gamma1, gamma2 = self.degree, other.degree
-        out = sparse_product(
-            p.ring, self.entries, other.entries,
-            lambda i, k: p.slot_degree(i, k, gamma1), lambda k, j: p.slot_degree(k, j, gamma2),
-        )
+        out = sparse_product(p.ring, self.entries, other.entries, p.signatures_at(gamma1), p.signatures_at(gamma2))
         return p.element(g.compose(gamma1, gamma2), out)
 
 
@@ -150,21 +146,19 @@ class MatrixRing:
     def same_shape(self, other):
         return self.ring.same_ring(other.ring) and self.signatures == other.signatures
 
-    def selection(self, i, source_obj):
-        """The unique signature of index i with the given source, or None."""
-        return self._by_source[i].get(source_obj)
-
     def live_indices(self, source_obj):
         """Indices whose signature set touches the given source object, in order."""
         return self._live.get(source_obj, ())
 
-    def slot_degree(self, i, j, gamma):
-        """The division-ring degree of entry (i, j) at element degree gamma."""
-        delta = self.selection(i, gamma.target)
-        sigma = self.selection(j, gamma.source)
-        if delta is None or sigma is None:
-            return None
-        return self.ring.slot(self.ring.groupoid.compose(delta, gamma), sigma)
+    def signatures_at(self, gamma):
+        """The component at gamma as a hom space (rows, cols): rows[i] is
+        delta_i o gamma and cols[j] is sigma_j, the signatures of i and j with
+        source r(gamma) and d(gamma), None where there is none.  Entry (i, j)
+        lies at ring.slot(rows[i], cols[j]) = delta_i gamma sigma_j^-1."""
+        compose = self.ring.groupoid.compose
+        rows = [s.get(gamma.target) for s in self._by_source]
+        rows = [None if delta is None else compose(delta, gamma) for delta in rows]
+        return rows, [s.get(gamma.source) for s in self._by_source]
 
     def dimension_table(self):
         """Dimension over the base field of every nonzero component, as a
@@ -208,10 +202,7 @@ class MatrixRing:
         g = self.ring.groupoid
         if not g.contains(gamma):
             raise ValidationError("element.degree", f"{gamma} is not a morphism of the groupoid")
-        out = live_entries(
-            "element.entry_slot", self.ring.field, entries, (self.size, self.size),
-            lambda i, j: self.slot_degree(i, j, gamma),
-        )
+        out = live_entries("element.entry_slot", self.ring, entries, *self.signatures_at(gamma))
         if not out:
             return self.zero()
         return MatrixRingElement(self, gamma, out)
@@ -282,7 +273,8 @@ class MatrixFormBridge:
         gamma = x.degree
         i = self.index_of[gamma.target]
         j = self.index_of[gamma.source]
-        loop = self.matrix_ring.slot_degree(i, j, gamma)
+        rows, cols = self.matrix_ring.signatures_at(gamma)
+        loop = self.corner.slot(rows[i], cols[j])
         u_r = self._units[gamma.target]
         u_d = self._units[gamma.source]
         return d.mul(d.mul(d.inv(u_r), (loop, x.entries[(i, j)])), u_d)

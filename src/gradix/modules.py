@@ -48,7 +48,7 @@ class GradedModule:
             raise ValidationError("vector.degree", f"{tau} is not a morphism of the groupoid")
         out = HomMatrix(self.ring, self.shifts, [g.inverse(tau)])
         column = {(i, 0): c for i, c in dict(entries).items()}
-        out.entries = live_entries("vector.entry_slot", self.ring.field, column, out.shape, out.slot_degree)
+        out.entries = live_entries("vector.entry_slot", self.ring, column, out.row_sig, out.col_sig)
         return out
 
     def standard_generator(self, i):

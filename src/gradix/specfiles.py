@@ -241,6 +241,14 @@ def load_vectors(data, base_dir="", seen=frozenset()):
     return module, vectors
 
 
+def load_module_file(data, base_dir="", seen=frozenset()):
+    """A module file: (module, vectors) when its top level has a "vectors"
+    key, else (module, None)."""
+    if isinstance(data, dict) and "vectors" in data:
+        return load_vectors(data, base_dir, seen)
+    return load_module(data, base_dir, seen), None
+
+
 def load_category(data, base_dir="", seen=frozenset()):
     """Either matrix form or a raw structure-constant category."""
     data, base_dir = _chase(data, base_dir, seen)

@@ -452,9 +452,10 @@ class IsoCertificate:
             return self.target.zero()
         d = self.source.ring
         field = d.field
+        rows, cols = self.source.signatures_at(x.degree)
         out_entries = {}
         for (i, j), coeff in x.entries.items():
-            slot = self.source.slot_degree(i, j, x.degree)
+            slot = d.slot(rows[i], cols[j])
             w_degree, w_coeff = d.mul(d.mul(self.units[i], (slot, coeff)), d.inv(self.units[j]))
             out_entries[(self.pi[i], self.pi[j])] = field.mul(self.coboundary[w_degree], w_coeff)
         return self.target.element(x.degree, out_entries)

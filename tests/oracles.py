@@ -142,6 +142,26 @@ def inverse(ring, x):
     return s_inv, ring.field.inv(ring.field.mul(a, ring.factor[(s, s_inv)]))
 
 
+def hom_slot(matrix, i, j):
+    """The degree of slot (i, j) of a hom matrix, read through the ring's
+    one slot rule from the two signatures, or None when the slot is dead."""
+    return matrix.ring.slot(matrix.row_sig[i], matrix.col_sig[j])
+
+
+def element_slot(mring, i, j, gamma):
+    """The degree delta_i gamma sigma_j^-1 of entry (i, j) of a matrix-ring
+    element of degree gamma, from the signature sets and the groupoid alone:
+    None when index i has no signature out of r(gamma), index j none out of
+    d(gamma), or the degree is outside the support."""
+    g = mring.ring.groupoid
+    deltas = [s for s in mring.signatures[i] if s.source == gamma.target]
+    sigmas = [s for s in mring.signatures[j] if s.source == gamma.source]
+    if not deltas or not sigmas:
+        return None
+    degree = g.compose(g.compose(deltas[0], gamma), g.inverse(sigmas[0]))
+    return degree if degree in mring.ring.support else None
+
+
 def graded_product(a, b):
     """The product a*b from the definition (ab)_ij = sum_k a_ik b_kj.
 
@@ -295,7 +315,7 @@ def _product_equations(matrix, shape, flip):
         (a, b)
         for a in range(k)
         for b in range(k)
-        if shape.slot_degree(a, b) is not None
+        if hom_slot(shape, a, b) is not None
     ]
     index = {s: p for p, s in enumerate(slots)}
     rows = []
@@ -305,16 +325,16 @@ def _product_equations(matrix, shape, flip):
             coeffs = [field.zero()] * len(slots)
             for a in range(k):
                 if flip:
-                    left_deg = shape.slot_degree(i, a)
-                    right_deg = matrix.slot_degree(a, j)
+                    left_deg = hom_slot(shape, i, a)
+                    right_deg = hom_slot(matrix, a, j)
                     if left_deg is None or right_deg is None:
                         continue
                     beta = ring.factor_value(left_deg, right_deg)
                     pos = index[(i, a)]
                     term = field.mul(matrix.coeff(a, j), beta)
                 else:
-                    left_deg = matrix.slot_degree(i, a)
-                    right_deg = shape.slot_degree(a, j)
+                    left_deg = hom_slot(matrix, i, a)
+                    right_deg = hom_slot(shape, a, j)
                     if left_deg is None or right_deg is None:
                         continue
                     beta = ring.factor_value(left_deg, right_deg)
@@ -399,7 +419,7 @@ def _single_entry_generators(block):
         for i in range(block.size)
         for j in range(block.size)
         for gamma in g.morphisms()
-        if block.slot_degree(i, j, gamma) is not None
+        if element_slot(block, i, j, gamma) is not None
     ]
 
 
@@ -424,12 +444,12 @@ def certificate_is_isomorphism(cert):
             return dst.zero()
         entries = {}
         for (i, j), coeff in x.entries.items():
-            left = times(d, cert.units[i], (src.slot_degree(i, j, x.degree), coeff))
+            left = times(d, cert.units[i], (element_slot(src, i, j, x.degree), coeff))
             w = None if left is None else times(d, left, inverse(d, cert.units[j]))
             if w is None or w[0] not in cert.coboundary:
                 return None
             key = (cert.pi[i], cert.pi[j])
-            if g.compose(cert.tau, g.compose(w[0], tau_inv)) != dst.slot_degree(key[0], key[1], x.degree):
+            if g.compose(cert.tau, g.compose(w[0], tau_inv)) != element_slot(dst, key[0], key[1], x.degree):
                 return None
             image = field.mul(cert.coboundary[w[0]], w[1])
             if field.is_zero(image):
@@ -873,6 +893,16 @@ def random_scalar(rng, field, nonzero=False):
     return v
 
 
+def random_scalar_wide(rng, field, nonzero=False):
+    """Like random_scalar, but a rational has numerator -9..9 and a
+    denominator drawn from 1..10^6, so a collection of them has many
+    distinct denominators and a large common one."""
+    if field.kind == "Q":
+        num = rng.randint(1, 9) * rng.choice((1, -1)) if nonzero else rng.randint(-9, 9)
+        return Fraction(num, rng.randint(1, 10**6))
+    return rng.randrange(1, field.p) if nonzero else rng.randrange(field.p)
+
+
 def sample_nonzero(field, rng):
     """A random nonzero element: uniform over F_p^*, a small rational over Q."""
     if field.kind == "Fp":
@@ -901,13 +931,14 @@ def random_matrix(rng, ring, m, n, density=0.6):
     return random_matrix_on(rng, ring, random_signature(rng, ring, m), random_signature(rng, ring, n), density)
 
 
-def random_matrix_on(rng, ring, rows, cols, density=0.6):
-    """Random entries in the live slots; a drawn zero is dropped by the constructor."""
+def random_matrix_on(rng, ring, rows, cols, density=0.6, scalar=random_scalar):
+    """Random entries in the live slots, drawn by ``scalar``; a drawn zero
+    is dropped by the constructor."""
     entries = {}
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
             if ring.slot(a, b) is not None and rng.random() < density:
-                entries[(i, j)] = random_scalar(rng, ring.field)
+                entries[(i, j)] = scalar(rng, ring.field)
     return HomMatrix(ring, rows, cols, entries)
 
 
@@ -924,13 +955,14 @@ def random_matrix_ring(rng, ring, size):
     return MatrixRing(ring, sigs)
 
 
-def random_element(rng, mring, gamma, density=0.7):
-    """A homogeneous element of degree gamma with random entries in its live slots."""
+def random_element(rng, mring, gamma, density=0.7, scalar=random_scalar):
+    """A homogeneous element of degree gamma with random nonzero entries,
+    drawn by ``scalar``, in its live slots."""
     entries = {}
     for i in range(mring.size):
         for j in range(mring.size):
-            if mring.slot_degree(i, j, gamma) is not None and rng.random() < density:
-                entries[(i, j)] = random_scalar(rng, mring.ring.field, nonzero=True)
+            if element_slot(mring, i, j, gamma) is not None and rng.random() < density:
+                entries[(i, j)] = scalar(rng, mring.ring.field, nonzero=True)
     return mring.element(gamma, entries)
 
 

@@ -31,6 +31,7 @@ from gradix.structure import (
 )
 
 from oracles import (
+    element_slot,
     gr_prime_by_products,
     minor_rank,
     random_matrix,
@@ -271,7 +272,7 @@ def _unit_generators(ring):
     for i in range(ring.size):
         for j in range(ring.size):
             for gamma in ring.ring.groupoid.morphisms():
-                if ring.slot_degree(i, j, gamma) is not None:
+                if element_slot(ring, i, j, gamma) is not None:
                     out.append(ring.element(gamma, {(i, j): 1}))
     return out
 

@@ -125,6 +125,19 @@ class TestExpectedLines:
         assert code == 0
         assert out.splitlines() == ["pdim: 2", "span pdim: 1", "quotient pdim: 1"]
 
+    def test_module_file_choice(self, capsys, tmp_path):
+        # A top-level "vectors" key makes a vectors file; anything else,
+        # a list or a ref to a vectors file included, is read as a module.
+        with open(fx("span.vectors.json"), encoding="utf-8") as fh:
+            module = json.load(fh)["module"]
+        module["ring"] = {"ref": fx("point_ring.json")}
+        missing = "error: module: missing key 'ring'\n"
+        cases = [(module, 0, "pdim: 2\n", ""), ([1, 2], 2, "", missing), ({"ref": fx("span.vectors.json")}, 2, "", missing)]
+        for k, (data, want_code, want_out, want_err) in enumerate(cases):
+            path = tmp_path / f"case{k}.json"
+            path.write_text(json.dumps(data))
+            assert call(capsys, "module", str(path)) == (want_code, want_out, want_err)
+
     def test_decompose(self, capsys):
         code, out, err = call(capsys, "decompose", fx("pfm_m3.ring.json"))
         assert code == 0

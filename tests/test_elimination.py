@@ -16,6 +16,7 @@ from oracles import (
     benchmark_linalg_jobs,
     coboundary_twist,
     graded_product,
+    hom_slot,
     is_two_sided_inverse,
     product_test_rings,
     random_matrix_on,
@@ -58,7 +59,7 @@ def random_matrix(ring, rng, rows, cols, density=0.6):
     m = HomMatrix(ring, row_sig, col_sig)
     for i in range(rows):
         for j in range(cols):
-            if m.slot_degree(i, j) is not None and rng.random() < density:
+            if hom_slot(m, i, j) is not None and rng.random() < density:
                 m.entries[(i, j)] = sample_nonzero(ring.field, rng)
     return m
 
@@ -97,7 +98,7 @@ class TestRowReduce:
             red = row_reduce(m)
             for r, c in red.pivots:
                 assert red.echelon.coeff(r, c) == ring.field.one()
-                assert ring.groupoid.is_identity(red.echelon.slot_degree(r, c))
+                assert ring.groupoid.is_identity(hom_slot(red.echelon, r, c))
 
 
 class TestRanks:
@@ -213,7 +214,7 @@ class TestSolve:
                 tau = rng.choice(list(ring.support))
                 x_true = HomMatrix(ring, list(a.col_sig), [ring.groupoid.inverse(tau)])
                 for i in range(cols):
-                    if x_true.slot_degree(i, 0) is not None and rng.random() < 0.8:
+                    if hom_slot(x_true, i, 0) is not None and rng.random() < 0.8:
                         x_true.entries[(i, 0)] = sample_nonzero(ring.field, rng)
                 b = a.mul(x_true)
                 x = solve(a, b)
@@ -291,7 +292,7 @@ class TestAgainstDefinitionProduct:
         e0, into_1, into_2 = g.identity(0), Morphism(0, 1, 0, 0), Morphism(0, 2, 0, 0)
         a = HomMatrix(ring, [e0, into_2, into_1], [into_1, e0], {(0, 0): 2, (0, 1): 1, (2, 0): 3})
         red = row_reduce(a)
-        assert all(red.echelon.slot_degree(i, j) is not None for (i, j) in red.echelon.entries)
+        assert all(hom_slot(red.echelon, i, j) is not None for (i, j) in red.echelon.entries)
         b, c = rank_all(a).factorization
         assert graded_product(b, c).entries == a.entries
         square = HomMatrix(ring, [e0, into_2], [into_1, e0], {(0, 0): 2, (0, 1): 1})
@@ -433,7 +434,7 @@ def perturbations(rng, b):
     in a live slot)."""
     field, (rows, cols) = b.ring.field, b.shape
     i, j = rng.randrange(rows), rng.randrange(cols)
-    while b.slot_degree(i, j) is None:
+    while hom_slot(b, i, j) is None:
         i, j = rng.randrange(rows), rng.randrange(cols)
     changed = dict(b.entries)
     old = b.coeff(i, j)
@@ -549,7 +550,7 @@ class TestRankWitness:
             a = b.mul(random_matrix_on(rng, ring, middle, random_signature(rng, ring, 7), 1.0))
             red = row_reduce(a)
             pivots = {j for _, j in red.pivots}
-            live = [(t, j) for t in range(red.rank) for j in range(7) if j not in pivots and red.echelon.slot_degree(t, j) is not None]
+            live = [(t, j) for t in range(red.rank) for j in range(7) if j not in pivots and hom_slot(red.echelon, t, j) is not None]
             if red.rank == 2 and live:
                 return a, live[0]
 

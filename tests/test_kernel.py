@@ -5,12 +5,17 @@ each output entry once, so these cases push the integers: a factor set over
 Q with large coprime denominators, F_2, where most sums cancel, and a prime
 near the MAX_PRIME ceiling.  Every entry the kernel hands back must be a
 canonical field element, because HomMatrix.equal compares entry dicts.
+
+The last tests draw their scalars from ``random_scalar_wide``, whose
+denominators run up to 10^6, so the operands of one product or sum have
+many distinct denominators.  They pin answers against the definition
+products and ``plus``, never times.
 """
 
 import os
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -25,9 +30,12 @@ from oracles import (
     graded_product,
     matrix_ring_product,
     negate,
+    plus,
+    product_test_rings,
     random_element,
     random_matrix_on,
     random_matrix_ring,
+    random_scalar_wide,
     random_signature,
 )
 
@@ -167,3 +175,77 @@ class TestFactorRows:
         rows = ring.factor_rows()
         for s, nums in rows.numerators.items():
             assert [Fraction(v, rows.denominator) for v in nums] == rows.values[s]
+
+
+# -- scalars with varied denominators -----------------------------------------
+
+WIDE_RINGS = product_test_rings(random.Random(53))
+WIDE_IDS = [f"ring{k}-{ring.field.describe()}" for k, ring in enumerate(WIDE_RINGS)]
+
+
+def denominator_lcm(values):
+    return lcm(*(Fraction(v).denominator for v in values)) if values else 1
+
+
+@pytest.mark.parametrize("ring", WIDE_RINGS, ids=WIDE_IDS)
+class TestWideDenominators:
+    def test_hom_products_up_to_8x8_match_the_definition(self, ring):
+        rng = random.Random(61)
+        widest, nonzero = 1, 0
+        for _ in range(12):
+            m, k, n = (rng.randrange(1, 9) for _ in range(3))
+            middle = random_signature(rng, ring, k)
+            a = random_matrix_on(rng, ring, random_signature(rng, ring, m), middle, 0.8, random_scalar_wide)
+            b = random_matrix_on(rng, ring, middle, random_signature(rng, ring, n), 0.8, random_scalar_wide)
+            ab = a.mul(b)
+            assert ab.entries == graded_product(a, b).entries
+            assert_canonical(ring.field, ab.entries)
+            nonzero += len(ab.entries)
+            widest = max(widest, denominator_lcm(list(a.entries.values()) + list(b.entries.values())))
+        assert nonzero > 0
+        if ring.field.kind == "Q":
+            assert widest > 10**24
+
+    def test_matrix_ring_products_match_the_definition(self, ring):
+        rng = random.Random(62)
+        degrees = list(ring.groupoid.morphisms())
+        nonzero = 0
+        for _ in range(6):
+            r = random_matrix_ring(rng, ring, rng.randrange(1, 5))
+            for _ in range(6):
+                gamma1 = rng.choice(degrees)
+                gamma2 = rng.choice([m for m in degrees if m.target == gamma1.source])
+                x = random_element(rng, r, gamma1, 0.8, random_scalar_wide)
+                y = random_element(rng, r, gamma2, 0.8, random_scalar_wide)
+                xy = x.mul(y)
+                assert xy.equal(matrix_ring_product(x, y))
+                assert_canonical(ring.field, xy.entries)
+                nonzero += not xy.is_zero
+        assert nonzero > 0
+
+    def test_sums_match_plus_and_cancel_to_zero(self, ring):
+        rng = random.Random(63)
+        field = ring.field
+        degrees = list(ring.groupoid.morphisms())
+        for _ in range(30):
+            r = random_matrix_ring(rng, ring, rng.randrange(1, 5))
+            gamma = rng.choice(degrees)
+            x = random_element(rng, r, gamma, 0.8, random_scalar_wide)
+            if x.is_zero:
+                continue
+            y = random_element(rng, r, gamma, 0.8, random_scalar_wide)
+            # cancel about half of x's entries in y
+            y_entries = dict(y.entries)
+            for key, c in x.entries.items():
+                if rng.random() < 0.5:
+                    y_entries[key] = negate(field, c)
+            y = r.element(gamma, y_entries)
+            want = dict(x.entries)
+            for key, c in y.entries.items():
+                want[key] = plus(field, want.get(key, field.zero()), c)
+            want = {key: c for key, c in want.items() if not field.is_zero(c)}
+            total = x.add(y)
+            assert total.entries == want and total.degree == (gamma if want else None)
+            assert_canonical(field, total.entries)
+            minus_x = r.element(gamma, {key: negate(field, c) for key, c in x.entries.items()})
+            assert x.add(minus_x).equal(r.zero())

@@ -6,12 +6,14 @@ from gradix.division import GradedDivisionRing
 from gradix.errors import GradixError, ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
+from gradix.matrices import HomMatrix
 from gradix.matrix_ring import MatrixRing, matrix_form
 from gradix.specfiles import load_matrix_ring
 from gradix.structure import wedderburn_decompose
 from oracles import (
     benchmark_structure_inputs,
     component_dimension_by_slots,
+    element_slot,
     matrix_ring_product,
     product_test_rings,
     random_element,
@@ -181,7 +183,7 @@ class TestUnitRelations:
             entries = {}
             for i in r.live_indices(gamma.target):
                 for j in r.live_indices(gamma.source):
-                    if r.slot_degree(i, j, gamma) is not None and rng.random() < 0.7:
+                    if element_slot(r, i, j, gamma) is not None and rng.random() < 0.7:
                         entries[(i, j)] = sample_nonzero(Q, rng)
             x = r.element(gamma, entries)
             if x.is_zero:
@@ -212,7 +214,7 @@ class TestArithmetic:
             entries = {}
             for i in r.live_indices(gamma.target):
                 for j in r.live_indices(gamma.source):
-                    if r.slot_degree(i, j, gamma) is not None and rng.random() < 0.6:
+                    if element_slot(r, i, j, gamma) is not None and rng.random() < 0.6:
                         entries[(i, j)] = sample_nonzero(Q, rng)
             return r.element(gamma, entries)
 
@@ -264,6 +266,54 @@ class TestAgainstDefinitionProduct:
                 assert product.equal(matrix_ring_product(x, y))
                 nonzero += not product.is_zero
         assert nonzero > 100
+
+    def test_signatures_at_give_the_slot_of_every_entry(self):
+        rng = random.Random(45)
+        for ring in product_test_rings(rng):
+            r = random_matrix_ring(rng, ring, rng.randrange(1, 5))
+            for gamma in ring.groupoid.morphisms():
+                rows, cols = r.signatures_at(gamma)
+                for i in range(r.size):
+                    for j in range(r.size):
+                        got = None if rows[i] is None or cols[j] is None else ring.slot(rows[i], cols[j])
+                        assert got == element_slot(r, i, j, gamma), (gamma, i, j)
+
+    def test_product_is_the_hom_space_product(self):
+        # x of degree gamma1 is the hom matrix [delta_i gamma1][sigma_k] and y
+        # of degree gamma2 the hom matrix [sigma_k][tau_j gamma2^-1], both on
+        # the indices with a selection; HomMatrix.mul of the two, its indices
+        # mapped back, is x.mul(y).
+        rng = random.Random(47)
+        compared = nonzero = 0
+        for ring in product_test_rings(rng):
+            g = ring.groupoid
+            r = random_matrix_ring(rng, ring, rng.randrange(1, 5))
+            degrees = list(g.morphisms())
+
+            def selected(obj):
+                return [(i, s) for i, sig in enumerate(r.signatures) for s in sig if s.source == obj]
+
+            def hom_matrix(x, rows, cols):
+                at_row, at_col = {i: a for a, (i, _) in enumerate(rows)}, {j: b for b, (j, _) in enumerate(cols)}
+                entries = {(at_row[i], at_col[j]): c for (i, j), c in x.entries.items()}
+                return HomMatrix(ring, [s for _, s in rows], [s for _, s in cols], entries)
+
+            for _ in range(25):
+                gamma1 = rng.choice(degrees)
+                gamma2 = rng.choice([m for m in degrees if m.target == gamma1.source])
+                x, y = random_element(rng, r, gamma1), random_element(rng, r, gamma2)
+                deltas, sigmas, taus = selected(gamma1.target), selected(gamma1.source), selected(gamma2.source)
+                left = hom_matrix(x, [(i, g.compose(d, gamma1)) for i, d in deltas], sigmas)
+                back = g.inverse(gamma2)
+                right = hom_matrix(y, sigmas, [(j, g.compose(t, back)) for j, t in taus])
+                hom = left.mul(right).entries
+                mapped = {(deltas[a][0], taus[b][0]): c for (a, b), c in hom.items()}
+                product = x.mul(y)
+                assert product.entries == mapped
+                assert product.degree == (g.compose(gamma1, gamma2) if mapped else None)
+                compared += 1
+                nonzero += bool(mapped)
+        assert compared == 350 and nonzero > 100
 
 
 class TestMatrixForm:

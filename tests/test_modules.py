@@ -12,6 +12,7 @@ from gradix.matrices import HomMatrix
 from gradix.modules import GradedModule, hom_degree_dimension
 from oracles import (
     first_scan_basis,
+    hom_slot,
     is_live_coordinate,
     product_test_rings,
     random_matrix_on,
@@ -84,7 +85,7 @@ class TestConstruction:
         assert isinstance(v, HomMatrix)
         assert (v.row_sig, v.col_sig) == (m.shifts, (g.identity(0),))
         assert v.entries == {(0, 0): 2, (2, 0): 3}
-        assert [v.slot_degree(i, 0) for i in range(3)] == [g.identity(0), None, cross]
+        assert [hom_slot(v, i, 0) for i in range(3)] == [g.identity(0), None, cross]
         with pytest.raises(ValidationError) as err:
             m.vector(Morphism(0, 1, 0, 7), {})
         assert err.value.invariant == "vector.degree"
@@ -159,7 +160,7 @@ class TestCoefficientAction:
                 tau = ring.groupoid.inverse(v.col_sig[0])
                 degree = rng.choice([d for d in support if d.target == tau.source])
                 a = (degree, sample_nonzero(ring.field, rng))
-                expected = {(i, 0): times(ring, (v.slot_degree(i, 0), c), a)[1] for (i, _), c in v.entries.items()}
+                expected = {(i, 0): times(ring, (hom_slot(v, i, 0), c), a)[1] for (i, _), c in v.entries.items()}
                 assert act_right(v, a).entries == expected
 
 

@@ -29,11 +29,15 @@ comes from FiniteGroupoid.compose_inverse, or from
 GradedDivisionRing.slot when it must also lie in the support.  The matrix
 modules (elimination, matrices, matrix_ring) may not call compose_inverse
 at all: they read every slot through GradedDivisionRing.slot, so they
-share the ring's one slot table.
+share the ring's one slot table.  And the product and the entry check
+learn a slot from signatures only: no call to sparse_product or
+live_entries in src/gradix passes a lambda or a slot_degree attribute.
 
 A third keeps the reading of the file format in one place: ``raise
 FormatError`` appears in src/gradix only in specfiles.py, the one reader,
-and in the few functions FORMAT_RAISERS names, each for its reason.
+and in the few functions FORMAT_RAISERS names, each for its reason; and
+``load_json`` is named in src/gradix only in specfiles.py, so no other
+module looks inside a file's JSON.
 """
 
 import ast
@@ -322,6 +326,45 @@ def test_matrix_modules_read_slots_through_the_ring():
     assert inline == []
 
 
+SLOT_TAKERS = ("sparse_product", "live_entries")
+
+
+def slot_callbacks(source):
+    """Lines of every sparse_product or live_entries call in a module's
+    source with a lambda or a .slot_degree attribute inside an argument."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _called(node) in SLOT_TAKERS
+        and any(
+            isinstance(sub, ast.Lambda) or (isinstance(sub, ast.Attribute) and sub.attr == "slot_degree")
+            for arg in node.args + [k.value for k in node.keywords]
+            for sub in ast.walk(arg)
+        )
+    )
+
+
+def test_the_guard_sees_a_slot_callback():
+    source = (
+        "out = sparse_product(ring, x, y, lambda i, k: f(i, k), right)\n"
+        "out = matrices.sparse_product(ring, x, y, a.slot_degree, b.slot_degree)\n"
+        "out = live_entries('e', ring, entries, *(rows, cols), check=lambda i, j: None)\n"
+        "out = sparse_product(ring, x, y, p.signatures_at(g1), p.signatures_at(g2))\n"
+        "out = live_entries('e', ring, entries, rows, cols)\n"
+        "f = lambda i, j: m.slot_degree(i, j)\n"
+    )
+    assert slot_callbacks(source) == [1, 2, 3]
+
+
+def test_slots_come_from_signatures():
+    callbacks = []
+    for path in python_files("src/gradix"):
+        with open(path, encoding="utf-8") as fh:
+            callbacks += [f"{os.path.relpath(path, ROOT)}:{line}" for line in slot_callbacks(fh.read())]
+    assert callbacks == []
+
+
 # -- the one reader ----------------------------------------------------------
 
 # Module -> the functions that may raise FormatError; None means anywhere.
@@ -384,6 +427,43 @@ def test_only_the_reader_raises_format_errors():
             for owner, line in raises
             if allowed is not None and owner not in allowed
         ]
+    assert stray == []
+
+
+def load_json_references(source):
+    """Lines of every name, attribute or import of load_json in a module's source."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == "load_json")
+        or (isinstance(node, ast.Attribute) and node.attr == "load_json")
+        or (
+            isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(alias.name.rsplit(".", 1)[-1] == "load_json" for alias in node.names)
+        )
+    )
+
+
+def test_the_guard_sees_every_load_json_reference():
+    source = (
+        "from .specfiles import (\n"
+        "    load_json,\n"
+        "    load_kind,\n"
+        ")\n"
+        "data = load_json(path)\n"
+        "data = specfiles.load_json(path)\n"
+        "read = load_kind\n"
+    )
+    assert load_json_references(source) == [1, 5, 6]
+
+
+def test_only_the_reader_opens_json():
+    stray = []
+    for path in python_files("src/gradix"):
+        if os.path.basename(path) == "specfiles.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            stray += [f"{os.path.relpath(path, ROOT)}:{line}" for line in load_json_references(fh.read())]
     assert stray == []
 
 
