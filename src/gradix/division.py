@@ -19,6 +19,14 @@ built by the private ``_trusted`` classmethod without that check: a
 restriction to the support morphisms between a set of objects (a corner,
 a prime block) and the opposite ring.
 
+A ring never changes after construction: its field, groupoid, support
+and factor set are fixed.  So what derives from them alone is built on
+first use and kept on the ring, and none of it can go stale: the slot
+table (shared with the opposite ring), the factor rows, the opposite
+ring, the corner at each object, the primality classes and the connector
+of each pair of objects.  Nothing of it is built at construction, and
+__init__ and _trusted start the same empty caches.
+
 A homogeneous element is a bare (degree, coeff) pair: a support degree
 and a nonzero field coefficient.  Zero is None, and carries no degree.
 Products of non-composable degrees are zero.
@@ -102,6 +110,9 @@ class GradedDivisionRing:
         self._opposite = None
         self._factor_rows = None
         self._slots = {}
+        self._classes = None
+        self._corners = {}
+        self._connectors = {}
 
     @classmethod
     def _trusted(cls, parent, support, factor):
@@ -120,6 +131,9 @@ class GradedDivisionRing:
         ring._opposite = None
         ring._factor_rows = None
         ring._slots = {}
+        ring._classes = None
+        ring._corners = {}
+        ring._connectors = {}
         return ring
 
     # -- validation ---------------------------------------------------------
@@ -308,21 +322,32 @@ class GradedDivisionRing:
     # -- primality ----------------------------------------------------------
 
     def primality_classes(self):
-        """Partition of gamma0 by the relation e ~ f iff support meets hom(f, e)."""
-        return union_classes(self._gamma0, ((m.source, m.target) for m in self.support))
+        """Partition of gamma0 by the relation e ~ f iff support meets hom(f, e),
+        as sorted lists ordered by least object.  Computed on the first call
+        and kept; every call hands out fresh lists, so a caller may change
+        them."""
+        if self._classes is None:
+            links = ((m.source, m.target) for m in self.support)
+            self._classes = tuple(tuple(cls) for cls in union_classes(self._gamma0, links))
+        return [list(cls) for cls in self._classes]
 
     def is_gr_prime(self):
         return len(self.primality_classes()) == 1
 
     def connector(self, f, e):
         """The degree connecting object f to object e: the identity when
-        f == e, otherwise the least supported morphism f -> e."""
-        if f == e:
-            return self.groupoid.identity(e)
-        for m in self.groupoid.hom(f, e):
-            if m in self.support:
-                return m
-        raise GradixError(f"no supported morphism connects {f} to {e}")
+        f == e, otherwise the least supported morphism f -> e.  Found on the
+        first call for the pair and kept."""
+        m = self._connectors.get((f, e))
+        if m is None:
+            if f == e:
+                m = self.groupoid.identity(e)
+            else:
+                m = next((h for h in self.groupoid.hom(f, e) if h in self.support), None)
+            if m is None:
+                raise GradixError(f"no supported morphism connects {f} to {e}")
+            self._connectors[f, e] = m
+        return m
 
     def restrict_to_objects(self, objs):
         """The graded division ring on the support morphisms inside a set of objects.
@@ -347,10 +372,18 @@ class GradedDivisionRing:
         return [self.restrict_to_objects(cls) for cls in self.primality_classes()]
 
     def corner(self, e):
-        """The corner ring 1_e D 1_e: support restricted to loops at e."""
-        if e not in self._gamma0:
-            raise GradixError(f"object {e} is not in gamma0")
-        return self.restrict_to_objects([e])
+        """The corner ring 1_e D 1_e: support restricted to loops at e.
+
+        Built on the first call for e and kept, as opposite() is, so the
+        corner's own slot table and factor rows serve every later
+        decomposition and isomorphism search.
+        """
+        c = self._corners.get(e)
+        if c is None:
+            if e not in self._gamma0:
+                raise GradixError(f"object {e} is not in gamma0")
+            c = self._corners[e] = self.restrict_to_objects([e])
+        return c
 
     # -- opposite -----------------------------------------------------------
 

@@ -35,6 +35,7 @@ from .errors import FormatError, GradixError, ValidationError
 
 MAX_OBJECTS = 64
 MAX_GROUP_ORDER = 64
+_FOUR_INTS = (int, int, int, int)
 
 
 def is_index(x):
@@ -184,6 +185,7 @@ class FiniteGroupoid:
         self.blocks = tuple(blocks)
         self._block_of = {x: i for i, b in enumerate(blocks) for x in b.objects}
         self._key = tuple((b.objects, b.group) for b in self.blocks)
+        self._parsed = {}
 
     def __eq__(self, other):
         """Equal blocks in the same order: object ids and group tables."""
@@ -271,11 +273,25 @@ class FiniteGroupoid:
     # -- serialization ------------------------------------------------------
 
     def morphism_from_json(self, data):
+        """The Morphism that a JSON value [block, target, elem, source] names.
+
+        A list of exactly four plain ints (``type(v) is int``) is checked on
+        its first read and kept, since a factor table names each degree many
+        times; any other value, true and false ids included, takes every
+        check on every read.
+        """
+        plain = type(data) is list and tuple(map(type, data)) == _FOUR_INTS
+        if plain:
+            m = self._parsed.get(tuple(data))
+            if m is not None:
+                return m
         if not (isinstance(data, (list, tuple)) and len(data) == 4 and all(is_index(v) for v in data)):
             raise FormatError(f"morphism must be [block, target, elem, source], got {data!r}")
         m = Morphism(*data)
         if not self.contains(m):
             raise FormatError(f"morphism {data!r} does not belong to the groupoid")
+        if plain:
+            self._parsed[m] = m
         return m
 
     def __repr__(self):

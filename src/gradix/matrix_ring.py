@@ -107,6 +107,8 @@ class MatrixRing:
             for s in sig:
                 live.setdefault(s.source, []).append(i)
         self._live = {e: tuple(idx) for e, idx in live.items()}
+        self._at = {}
+        self._dimensions = None
 
     def _validate(self):
         g = self.ring.groupoid
@@ -154,17 +156,31 @@ class MatrixRing:
         """The component at gamma as a hom space (rows, cols): rows[i] is
         delta_i o gamma and cols[j] is sigma_j, the signatures of i and j with
         source r(gamma) and d(gamma), None where there is none.  Entry (i, j)
-        lies at ring.slot(rows[i], cols[j]) = delta_i gamma sigma_j^-1."""
-        compose = self.ring.groupoid.compose
-        rows = [s.get(gamma.target) for s in self._by_source]
-        rows = [None if delta is None else compose(delta, gamma) for delta in rows]
-        return rows, [s.get(gamma.source) for s in self._by_source]
+        lies at ring.slot(rows[i], cols[j]) = delta_i gamma sigma_j^-1.
+
+        Built on the first call for gamma and kept, as two tuples: the
+        signatures never change, so a product reads them once per degree."""
+        at = self._at.get(gamma)
+        if at is None:
+            compose = self.ring.groupoid.compose
+            rows = [s.get(gamma.target) for s in self._by_source]
+            rows = tuple(None if delta is None else compose(delta, gamma) for delta in rows)
+            at = self._at[gamma] = rows, tuple(s.get(gamma.source) for s in self._by_source)
+        return at
 
     def dimension_table(self):
         """Dimension over the base field of every nonzero component, as a
-        Counter from degree to dimension, recomputed on every call.  A
-        degree is the plain tuple (block, target, elem, source), which
-        equals, hashes and sorts as the Morphism of the same fields.
+        Counter from degree to dimension.  A degree is the plain tuple
+        (block, target, elem, source), which equals, hashes and sorts as the
+        Morphism of the same fields.  The table is built on the first call
+        and kept (ring and signatures never change); every call returns a
+        copy of it, so a caller may change what it gets.
+        """
+        return Counter(self._dimension_counts())
+
+    def _dimension_counts(self):
+        """The kept dimension table itself, built on the first call; callers
+        only read it (wedderburn_decompose's audit).
 
         Slot (i, j) is live at gamma exactly when delta*gamma*sigma^-1 is
         in the support, for delta and sigma the selections of i and j at
@@ -175,6 +191,8 @@ class MatrixRing:
         dimension of the ring: gamma runs from d(sigma) to d(delta) in
         their block, its element read off the block's group table.
         """
+        if self._dimensions is not None:
+            return self._dimensions
         blocks = self.ring.groupoid.blocks
         support_to = {}
         for s in self.ring.support:
@@ -192,7 +210,8 @@ class MatrixRing:
                     row = mult[back[s.elem]]
                     sigmas = sigmas_to.get(s.source, ())
                     degrees += [(delta.block, delta.source, row[sigma.elem], sigma.source) for sigma in sigmas]
-        return Counter(degrees)
+        self._dimensions = Counter(degrees)
+        return self._dimensions
 
     def zero(self):
         return MatrixRingElement(self, None, {})

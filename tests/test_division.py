@@ -211,6 +211,51 @@ class TestCornersAndOpposite:
         assert d.opposite().opposite() is d
 
 
+class TestKeptStructure:
+    """Corners, primality classes and connectors are built once per ring."""
+
+    def test_corner_is_built_once(self):
+        d = two_block_ring()
+        c = d.corner(1)
+        assert d.corner(1) is c
+        assert d.corner(3) is not c and d.corner(3) is d.corner(3)
+        # the corner's own kept structure survives with it
+        assert d.corner(1).factor_rows() is c.factor_rows()
+
+    def test_corner_outside_gamma0_is_refused_every_time(self):
+        d = GradedDivisionRing.group_ring(Q, FiniteGroup.cyclic(2), 0)
+        for _ in range(2):
+            with pytest.raises(GradixError, match="not in gamma0"):
+                d.corner(5)
+
+    def test_opposite_has_its_own_corners(self):
+        d = twisted_c2_f3()
+        op = d.opposite()
+        assert op.corner(0) is op.corner(0)
+        assert op.corner(0) is not d.corner(0)
+        g = d.groupoid
+        for (s, t), v in d.corner(0).factor.items():
+            assert op.corner(0).factor[(g.inverse(t), g.inverse(s))] == v
+
+    def test_changing_the_classes_handed_out_changes_no_later_answer(self):
+        d = two_block_ring()
+        classes = d.primality_classes()
+        classes[0].append(3)
+        classes.append([9])
+        assert d.primality_classes() == [[1, 2], [3, 4]]
+        assert not d.is_gr_prime()
+        assert [blk.gamma0() for blk in d.decompose_prime()] == [(1, 2), (3, 4)]
+
+    def test_connector_is_found_once(self):
+        d = two_block_ring()
+        m = d.connector(2, 1)
+        assert m == Morphism(0, 1, 0, 2) and d.connector(2, 1) is m
+        assert d.connector(1, 1) == d.groupoid.identity(1)
+        for _ in range(2):
+            with pytest.raises(GradixError, match="no supported morphism"):
+                d.connector(3, 1)
+
+
 class TestPrimeForm:
     def build(self):
         corner = twisted_c2_f3()

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 from collections import Counter
 
 import pytest
@@ -13,8 +15,10 @@ from gradix.groupoids import (
     Morphism,
     from_composition_table,
 )
-from gradix.specfiles import load_groupoid
+from gradix.specfiles import load_division_ring, load_groupoid
 from oracles import random_raw_groupoid, raw_groupoid_failure, relabel_is_isomorphism, seeded
+
+FIXTURES = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
 
 
 def element_order(group, a):
@@ -178,6 +182,31 @@ class TestMorphismValue:
             assert again == m and hash(again) == hash(m)
             assert repr(m) == f"Morphism(block={m.block}, target={m.target}, elem={m.elem}, source={m.source})"
             assert g.morphism_from_json(list(m)) == m
+
+    def test_a_kept_parse_admits_no_other_shape(self):
+        # [0, 1, 0, 0] is kept once read; values equal to it as tuples but not
+        # four plain ints still take every check
+        g = FiniteGroupoid.pair([0, 1])
+        m = g.morphism_from_json([0, 1, 0, 0])
+        assert g.morphism_from_json([0, 1, 0, 0]) is m and type(m) is Morphism
+        for bad in ([0, True, 0, 0], [False, 1, 0, 0], [0, 1.0, 0, 0], [0, 1, 0, 0, 0], [0, 1, 0]):
+            with pytest.raises(FormatError, match="must be"):
+                g.morphism_from_json(bad)
+        assert g.morphism_from_json((0, 1, 0, 0)) == m
+        with pytest.raises(FormatError, match="does not belong"):
+            g.morphism_from_json([0, 2, 0, 0])
+        with pytest.raises(FormatError, match="does not belong"):
+            g.morphism_from_json([0, 2, 0, 0])
+
+    def test_a_bool_id_in_a_factor_key_is_refused_after_its_int_twin(self):
+        # the support names [0, 1, 0, 1] first; a factor key [0, true, 0, 1]
+        # equals it as a tuple and is still a format error
+        with open(os.path.join(FIXTURES, "pair_ring.json")) as f:
+            data = json.load(f)
+        assert data["factor"][0][0] == [0, 1, 0, 1]
+        data["factor"][0][0] = [0, True, 0, 1]
+        with pytest.raises(FormatError, match=r"got \[0, True, 0, 1\]"):
+            load_division_ring(data)
 
     def test_plain_tuple_is_not_a_morphism(self):
         g = self.groupoid()

@@ -7,6 +7,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import gradix.division as division
 import gradix.structure as structure
 from gradix.division import GradedDivisionRing
 from gradix.errors import GradixError, ValidationError
@@ -1105,6 +1106,71 @@ class TestBlockwiseChecks:
         with pytest.raises(GradixError, match="dimension audit failed") as err:
             wedderburn_decompose(ring)
         assert f"at {Morphism(*second[0])}:" in str(err.value)
+
+
+def benchmark_ring(seed, label):
+    (r,) = [r for r in benchmark_structure_inputs(seed)["rings"] if r["label"] == label]
+    return load_matrix_ring(r["spec"])
+
+
+class TestKeptWork:
+    """Decompositions reuse the classes, corners and dimension table a ring
+    keeps; the audit still builds every block's table afresh."""
+
+    @pytest.mark.parametrize(
+        "make, corners",
+        [
+            (lambda: two_class_ring()[1], 2),
+            (lambda: benchmark_ring(1, "q7"), 2),
+            (lambda: benchmark_ring(1, "f101"), 3),
+            (lambda: benchmark_ring(2, "q6"), 3),
+        ],
+        ids=["two_class", "q7 seed 1", "f101 seed 1", "q6 seed 2"],
+    )
+    def test_classes_and_corners_are_built_once(self, monkeypatch, make, corners):
+        ring = make()
+        calls = {"restrict": 0, "union": 0}
+        restrict, union = GradedDivisionRing.restrict_to_objects, division.union_classes
+
+        def counting_restrict(self, objs):
+            calls["restrict"] += 1
+            return restrict(self, objs)
+
+        def counting_union(elements, links):
+            calls["union"] += 1
+            return union(elements, links)
+
+        monkeypatch.setattr(GradedDivisionRing, "restrict_to_objects", counting_restrict)
+        monkeypatch.setattr(division, "union_classes", counting_union)
+        specs = [wedderburn_decompose(ring) for _ in range(3)]
+        classify(ring)
+        assert calls == {"restrict": corners, "union": 1}
+        assert [blk.ring for blk in specs[0].blocks] == [blk.ring for blk in specs[2].blocks]
+        assert len(specs[0].blocks) == corners
+
+    def test_the_audit_builds_block_tables_on_every_call(self, monkeypatch):
+        _, ring = two_class_ring()
+        dimension_table = MatrixRing.dimension_table
+        tables = []
+
+        def recording(self):
+            tables.append(self)
+            return dimension_table(self)
+
+        monkeypatch.setattr(MatrixRing, "dimension_table", recording)
+        specs = [wedderburn_decompose(ring) for _ in range(3)]
+        assert tables == [blk for spec in specs for blk in spec.blocks]
+        assert len({id(blk) for blk in tables}) == 6
+
+    def test_changing_a_handed_out_dimension_table_changes_no_later_answer(self):
+        _, ring = two_class_ring()
+        wedderburn_decompose(ring)
+        table = ring.dimension_table()
+        before = dict(table)
+        table[min(table)] += 1
+        table[(0, 9, 0, 9)] = 1
+        assert ring.dimension_table() == before
+        assert [blk.size for blk in wedderburn_decompose(ring).blocks] == [2, 2]
 
 
 class TestCorners:

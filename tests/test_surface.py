@@ -38,6 +38,11 @@ FormatError`` appears in src/gradix only in specfiles.py, the one reader,
 and in the few functions FORMAT_RAISERS names, each for its reason; and
 ``load_json`` is named in src/gradix only in specfiles.py, so no other
 module looks inside a file's JSON.
+
+A fourth keeps a ring's kept structure complete: every private attribute
+that GradedDivisionRing.__init__ sets is also set by _trusted on the ring
+it builds, and the other way round, so a trusted corner, prime block or
+opposite ring never lacks a cache.
 """
 
 import ast
@@ -46,6 +51,8 @@ import io
 import os
 import re
 import sys
+
+import pytest
 
 from gradix.cli import run
 from test_cli_snapshot import FIXTURES, SINGLE, fixture_names
@@ -465,6 +472,72 @@ def test_only_the_reader_opens_json():
         with open(path, encoding="utf-8") as fh:
             stray += [f"{os.path.relpath(path, ROOT)}:{line}" for line in load_json_references(fh.read())]
     assert stray == []
+
+
+# -- kept structure ------------------------------------------------------------
+
+
+def _private_sets(func, name):
+    """The private attributes that assignments in func set on the variable name."""
+    found = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == name
+                    and sub.attr.startswith("_")
+                ):
+                    found.add(sub.attr)
+    return found
+
+
+def unmatched_caches(source, cls="GradedDivisionRing"):
+    """The private attributes that the class's __init__ sets on self but its
+    _trusted does not set on the object it builds (the variable assigned
+    from ``__new__``), and the other way round, each sorted."""
+    (klass,) = [n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == cls]
+    methods = {n.name: n for n in klass.body if isinstance(n, ast.FunctionDef)}
+    trusted = methods["_trusted"]
+    (built,) = [
+        node.targets[0].id
+        for node in ast.walk(trusted)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and _called(node.value) == "__new__"
+    ]
+    in_init, in_trusted = _private_sets(methods["__init__"], "self"), _private_sets(trusted, built)
+    return sorted(in_init - in_trusted), sorted(in_trusted - in_init)
+
+
+def division_source():
+    with open(os.path.join(SRC, "division.py"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize(
+    "line, unmatched",
+    [
+        ("        ring._connectors = {}\n", (["_connectors"], [])),
+        ("        self._classes = None\n", ([], ["_classes"])),
+    ],
+    ids=["missing in _trusted", "missing in __init__"],
+)
+def test_the_guard_sees_a_cache_missing_from_either_constructor(line, unmatched):
+    source = division_source()
+    assert source.count(line) == 1
+    assert unmatched_caches(source.replace(line, "")) == unmatched
+
+
+def test_trusted_rings_start_every_cache():
+    assert unmatched_caches(division_source()) == ([], [])
 
 
 # -- the dynamic companion -----------------------------------------------------

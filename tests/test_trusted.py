@@ -102,6 +102,24 @@ class TestTrustedRings:
         assert_valid_and_same(op, opposite_by_init(d))
         assert op.opposite() is d
 
+    def test_trusted_rings_keep_their_own_structure(self, label, d):
+        # every trusted ring starts the caches a validated one starts, and
+        # only a ring and its opposite share one (the slot table)
+        op = d.opposite()
+        trusted = [op] + [r.corner(e) for r in (d, op) for e in d.gamma0()]
+        attributes = set(vars(GradedDivisionRing(d.field, d.groupoid, d.support, d.factor)))
+        for r in trusted:
+            assert set(vars(r)) == attributes
+        for name in ("_corners", "_connectors"):
+            assert len({id(getattr(r, name)) for r in [d] + trusted}) == 1 + len(trusted)
+        assert op._slots is d._slots
+        for e in d.gamma0():
+            assert op.corner(e) is op.corner(e) and op.corner(e) is not d.corner(e)
+            assert_valid_and_same(op.corner(e), opposite_by_init(d.corner(e)))
+            corner = d.corner(e)
+            assert corner.corner(e) is corner.corner(e)
+            assert corner.primality_classes() == [[e]]
+
 
 def matrix_form_categories():
     """(label, category): the fixture, seeded random ones, the benchmark's."""
