@@ -24,8 +24,8 @@ and factor set are fixed.  So what derives from them alone is built on
 first use and kept on the ring, and none of it can go stale: the slot
 table (shared with the opposite ring), the factor rows, the opposite
 ring, the corner at each object, the primality classes and the connector
-of each pair of objects.  Nothing of it is built at construction, and
-__init__ and _trusted start the same empty caches.
+of each pair of objects.  Nothing of it is built at construction: _setup,
+called by __init__ after validation and by _trusted, starts every cache.
 
 A homogeneous element is a bare (degree, coeff) pair: a support degree
 and a nonzero field coefficient.  Zero is None, and carries no degree.
@@ -106,13 +106,7 @@ class GradedDivisionRing:
         self.support = frozenset(support)
         self.factor = dict(factor)
         self._validate()
-        self._gamma0 = tuple(sorted({m.source for m in self.support}))
-        self._opposite = None
-        self._factor_rows = None
-        self._slots = {}
-        self._classes = None
-        self._corners = {}
-        self._connectors = {}
+        self._setup()
 
     @classmethod
     def _trusted(cls, parent, support, factor):
@@ -123,18 +117,20 @@ class GradedDivisionRing:
         that are valid by construction; ``factor`` is taken as it is.
         """
         ring = cls.__new__(cls)
-        ring.field = parent.field
-        ring.groupoid = parent.groupoid
-        ring.support = frozenset(support)
-        ring.factor = factor
-        ring._gamma0 = tuple(sorted({m.source for m in ring.support}))
-        ring._opposite = None
-        ring._factor_rows = None
-        ring._slots = {}
-        ring._classes = None
-        ring._corners = {}
-        ring._connectors = {}
+        ring.field, ring.groupoid = parent.field, parent.groupoid
+        ring.support, ring.factor = frozenset(support), factor
+        ring._setup()
         return ring
+
+    def _setup(self):
+        """gamma0 and the empty caches, the one place either is started."""
+        self._gamma0 = tuple(sorted({m.source for m in self.support}))
+        self._opposite = None
+        self._factor_rows = None
+        self._slots = {}
+        self._classes = None
+        self._corners = {}
+        self._connectors = {}
 
     # -- validation ---------------------------------------------------------
 
@@ -211,17 +207,16 @@ class GradedDivisionRing:
         c (a v) b = c a (v b), and c is nonzero.  So T is the whole
         support once it holds the generators.
 
-        Factors are compared as integer numerators over the one common
-        denominator d of the table, N(s,t) N(st,r) = N(t,r) N(s,tr),
-        reduced mod p over F_p: d^2 cancels, so the test is exact.  The
-        numerators are built here and dropped afterwards (factor_rows
-        stays unbuilt).
+        Each factor is compared on its own numerator N and denominator D
+        (an int over F_p is its own numerator over 1): N(s,t) N(st,r)
+        D(t,r) D(s,tr) = N(t,r) N(s,tr) D(s,t) D(st,r).  Over Q that is the
+        identity times four nonzero denominators; over F_p the values are
+        residues, so the difference is tested mod p.  Both are exact.
         """
         g, field = self.groupoid, self.field
-        nums, _ = field.integers(list(self.factor.values()))
         rows = {}
-        for (s, t), x in zip(self.factor, nums):
-            rows.setdefault(s, {})[t] = x
+        for (s, t), x in self.factor.items():
+            rows.setdefault(s, {})[t] = x.numerator, x.denominator
         support = sorted(self.support)
         into, out_of = _by_target(support), {}
         for m in support:
@@ -229,12 +224,13 @@ class GradedDivisionRing:
         count = 0
         for t in _cocycle_generators(g, self.support):
             rt = rows[t]
-            rs = [(r, g.compose(t, r), rt[r]) for r in into[t.source]]
+            rs = [(r, g.compose(t, r), *rt[r]) for r in into[t.source]]
             for s in out_of[t.target]:
                 ns, nst = rows[s], rows[g.compose(s, t)]
-                a = ns[t]
-                for r, tr, b in rs:
-                    if not field.is_zero(a * nst[r] - b * ns[tr]):
+                a, da = ns[t]
+                for r, tr, b, db in rs:
+                    (c, dc), (e, de) = nst[r], ns[tr]
+                    if not field.is_zero(a * c * db * de - b * e * da * dc):
                         raise ValidationError("factor.cocycle", f"cocycle identity fails on the triple ({s}, {t}, {r})")
                 count += len(rs)
         return count
@@ -413,11 +409,7 @@ class GradedDivisionRing:
     @classmethod
     def group_ring(cls, field, group, object_id=0):
         """The plain group ring F[G] at one object (factor identically 1)."""
-        g = FiniteGroupoid.one_object(group, object_id)
-        support = list(g.morphisms())
-        one = field.one()
-        factor = {(s, t): one for s in support for t in support}
-        return cls(field, g, support, factor)
+        return cls.twisted_group_ring(field, group, lambda a, b: 1, object_id)
 
     @classmethod
     def twisted_group_ring(cls, field, group, cocycle, object_id=0):

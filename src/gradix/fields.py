@@ -3,8 +3,9 @@
 A field object knows how to build, combine and print its elements.  Element
 values are plain Python data (Fraction for Q, int in range(p) for F_p), so
 they hash, compare and serialize without ceremony; all arithmetic goes
-through the field object.  A field's JSON description is read by
-specfiles.load_field; scalars are read here, by coerce.
+through the field object.  Both are numbers.Rational, each value with its
+own numerator and denominator (an int over 1).  A field's JSON description
+is read by specfiles.load_field; scalars are read here, by coerce.
 """
 
 import re

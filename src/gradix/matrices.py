@@ -17,16 +17,18 @@ with no cross terms.  A matrix-ring element of degree gamma is such a
 matrix over MatrixRing.signatures_at(gamma), so one sparse_product and
 one entry check, live_entries, serve hom matrices, module vectors and
 matrix-ring elements; both learn every slot from the signatures alone.
-sparse_product works on integers: both coefficient tables and the factor
-rows are put over their common denominators (d = 1 over F_p), each term
-is a product of three integers with the factor read from the left
-degree's row at the right degree's slot position, and each output entry
-is reduced once, mod p or to a Fraction.  Entries are therefore always
+sparse_product works on integers: each left row and each right column is
+put over the lcm of its entries' denominators (1 over F_p), and the factor
+rows over theirs, df; each term is a product of three integers with the
+factor read from the left degree's row at the right degree's slot
+position, and each output entry (i, j) is reduced once over d_i d_j df,
+mod p or to a Fraction.  Entries are therefore always
 canonical field elements and zeros are never stored, which lets equal
 compare entry dicts.
 """
 
 from collections import defaultdict
+from math import lcm
 
 from .errors import GradixError, ValidationError
 
@@ -35,31 +37,34 @@ def sparse_product(ring, left, right, left_sigs, right_sigs):
     """The product of coefficient tables {(i, k): x} and {(k, j): y} over
     signatures (rows, mids) and (mids2, cols): x*y*factor(slot(rows[i],
     mids[k]), slot(mids2[k], cols[j])) is added at (i, j), on integers over
-    the common denominators, left terms grouped by row, and each sum is
-    reduced once; a zero sum is never stored.
+    the denominator of left row i and of right column j, left terms grouped
+    by row, and each sum is reduced once; a zero sum is never stored.
     """
     field, slot = ring.field, ring.slot
     (rows, mids), (mids2, cols) = left_sigs, right_sigs
     pos, _, factor_rows, df = ring.factor_rows()
-    xs, dl = field.integers(list(left.values()))
-    ys, dr = field.integers(list(right.values()))
+    dr = {}
+    for (_, j), y in right.items():
+        dr[j] = lcm(dr.get(j, 1), y.denominator)
     right_rows = {}
-    for (k, j), y in zip(right, ys):
-        right_rows.setdefault(k, []).append((j, pos[slot(mids2[k], cols[j])], y))
-    left_rows = {}
-    for (i, k), x in zip(left, xs):
+    for (k, j), y in right.items():
+        right_rows.setdefault(k, []).append((j, pos[slot(mids2[k], cols[j])], y.numerator * (dr[j] // y.denominator)))
+    left_rows, dl = {}, {}
+    for (i, k), x in left.items():
         if k in right_rows:
             left_rows.setdefault(i, []).append((k, x))
-    quotient, d = field.quotient, dl * dr * df
+            dl[i] = lcm(dl.get(i, 1), x.denominator)
+    quotient = field.quotient
     out = {}
     for i, terms in left_rows.items():
-        sums = defaultdict(int)
+        sums, di = defaultdict(int), dl[i]
         for k, x in terms:
-            row = factor_rows[slot(rows[i], mids[k])]
+            row, x = factor_rows[slot(rows[i], mids[k])], x.numerator * (di // x.denominator)
             for j, p, y in right_rows[k]:
                 sums[j] += x * y * row[p]
+        di *= df
         for j, n in sums.items():
-            c = quotient(n, d)
+            c = quotient(n, di * dr[j])
             if not field.is_zero(c):
                 out[(i, j)] = c
     return out

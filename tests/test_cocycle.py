@@ -9,7 +9,10 @@ supports have several components and non-cyclic isotropy, each also with
 one or two non-identity factors changed, and on every +-1 factor set of
 some small group rings and of the pair groupoid on 3 objects.  A second
 group pins the size of the generating set and the number of triples
-compared.
+compared.  A third twists rings over Q by coboundaries whose values have
+denominators up to 10^6 (``random_scalar_wide``): each twist is accepted,
+each one-factor mutation of it is refused naming a pinned first failing
+triple, and no factor set is put over a common denominator on the way.
 """
 
 import json
@@ -25,7 +28,7 @@ from gradix.errors import ValidationError
 from gradix.fields import PrimeField, Rationals
 from gradix.groupoids import ConnectedBlock, FiniteGroup, FiniteGroupoid, Morphism
 from gradix.specfiles import load_any, load_field, load_groupoid
-from oracles import cocycle_failure, cocycle_failures, sample_nonzero, two_generated_subgroups
+from oracles import cocycle_failure, cocycle_failures, random_scalar_wide, sample_nonzero, two_generated_subgroups
 from test_trusted import RINGS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -247,3 +250,102 @@ def test_triples_compared():
     _, ring = load_any(os.path.join(FIXTURES, "pair_ring.json"))
     assert ring._check_cocycle() == 4
     assert full_ring(PrimeField(5), range(12), FiniteGroup.trivial())._check_cocycle() == 11 * 144
+
+
+# -- varied denominators -------------------------------------------------------
+
+
+def wide_twists():
+    """(label, parts) of full-support rings over Q with the factor set
+    c(s) c(t) / c(st), c drawn by random_scalar_wide and 1 on identities."""
+    rng = random.Random(7)
+    groupoids = [
+        ("pair groupoid on 8 objects", FiniteGroupoid.pair(range(8))),
+        ("pair groupoid on 12 objects", FiniteGroupoid.pair(range(12))),
+        ("C_4", FiniteGroupoid.one_object(FiniteGroup.cyclic(4))),
+        ("S_3", FiniteGroupoid.one_object(symmetric3())),
+    ]
+    out = []
+    for label, g in groupoids:
+        support = sorted(g.morphisms())
+        c = {m: Q.one() if g.is_identity(m) else random_scalar_wide(rng, Q, nonzero=True) for m in support}
+        factor = {(s, t): c[s] * c[t] / c[g.compose(s, t)] for s in support for t in support if g.is_composable(s, t)}
+        out.append((label, (Q, g, support, factor)))
+    return out
+
+
+WIDE = wide_twists()
+WIDE_IDS = [label for label, _ in WIDE]
+
+# The first failing triple the constructor names for each wide mutation: the
+# first in generator order, so a change of that order or of the test shows.
+WIDE_MUTATION_TRIPLES = {
+    "pair groupoid on 8 objects": [
+        ((0, 7, 0, 2), (0, 2, 0, 0), (0, 0, 0, 5)),
+        ((0, 7, 0, 2), (0, 2, 0, 0), (0, 0, 0, 3)),
+        ((0, 3, 0, 6), (0, 6, 0, 0), (0, 0, 0, 2)),
+    ],
+    "pair groupoid on 12 objects": [
+        ((0, 7, 0, 4), (0, 4, 0, 0), (0, 0, 0, 1)),
+        ((0, 0, 0, 10), (0, 10, 0, 0), (0, 0, 0, 3)),
+        ((0, 4, 0, 1), (0, 1, 0, 0), (0, 0, 0, 9)),
+    ],
+    "C_4": [
+        ((0, 0, 2, 0), (0, 0, 1, 0), (0, 0, 3, 0)),
+        ((0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 1, 0)),
+        ((0, 0, 2, 0), (0, 0, 1, 0), (0, 0, 2, 0)),
+    ],
+    "S_3": [
+        ((0, 0, 4, 0), (0, 0, 1, 0), (0, 0, 4, 0)),
+        ((0, 0, 2, 0), (0, 0, 1, 0), (0, 0, 4, 0)),
+        ((0, 0, 2, 0), (0, 0, 1, 0), (0, 0, 3, 0)),
+    ],
+}
+
+
+def wide_mutations(label, parts):
+    """Three copies of the factor set, each with one factor at a pair of
+    non-identity degrees scaled by a wide scalar other than 1."""
+    field, g, support, factor = parts
+    rng = random.Random(label)
+    pairs = sorted(key for key in factor if not (g.is_identity(key[0]) or g.is_identity(key[1])))
+    for _ in range(3):
+        c = random_scalar_wide(rng, field, nonzero=True)
+        while c == 1:
+            c = random_scalar_wide(rng, field, nonzero=True)
+        key = rng.choice(pairs)
+        yield field, g, support, {**factor, key: factor[key] * c}
+
+
+@pytest.mark.parametrize("label, parts", WIDE, ids=WIDE_IDS)
+def test_wide_coboundary_twists_are_accepted(label, parts):
+    dens = {v.denominator for v in parts[3].values()}
+    assert max(dens) > 10**6 and len(dens) > len(parts[2]) // 2
+    assert next(cocycle_failures(*parts), None) is None
+    assert verdict(*parts) is None
+
+
+@pytest.mark.parametrize("label, parts", WIDE, ids=WIDE_IDS)
+def test_wide_mutations_fail_on_the_same_triple(label, parts):
+    named = []
+    for mutation in wide_mutations(label, parts):
+        with pytest.raises(ValidationError) as err:
+            GradedDivisionRing(*mutation)
+        assert err.value.invariant == "factor.cocycle"
+        assert next(cocycle_failures(*mutation), None) is not None
+        named.append(str(err.value))
+    assert named == [
+        f"factor.cocycle: cocycle identity fails on the triple ({', '.join(map(str, map(Morphism._make, triple)))})"
+        for triple in WIDE_MUTATION_TRIPLES[label]
+    ]
+
+
+def test_wide_factor_sets_are_never_put_over_one_denominator(monkeypatch):
+    calls = []
+    integers = Rationals.integers
+    monkeypatch.setattr(Rationals, "integers", lambda self, values: calls.append(len(values)) or integers(self, values))
+    for label, parts in WIDE:
+        GradedDivisionRing(*parts)
+        for mutation in wide_mutations(label, parts):
+            assert verdict(*mutation) == "factor.cocycle"
+    assert calls == []

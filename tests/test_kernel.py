@@ -9,7 +9,8 @@ canonical field element, because HomMatrix.equal compares entry dicts.
 The last tests draw their scalars from ``random_scalar_wide``, whose
 denominators run up to 10^6, so the operands of one product or sum have
 many distinct denominators.  They pin answers against the definition
-products and ``plus``, never times.
+products and ``plus``, and the denominators each product entry is reduced
+over, never times.
 """
 
 import os
@@ -205,6 +206,28 @@ class TestWideDenominators:
         assert nonzero > 0
         if ring.field.kind == "Q":
             assert widest > 10**24
+
+    def test_each_entry_is_reduced_over_its_row_and_column(self, ring, monkeypatch):
+        """Every denominator the product hands to field.quotient divides
+        the lcm of a left row's denominators times that of a right
+        column's times the factor rows' denominator; counted, never timed."""
+        rng = random.Random(64)
+        field, df = ring.field, ring.factor_rows().denominator
+        seen = []
+        quotient = field.quotient
+        monkeypatch.setattr(field, "quotient", lambda n, d: seen.append(d) or quotient(n, d))
+        for _ in range(12):
+            m, k, n = (rng.randrange(1, 9) for _ in range(3))
+            middle = random_signature(rng, ring, k)
+            a = random_matrix_on(rng, ring, random_signature(rng, ring, m), middle, 0.8, random_scalar_wide)
+            b = random_matrix_on(rng, ring, middle, random_signature(rng, ring, n), 0.8, random_scalar_wide)
+            rows = [denominator_lcm([c for (i, _), c in a.entries.items() if i == r]) for r in range(m)]
+            cols = [denominator_lcm([c for (_, j), c in b.entries.items() if j == q]) for q in range(n)]
+            bounds = {dr * dc * df for dr in rows for dc in cols}
+            del seen[:]
+            a.mul(b)
+            assert len(seen) <= m * n
+            assert all(any(bound % d == 0 for bound in bounds) for d in seen)
 
     def test_matrix_ring_products_match_the_definition(self, ring):
         rng = random.Random(62)

@@ -39,10 +39,12 @@ and in the few functions FORMAT_RAISERS names, each for its reason; and
 ``load_json`` is named in src/gradix only in specfiles.py, so no other
 module looks inside a file's JSON.
 
-A fourth keeps a ring's kept structure complete: every private attribute
-that GradedDivisionRing.__init__ sets is also set by _trusted on the ring
-it builds, and the other way round, so a trusted corner, prime block or
-opposite ring never lacks a cache.
+A fourth keeps a ring's kept structure complete and started in one
+place: GradedDivisionRing.__init__ and _trusted both call _setup, and
+every private attribute that any method of the class assigns is started
+there, so a trusted corner, prime block or opposite ring never lacks a
+cache.  And division.py puts the factor set on integers in factor_rows
+alone: no other function of it calls ``.integers(``.
 """
 
 import ast
@@ -389,9 +391,9 @@ FORMAT_RAISERS = {
 }
 
 
-def format_raises(source):
-    """(enclosing function, line) of every ``raise FormatError`` in a
-    module's source; a method is named Class.name, module level is ''."""
+def owned_nodes(source, match):
+    """(enclosing function, line) of every node of a module's source for
+    which match is true; a method is named Class.name, module level is ''."""
     found = []
 
     def visit(node, owner):
@@ -399,14 +401,25 @@ def format_raises(source):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{owner}.{child.name}" if owner else child.name)
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == "FormatError":
-                    found.append((owner, child.lineno))
+            if match(child):
+                found.append((owner, child.lineno))
             visit(child, owner)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _raises_format_error(node):
+    if not (isinstance(node, ast.Raise) and node.exc is not None):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "FormatError"
+
+
+def format_raises(source):
+    """(enclosing function, line) of every ``raise FormatError`` in a
+    module's source."""
+    return owned_nodes(source, _raises_format_error)
 
 
 def test_the_guard_sees_every_format_error_raise():
@@ -478,7 +491,8 @@ def test_only_the_reader_opens_json():
 
 
 def _private_sets(func, name):
-    """The private attributes that assignments in func set on the variable name."""
+    """The private attributes that assignments in func set on the variable
+    name, or on any variable when name is None."""
     found = set()
     for node in ast.walk(func):
         if isinstance(node, ast.Assign):
@@ -492,29 +506,28 @@ def _private_sets(func, name):
                 if (
                     isinstance(sub, ast.Attribute)
                     and isinstance(sub.value, ast.Name)
-                    and sub.value.id == name
+                    and name in (None, sub.value.id)
                     and sub.attr.startswith("_")
                 ):
                     found.add(sub.attr)
     return found
 
 
-def unmatched_caches(source, cls="GradedDivisionRing"):
-    """The private attributes that the class's __init__ sets on self but its
-    _trusted does not set on the object it builds (the variable assigned
-    from ``__new__``), and the other way round, each sorted."""
+def unstarted_caches(source, cls="GradedDivisionRing"):
+    """What keeps a ring's caches out of its one setup: the constructors
+    (__init__, _trusted) that never call _setup, and the private attributes
+    that a method assigns on any variable but _setup does not start on
+    self, each sorted."""
     (klass,) = [n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == cls]
     methods = {n.name: n for n in klass.body if isinstance(n, ast.FunctionDef)}
-    trusted = methods["_trusted"]
-    (built,) = [
-        node.targets[0].id
-        for node in ast.walk(trusted)
-        if isinstance(node, ast.Assign)
-        and isinstance(node.value, ast.Call)
-        and _called(node.value) == "__new__"
+    skipping = [
+        name
+        for name in ("__init__", "_trusted")
+        if not any(isinstance(n, ast.Call) and _called(n) == "_setup" for n in ast.walk(methods[name]))
     ]
-    in_init, in_trusted = _private_sets(methods["__init__"], "self"), _private_sets(trusted, built)
-    return sorted(in_init - in_trusted), sorted(in_trusted - in_init)
+    started = _private_sets(methods["_setup"], "self")
+    assigned = set().union(*(_private_sets(f, None) for name, f in methods.items() if name != "_setup"))
+    return skipping, sorted(assigned - started)
 
 
 def division_source():
@@ -522,22 +535,50 @@ def division_source():
         return fh.read()
 
 
+def without(source, line):
+    assert source.count(line) == 1
+    return source.replace(line, "")
+
+
 @pytest.mark.parametrize(
-    "line, unmatched",
+    "line, unstarted",
     [
-        ("        ring._connectors = {}\n", (["_connectors"], [])),
-        ("        self._classes = None\n", ([], ["_classes"])),
+        ("        ring._setup()\n", (["_trusted"], [])),
+        ("        self._setup()\n", (["__init__"], [])),
     ],
     ids=["missing in _trusted", "missing in __init__"],
 )
-def test_the_guard_sees_a_cache_missing_from_either_constructor(line, unmatched):
-    source = division_source()
-    assert source.count(line) == 1
-    assert unmatched_caches(source.replace(line, "")) == unmatched
+def test_the_guard_sees_a_cache_missing_from_either_constructor(line, unstarted):
+    assert unstarted_caches(without(division_source(), line)) == unstarted
+
+
+def test_the_guard_sees_a_cache_missing_from_setup():
+    # connector() still fills self._connectors, which _setup no longer starts.
+    assert unstarted_caches(without(division_source(), "        self._connectors = {}\n")) == ([], ["_connectors"])
 
 
 def test_trusted_rings_start_every_cache():
-    assert unmatched_caches(division_source()) == ([], [])
+    assert unstarted_caches(division_source()) == ([], [])
+
+
+def integer_forms(source):
+    """(enclosing function, line) of every ``.integers(`` call in a module's source."""
+    return owned_nodes(source, lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "integers")
+
+
+def test_the_guard_sees_a_second_integer_form():
+    line = "        g, field = self.groupoid, self.field\n"
+    source = division_source()
+    assert source.count(line) == 1
+    source = source.replace(line, line + "        nums, _ = field.integers(list(self.factor.values()))\n")
+    assert [owner for owner, _ in integer_forms(source)] == [
+        "GradedDivisionRing._check_cocycle",
+        "GradedDivisionRing.factor_rows",
+    ]
+
+
+def test_only_factor_rows_puts_the_factor_set_on_integers():
+    assert [owner for owner, _ in integer_forms(division_source())] == ["GradedDivisionRing.factor_rows"]
 
 
 # -- the dynamic companion -----------------------------------------------------
